@@ -9,7 +9,6 @@ from .ib import (
     IbProblem,
     IbSolution,
     decoder_classes,
-    dirichlet_encoder_init,
     effective_cardinality,
     ib_decoder,
     ib_distortion,
@@ -48,7 +47,6 @@ from .rd import (
     SolverConfig,
     ab_step,
     boltzmann_factors,
-    dirichlet_init,
     encoder_from_marginal,
     expected_distortion,
     lagrangian,

@@ -182,36 +182,34 @@ def _run_sweep(problem, beta_min, beta_max, beta_steps, log_grid, init, seed,
     return records, transitions
 
 
-@cli.command("sweep")
-@problem_options
-@solver_options
-@sweep_options
-def sweep_cmd(problem_path, builtin, epsilon, norm, max_iters, zero_tol,
-              beta_min, beta_max, beta_steps, log_grid, init, seed, support_tol,
-              merge_tol, out_dir, formats):
-    """Sweep a rate-distortion problem over a beta grid and emit reports."""
-    problem = _load(problem_path, builtin)
-    if isinstance(problem, IbProblem):
-        raise click.UsageError("use ib-sweep for bottleneck problems")
-    config = _solver_config(epsilon, norm, max_iters, zero_tol)
-    _run_sweep(problem, beta_min, beta_max, beta_steps, log_grid, init, seed,
-               support_tol, merge_tol, config, out_dir, _parse_formats(formats))
+def _sweep_command(name, kind, wrong_kind_message, help_text):
+    """Register a sweep command that accepts problems of one kind only."""
+
+    @cli.command(name, help=help_text)
+    @problem_options
+    @solver_options
+    @sweep_options
+    def command(problem_path, builtin, epsilon, norm, max_iters, zero_tol,
+                beta_min, beta_max, beta_steps, log_grid, init, seed, support_tol,
+                merge_tol, out_dir, formats):
+        problem = _load(problem_path, builtin)
+        if not isinstance(problem, kind):
+            raise click.UsageError(wrong_kind_message)
+        config = _solver_config(epsilon, norm, max_iters, zero_tol)
+        _run_sweep(problem, beta_min, beta_max, beta_steps, log_grid, init, seed,
+                   support_tol, merge_tol, config, out_dir, _parse_formats(formats))
+
+    return command
 
 
-@cli.command("ib-sweep")
-@problem_options
-@solver_options
-@sweep_options
-def ib_sweep_cmd(problem_path, builtin, epsilon, norm, max_iters, zero_tol,
-                 beta_min, beta_max, beta_steps, log_grid, init, seed, support_tol,
-                 merge_tol, out_dir, formats):
-    """Sweep a bottleneck problem over a beta grid and emit reports."""
-    problem = _load(problem_path, builtin)
-    if isinstance(problem, RdProblem):
-        raise click.UsageError("use sweep for rate-distortion problems")
-    config = _solver_config(epsilon, norm, max_iters, zero_tol)
-    _run_sweep(problem, beta_min, beta_max, beta_steps, log_grid, init, seed,
-               support_tol, merge_tol, config, out_dir, _parse_formats(formats))
+sweep_cmd = _sweep_command(
+    "sweep", RdProblem, "use ib-sweep for bottleneck problems",
+    "Sweep a rate-distortion problem over a beta grid and emit reports.",
+)
+ib_sweep_cmd = _sweep_command(
+    "ib-sweep", IbProblem, "use sweep for rate-distortion problems",
+    "Sweep a bottleneck problem over a beta grid and emit reports.",
+)
 
 
 @cli.command("rate-study")

@@ -22,9 +22,7 @@ from .probability import (
     kl_divergence,
     mutual_information,
 )
-from .rd import RdProblem, SolverConfig
-
-_FINITE_CHECK_STRIDE = 512
+from .rd import _FINITE_CHECK_STRIDE, RdProblem, SolverConfig, _check_beta
 
 DEFAULT_MERGE_TOL = 1e-6
 
@@ -183,6 +181,7 @@ def ib_step(problem: IbProblem, encoder, beta: float):
     done in shifted log space, so large beta never overflows and exact zero
     marginal mass is preserved.
     """
+    _check_beta(beta)
     encoder = np.asarray(encoder, dtype=float)
     marginal = problem.px @ encoder
     dec = ib_decoder(problem, encoder, marginal)
@@ -249,12 +248,6 @@ def identity_encoder_init(problem: IbProblem, leak: float = 1e-6) -> np.ndarray:
     return enc / enc.sum(axis=1, keepdims=True)
 
 
-def dirichlet_encoder_init(problem: IbProblem, seed: int = 0) -> np.ndarray:
-    """Encoder rows drawn independently from a symmetric Dirichlet(1)."""
-    rng = np.random.default_rng(seed)
-    return rng.dirichlet(np.ones(problem.m), size=problem.n)
-
-
 def ib_solve(
     problem: IbProblem,
     beta: float,
@@ -270,8 +263,7 @@ def ib_solve(
     """
     if config is None:
         config = SolverConfig()
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    _check_beta(beta)
     enc = (
         uniform_encoder_init(problem)
         if init_encoder is None

@@ -1,11 +1,14 @@
 """Builtin example problems and problem-file loading.
 
-The planar four-point instance is constructed so that its reproduction
-support grows 1 -> 2 -> 3 -> 4 across three well-separated transitions
-(near beta 1.07, 4.9 and 17.2 for the frozen coordinates), each with a
-pronounced slowdown of the iteration. The four-symbol binary-relevance
-bottleneck instance likewise passes through three effective-cardinality
-transitions (near beta 4.2, 19 and 25).
+The planar four-point instance has two support paths. Its optimal curve
+(uniform-start solves) has support {1} -> {1,3} -> {0,1,3} -> {0,1} ->
+{0,1,2} -> all four, with transitions near beta 0.445, 2.62, 2.83, 4.9 and
+17.2. A reverse-annealed sweep can only shrink the support, so below beta
+2.83 it follows a metastable branch on which the support grows
+1 -> 2 -> 3 -> 4 near beta 1.07, 4.9 and 17.2. Each transition slows the
+iteration markedly. The four-symbol binary-relevance bottleneck instance
+likewise passes through three effective-cardinality transitions (near beta
+4.2, 19 and 25).
 """
 
 import json

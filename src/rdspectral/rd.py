@@ -7,7 +7,8 @@ given trade-off parameter beta are exactly the fixed points of that map.
 """
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,9 +117,6 @@ class SolverConfig:
     def distance(self, v) -> float:
         return _NORMS[self.norm](v)
 
-    def with_epsilon(self, epsilon: float) -> "SolverConfig":
-        return replace(self, epsilon=epsilon)
-
 
 @dataclass
 class RdSolution:
@@ -144,21 +142,42 @@ class RdSolution:
         }
 
 
-def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
-    """Normalized Boltzmann weights a[x, xhat] = exp(-beta d(x, xhat)) / Z(x).
+def _check_beta(beta: float) -> None:
+    """Reject a trade-off parameter that is negative, infinite or NaN."""
+    if not 0 <= beta < math.inf:
+        raise ValueError("beta must be finite and non-negative")
 
-    Each row is shifted by its smallest beta*d over the support of the
-    marginal before exponentiating, so the partition function keeps at least
-    one O(1) term at any beta and never underflows to zero.
+
+def _shifted_weights(problem: RdProblem, marginal: np.ndarray, beta: float) -> np.ndarray:
+    """Unnormalized weights exp(-beta (d(x, xhat) - shift(x))).
+
+    Each row is shifted by its smallest d over the support of the marginal
+    before exponentiating, so the partition function keeps at least one O(1)
+    term at any beta and never underflows to zero.
     """
-    marginal = np.asarray(marginal, dtype=float)
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    _check_beta(beta)
     masked = np.where(marginal[None, :] > 0, problem.d, np.inf)
     shift = masked.min(axis=1, keepdims=True)
     if not np.all(np.isfinite(shift)):
         raise ValueError("marginal has no support")
-    expw = np.exp(-beta * (problem.d - shift))
+    return np.exp(-beta * (problem.d - shift))
+
+
+def _ba_update(expw: np.ndarray, px: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """One alternating step on shifted weights: the marginal induced by the
+    Boltzmann encoder built from p, with sub-normal masses flushed to zero."""
+    z = expw @ p
+    if np.any(z <= 0):
+        raise NumericalError("partition function vanished")
+    newp = p * ((px / z) @ expw)
+    newp[newp < TINY_MASS] = 0.0
+    return newp
+
+
+def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
+    """Normalized Boltzmann weights a[x, xhat] = exp(-beta d(x, xhat)) / Z(x)."""
+    marginal = np.asarray(marginal, dtype=float)
+    expw = _shifted_weights(problem, marginal, beta)
     z = expw @ marginal
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise NumericalError("partition function underflowed or overflowed")
@@ -181,12 +200,11 @@ def marginal_from_encoder(problem: RdProblem, encoder) -> np.ndarray:
 def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     """One alternating step: encoder from the marginal, then its new marginal.
 
-    Maps the simplex to itself and preserves exact zeros coordinatewise.
+    Maps the simplex to itself and preserves exact zeros coordinatewise. It
+    is the map solve iterates, with the same arithmetic.
     """
-    out = marginal_from_encoder(
-        problem, encoder_from_marginal(problem, marginal, beta)
-    )
-    return np.where(out < TINY_MASS, 0.0, out)
+    marginal = np.asarray(marginal, dtype=float)
+    return _ba_update(_shifted_weights(problem, marginal, beta), problem.px, marginal)
 
 
 def residual(problem: RdProblem, marginal, beta: float) -> np.ndarray:
@@ -197,7 +215,12 @@ def residual(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     entries always sum to zero.
     """
     marginal = np.asarray(marginal, dtype=float)
-    a = boltzmann_factors(problem, marginal, beta)
+    return _residual_from_factors(
+        problem, marginal, boltzmann_factors(problem, marginal, beta)
+    )
+
+
+def _residual_from_factors(problem: RdProblem, marginal: np.ndarray, a) -> np.ndarray:
     return marginal * (1.0 - problem.px @ a)
 
 
@@ -224,12 +247,6 @@ def uniform_init(problem: RdProblem) -> np.ndarray:
     return np.full(problem.m, 1.0 / problem.m)
 
 
-def dirichlet_init(problem: RdProblem, seed: int = 0) -> np.ndarray:
-    """Symmetric Dirichlet(1) draw over the representation alphabet."""
-    rng = np.random.default_rng(seed)
-    return rng.dirichlet(np.ones(problem.m))
-
-
 def solve(
     problem: RdProblem,
     beta: float,
@@ -250,15 +267,11 @@ def solve(
     """
     if config is None:
         config = SolverConfig()
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
     p = uniform_init(problem) if init is None else as_distribution(init, name="init")
     if p.shape[0] != problem.m:
         raise ValueError("init length does not match the representation alphabet")
 
-    masked = np.where(p[None, :] > 0, problem.d, np.inf)
-    shift = masked.min(axis=1, keepdims=True)
-    expw = np.exp(-beta * (problem.d - shift))
+    expw = _shifted_weights(problem, p, beta)
     px = problem.px
 
     if trace is not None:
@@ -266,11 +279,7 @@ def solve(
     converged = False
     iterations = 0
     for k in range(1, config.max_iterations + 1):
-        z = expw @ p
-        if np.any(z <= 0):
-            raise NumericalError(f"partition function vanished at iteration {k}")
-        newp = p * ((px / z) @ expw)
-        newp[newp < TINY_MASS] = 0.0
+        newp = _ba_update(expw, px, p)
         if trace is not None:
             trace.append(newp.copy())
         delta = config.distance(newp - p)

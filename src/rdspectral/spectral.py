@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import DEFAULT_ZERO_TOL, NumericalError, support
-from .rd import RdProblem, RdSolution, boltzmann_factors, residual
+from .rd import (
+    RdProblem,
+    RdSolution,
+    _residual_from_factors,
+    boltzmann_factors,
+    residual,
+)
 
 # Eigenvalues of A below this are structurally impossible and indicate a
 # numerical failure rather than roundoff.
@@ -33,7 +39,8 @@ class FixedPointJacobian:
     The formula only needs a marginal, not a fixed point, so diagnostics at
     arbitrary points are allowed; residual_linf records how far from
     stationarity the evaluation point was so downstream consumers can
-    discount reports taken at poor points.
+    discount reports taken at poor points. factors holds the normalized
+    Boltzmann weights the matrix was built from, so the spectrum reuses them.
     """
 
     matrix: np.ndarray
@@ -41,6 +48,7 @@ class FixedPointJacobian:
     marginal: np.ndarray
     problem: RdProblem
     residual_linf: float
+    factors: np.ndarray
 
 
 @dataclass
@@ -95,7 +103,7 @@ def jacobian(
     matrix = (a.T * problem.px) @ a * marginal[None, :]
     if not np.all(np.isfinite(matrix)):
         raise NumericalError("Jacobian evaluation produced non-finite entries")
-    res = float(np.abs(residual(problem, marginal, beta)).max())
+    res = float(np.abs(_residual_from_factors(problem, marginal, a)).max())
     if res > fixed_point_tol:
         warnings.warn(
             f"Jacobian evaluated at a non-fixed point (residual {res:.3g}); "
@@ -108,6 +116,7 @@ def jacobian(
         marginal=marginal,
         problem=problem,
         residual_linf=res,
+        factors=a,
     )
 
 
@@ -165,8 +174,13 @@ def symmetrized_support_block(
     eigenvalues of A.
     """
     marginal = np.asarray(marginal, dtype=float)
+    return _support_gram(
+        problem, marginal, boltzmann_factors(problem, marginal, beta), zero_tol
+    )
+
+
+def _support_gram(problem: RdProblem, marginal: np.ndarray, a, zero_tol) -> np.ndarray:
     sup = marginal > zero_tol
-    a = boltzmann_factors(problem, marginal, beta)
     b_sup = (np.sqrt(problem.px)[:, None] * a).T[sup]
     scaled = np.sqrt(marginal[sup])[:, None] * b_sup
     return scaled @ scaled.T
@@ -186,7 +200,7 @@ def eigen_spectrum(
     sup = marginal > zero_tol
     n_dead = int(m - sup.sum())
     if sup.any():
-        gram = symmetrized_support_block(jac.problem, marginal, jac.beta, zero_tol)
+        gram = _support_gram(jac.problem, marginal, jac.factors, zero_tol)
         block = np.linalg.eigvalsh(gram)
     else:
         block = np.empty(0)

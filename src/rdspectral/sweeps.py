@@ -44,6 +44,8 @@ class SweepConfig:
         grid = np.asarray(self.beta_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("beta grid needs at least two points")
+        if not np.all((0 <= grid) & (grid < np.inf)):
+            raise ValueError("beta grid values must be finite and non-negative")
         diffs = np.diff(grid)
         if np.all(diffs > 0):
             ascending = True
@@ -146,127 +148,99 @@ def _snap_encoder(encoder: np.ndarray, marginal: np.ndarray, zero_tol: float) ->
     return snapped / sums
 
 
-def _rd_record(problem, beta, sol, config) -> SweepRecord:
-    # The record's spectral bookkeeping uses the same mass threshold as its
-    # support count, so lambda0 reads the supported block even when a loose
-    # epsilon has left dying coordinates stranded at tiny positive masses.
+def _record(problem, beta, sol, config) -> SweepRecord:
     sup_tol = config.effective_support_tol
-    jac = jacobian(problem, sol.marginal, beta, fixed_point_tol=float("inf"))
-    report = eigen_spectrum(jac, zero_tol=sup_tol)
+    if isinstance(problem, RdProblem):
+        # The record's spectral bookkeeping uses the same mass threshold as
+        # its support count, so lambda0 reads the supported block even when
+        # a loose epsilon has left dying coordinates stranded at tiny
+        # positive masses.
+        jac = jacobian(problem, sol.marginal, beta, fixed_point_tol=float("inf"))
+        report = eigen_spectrum(jac, zero_tol=sup_tol)
+        fields = dict(
+            effective_cardinality=None,
+            lambda0=report.lambda0,
+            lambda_max=report.lambda_max,
+            predicted_rate=report.predicted_rate,
+            distortion_or_info=sol.distortion,
+            eigenvalues=report.eigenvalues,
+        )
+    else:
+        nan = float("nan")
+        fields = dict(
+            effective_cardinality=ibmod.effective_cardinality(
+                sol, merge_tol=config.merge_tol, zero_tol=sup_tol
+            ),
+            lambda0=nan,
+            lambda_max=nan,
+            predicted_rate=nan,
+            distortion_or_info=sol.relevant_info,
+        )
     return SweepRecord(
         beta=float(beta),
         iterations=sol.iterations,
         converged=sol.converged,
         support_size=int(np.sum(sol.marginal > sup_tol)),
-        effective_cardinality=None,
-        lambda0=report.lambda0,
-        lambda_max=report.lambda_max,
-        predicted_rate=report.predicted_rate,
         measured_rate=sol.iterations / (-np.log(config.solver.epsilon)),
         marginal=sol.marginal,
         rate=sol.rate,
-        distortion_or_info=sol.distortion,
         solution=sol,
-        eigenvalues=report.eigenvalues,
-    )
-
-
-def _ib_record(problem, beta, sol, config) -> SweepRecord:
-    sup_tol = config.effective_support_tol
-    card = ibmod.effective_cardinality(
-        sol, merge_tol=config.merge_tol, zero_tol=sup_tol
-    )
-    return SweepRecord(
-        beta=float(beta),
-        iterations=sol.iterations,
-        converged=sol.converged,
-        support_size=int(np.sum(sol.marginal > sup_tol)),
-        effective_cardinality=card,
-        lambda0=float("nan"),
-        lambda_max=float("nan"),
-        predicted_rate=float("nan"),
-        measured_rate=sol.iterations / (-np.log(config.solver.epsilon)),
-        marginal=sol.marginal,
-        rate=sol.rate,
-        distortion_or_info=sol.relevant_info,
-        solution=sol,
+        **fields,
     )
 
 
 def sweep(problem, config: SweepConfig) -> list[SweepRecord]:
     """Solve at every grid point under the configured policy.
 
-    Works for both problem kinds. Reverse annealing pins sub-threshold
-    coordinates to exact zero at each warm start, so the support shrinks
-    cleanly along the descent. Forward annealing carries the previous state
-    unpinned; note that once a coordinate's mass has decayed far below the
-    simplex scale the warm-started iteration keeps tracking the restricted
-    (metastable) solution branch well past that coordinate's transition, so
-    a forward sweep is not a reliable way to grow support. Records come
-    back sorted by ascending beta whatever the execution order;
+    Works for both problem kinds: a rate-distortion solve starts from a
+    marginal, a bottleneck solve from an encoder. Reverse annealing pins
+    sub-threshold coordinates to exact zero at each warm start, so the
+    support shrinks cleanly along the descent. Forward annealing carries the
+    previous state unpinned; note that once a coordinate's mass has decayed
+    far below the simplex scale the warm-started iteration keeps tracking
+    the restricted (metastable) solution branch well past that coordinate's
+    transition, so a forward sweep is not a reliable way to grow support.
+    Records come back sorted by ascending beta whatever the execution order;
     non-convergence at a point flags that record and the sweep continues.
     """
-    if isinstance(problem, RdProblem):
-        return _sweep_rd(problem, config)
-    if isinstance(problem, IbProblem):
-        return _sweep_ib(problem, config)
-    raise TypeError(f"cannot sweep a {type(problem).__name__}")
-
-
-def _sweep_rd(problem: RdProblem, config: SweepConfig) -> list[SweepRecord]:
-    grid = config.beta_grid
-    records = []
+    if not isinstance(problem, (RdProblem, IbProblem)):
+        raise TypeError(f"cannot sweep a {type(problem).__name__}")
+    is_rd = isinstance(problem, RdProblem)
+    policy = config.init
+    zero_tol = config.solver.zero_tol
     rng = np.random.default_rng(config.seed)
-    carry = None
-    for beta in grid:
-        if config.init == "uniform":
-            init = rdmod.uniform_init(problem)
-        elif config.init == "dirichlet":
-            init = rng.dirichlet(np.ones(problem.m))
-        elif carry is None:
-            init = rdmod.uniform_init(problem)
-        elif config.init == "reverse":
+    records = []
+    sol = None
+    for beta in config.beta_grid:
+        if policy == "dirichlet":
+            init = rng.dirichlet(np.ones(problem.m), size=None if is_rd else problem.n)
+        elif policy == "uniform" or sol is None:
+            # A reverse bottleneck sweep starts beyond every expected
+            # transition, where the refined near-deterministic encoder is the
+            # right opening state; every other sweep starts uniform.
+            if is_rd:
+                init = rdmod.uniform_init(problem)
+            elif policy == "reverse":
+                init = ibmod.identity_encoder_init(problem)
+            else:
+                init = ibmod.uniform_encoder_init(problem)
+        elif policy == "reverse":
             # Pinning sub-threshold mass to zero is what makes a reverse
             # sweep track the shrinking support. A forward sweep must NOT
             # pin: the tiny leftover masses are the seeds from which
             # representatives regrow past their transitions.
-            init = _snap_marginal(carry, config.solver.zero_tol)
-        else:
-            init = carry
-        sol = rdmod.solve(problem, beta, init=init, config=config.solver)
-        carry = sol.marginal
-        records.append(_rd_record(problem, beta, sol, config))
-    records.sort(key=lambda r: r.beta)
-    return records
-
-
-def _sweep_ib(problem: IbProblem, config: SweepConfig) -> list[SweepRecord]:
-    grid = config.beta_grid
-    records = []
-    rng = np.random.default_rng(config.seed)
-    carry = None
-    for beta in grid:
-        if config.init == "uniform":
-            init = ibmod.uniform_encoder_init(problem)
-        elif config.init == "dirichlet":
-            init = rng.dirichlet(np.ones(problem.m), size=problem.n)
-        elif carry is None:
-            # A reverse sweep starts beyond every expected transition, where
-            # the refined near-deterministic encoder is the right opening
-            # state; a forward sweep starts in the trivial phase.
             init = (
-                ibmod.identity_encoder_init(problem)
-                if config.init == "reverse"
-                else ibmod.uniform_encoder_init(problem)
+                _snap_marginal(sol.marginal, zero_tol)
+                if is_rd
+                else _snap_encoder(sol.encoder, sol.marginal, zero_tol)
             )
-        elif config.init == "reverse":
-            enc_prev, marg_prev = carry
-            init = _snap_encoder(enc_prev, marg_prev, config.solver.zero_tol)
         else:
-            init = carry[0]
-        sol = ibmod.ib_solve(problem, beta, init_encoder=init, config=config.solver)
-        carry = (sol.encoder, sol.marginal)
-        records.append(_ib_record(problem, beta, sol, config))
+            init = sol.marginal if is_rd else sol.encoder
+        if is_rd:
+            sol = rdmod.solve(problem, beta, init=init, config=config.solver)
+        else:
+            sol = ibmod.ib_solve(problem, beta, init_encoder=init, config=config.solver)
+        records.append(_record(problem, beta, sol, config))
     records.sort(key=lambda r: r.beta)
     return records
 

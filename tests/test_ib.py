@@ -158,6 +158,14 @@ class TestIbStep:
 
 
 class TestIbSolve:
+    @pytest.mark.parametrize("beta", [np.inf, np.nan, -1.0])
+    def test_rejects_non_finite_or_negative_beta(self, beta):
+        problem = bottleneck_four_symbol()
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ib_solve(problem, beta)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ib_step(problem, uniform_encoder_init(problem), beta)
+
     def test_beta_zero_trivial(self):
         problem = bottleneck_four_symbol()
         sol = ib_solve(problem, 0.0, config=EPS7)

@@ -245,6 +245,25 @@ class TestSolve:
         np.testing.assert_array_equal(sol.encoder, [[1.0], [1.0]])
         assert sol.rate == 0.0
 
+    @pytest.mark.parametrize("beta", [np.inf, np.nan, -1.0])
+    def test_rejects_non_finite_or_negative_beta(self, beta):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            solve(binary_hamming(), beta)
+
+    def test_iterates_the_step_map_bit_for_bit(self):
+        """k applications of ab_step reproduce the solver's k-th iterate."""
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            problem = random_problem(rng)
+            beta = float(rng.uniform(0.5, 20))
+            trace = []
+            solve(problem, beta, init=rng.dirichlet(np.ones(problem.m)),
+                  config=SolverConfig(max_iterations=25), trace=trace)
+            q = trace[0]
+            for expected in trace[1:]:
+                q = ab_step(problem, q, beta)
+                np.testing.assert_array_equal(q, expected)
+
     def test_budget_exhaustion_flags_not_raises(self):
         problem = binary_hamming(0.8)
         sol = solve(problem, 2.5, config=SolverConfig(max_iterations=3))
@@ -318,6 +337,20 @@ class TestBuiltinProblems:
         assert problem.d.max() == 1.0
         np.testing.assert_allclose(problem.d, problem.d.T, atol=0)
         np.testing.assert_allclose(problem.px, [0.4, 0.3, 0.2, 0.1], atol=1e-15)
+
+    def test_planar_optimal_support_path(self):
+        """Uniform-start solves follow the optimal branch, whose support is
+        not nested: representative 3 lives only for beta in (0.445, 2.83)."""
+        from rdspectral import planar_four_point
+
+        problem = planar_four_point()
+        config = SolverConfig(epsilon=1e-13)
+        expected = {0.3: [1], 1.5: [1, 3], 2.7: [0, 1, 3], 3.5: [0, 1],
+                    10.0: [0, 1, 2], 30.0: [0, 1, 2, 3]}
+        for beta, alive in expected.items():
+            sol = solve(problem, beta, config=config)
+            assert sol.converged
+            assert np.flatnonzero(sol.marginal > 1e-5).tolist() == alive
 
     def test_unknown_builtin_lists_choices(self):
         from rdspectral import builtin_problem

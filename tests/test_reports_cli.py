@@ -182,6 +182,12 @@ class TestCli:
         )
         assert out.returncode == 3
 
+    @pytest.mark.parametrize("beta", ["inf", "nan"])
+    def test_solve_non_finite_beta_is_usage_error(self, beta):
+        out = run_cli("solve", "--builtin", "binary_hamming", "--beta", beta)
+        assert out.returncode == 1
+        assert "finite and non-negative" in out.stderr
+
     def test_solve_missing_problem_is_usage_error(self):
         out = run_cli("solve", "--beta", "1.0")
         assert out.returncode == 1

@@ -36,9 +36,66 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError, match="ascending"):
             SweepConfig(beta_grid=[2.0, 1.0], init="forward")
 
+    @pytest.mark.parametrize("grid", [[np.inf, 1.0], [1.0, np.nan], [-1.0, 1.0]])
+    def test_rejects_non_finite_or_negative_beta(self, grid):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            SweepConfig(beta_grid=grid)
+
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="init"):
             SweepConfig(beta_grid=[1.0, 2.0], init="warm")
+
+
+# Per-record (iterations, support_size[, effective_cardinality]) of one short
+# sweep per problem kind and policy, in ascending beta. Iteration counts are
+# the observable the slowing-down analysis rests on, so a change to the sweep
+# driver or the iteration maps must reproduce them exactly.
+POLICY_RECORDS = {
+    "rd-uniform": [(5768, 1), (1510, 2), (518, 2), (663, 2), (98, 3), (24, 4)],
+    "rd-dirichlet": [(5990, 1), (1457, 2), (437, 2), (663, 2), (94, 3), (27, 4)],
+    "rd-reverse": [(3, 1), (661, 1), (146, 2), (656, 2), (94, 3), (24, 4)],
+    "rd-forward": [(5768, 1), (2709, 2), (204, 2), (37, 2), (10, 2), (4, 2)],
+    "ib-uniform": [
+        (14, 4, 1), (30, 4, 1), (40, 4, 2),
+        (25, 4, 2), (164, 4, 3), (12, 4, 3),
+    ],
+    "ib-dirichlet": [
+        (13, 4, 1), (29, 4, 1), (37, 4, 2),
+        (21, 4, 2), (205, 4, 3), (14, 4, 3),
+    ],
+    "ib-reverse": [
+        (1, 4, 1), (31, 4, 1), (37, 4, 2),
+        (60, 4, 2), (81, 4, 4), (6, 4, 4),
+    ],
+    "ib-forward": [
+        (14, 4, 1), (1, 4, 1), (1, 4, 1),
+        (1, 4, 1), (208, 4, 3), (11, 4, 3),
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(POLICY_RECORDS))
+def test_every_policy_keeps_its_iteration_counts(key):
+    kind, policy = key.split("-")
+    if kind == "rd":
+        problem = planar_four_point()
+        grid = np.geomspace(0.3, 30.0, 6)
+        options = dict(solver=SolverConfig(epsilon=1e-9))
+    else:
+        problem = bottleneck_four_symbol()
+        grid = np.geomspace(1.5, 60.0, 6)
+        options = dict(solver=SolverConfig(epsilon=1e-7), merge_tol=1e-4)
+    records = sweep(problem, SweepConfig(
+        beta_grid=grid[::-1] if policy == "reverse" else grid, init=policy,
+        seed=3, support_tol=1e-5, **options,
+    ))
+    assert all(r.converged for r in records)
+    got = [(r.iterations, r.support_size) for r in records]
+    if kind == "ib":
+        got = [g + (r.effective_cardinality,) for g, r in zip(got, records)]
+    else:
+        assert all(r.effective_cardinality is None for r in records)
+    assert got == POLICY_RECORDS[key]
 
 
 class TestRdSweep:
