@@ -53,6 +53,7 @@ from .rd import (
     marginal_from_encoder,
     residual,
     solve,
+    solve_batch,
     uniform_init,
 )
 from .reports import CSV_HEADER, emit_reports, write_sweep_csv, write_sweep_json

@@ -26,10 +26,13 @@ DEFAULT_MAX_ITERATIONS = 10**7
 # How often the iteration loop checks for NaN/Inf contamination.
 _FINITE_CHECK_STRIDE = 512
 
-_NORMS = {
-    "l1": lambda v: float(np.abs(v).sum()),
-    "linf": lambda v: float(np.abs(v).max()),
-}
+# Byte budget for one chunk of stacked weights in solve_batch; grids whose
+# weight stack would exceed it run as several chunks one after another.
+_LANE_CHUNK_BYTES = 8 * 2**20
+
+# The reduction over |difference| behind each stopping norm; along the last
+# axis it gives one distance per lane.
+_NORMS = {"l1": np.add, "linf": np.maximum}
 
 
 @dataclass(frozen=True)
@@ -111,16 +114,34 @@ class SolverConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.norm not in _NORMS:
             raise ValueError(f"norm must be one of {sorted(_NORMS)}")
+        if isinstance(self.max_iterations, bool) or not isinstance(
+            self.max_iterations, (int, np.integer)
+        ):
+            raise ValueError("max_iterations must be an integer")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        _check_tolerance(self.zero_tol, "zero_tol")
 
-    def distance(self, v) -> float:
-        return _NORMS[self.norm](v)
+    def distance(self, v):
+        """Norm of v along its last axis: a float, or one value per lane."""
+        return _NORMS[self.norm].reduce(np.abs(v), axis=-1)
+
+
+def _check_tolerance(value, name: str) -> None:
+    """Reject a mass threshold that is not a finite number in [0, 1)."""
+    if not 0 <= value < 1:
+        raise ValueError(f"{name} must be finite and lie in [0, 1)")
 
 
 @dataclass
 class RdSolution:
-    """Converged (or budget-exhausted) state of a single solve."""
+    """Converged (or budget-exhausted) state of a single solve.
+
+    gap is Blahut's duality gap log max_j sum_x px(x) a(x, j), with a the
+    normalized Boltzmann factors at the marginal: it is non-negative up to
+    roundoff and zero exactly when the marginal is optimal at beta, so a
+    converged solve on a metastable branch shows a positive gap.
+    """
 
     beta: float
     marginal: np.ndarray
@@ -129,6 +150,7 @@ class RdSolution:
     distortion: float
     iterations: int
     converged: bool
+    gap: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,6 +161,7 @@ class RdSolution:
             "distortion": self.distortion,
             "iterations": self.iterations,
             "converged": self.converged,
+            "gap": self.gap,
         }
 
 
@@ -165,11 +188,24 @@ def _shifted_weights(problem: RdProblem, marginal: np.ndarray, beta: float) -> n
 
 def _ba_update(expw: np.ndarray, px: np.ndarray, p: np.ndarray) -> np.ndarray:
     """One alternating step on shifted weights: the marginal induced by the
-    Boltzmann encoder built from p, with sub-normal masses flushed to zero."""
-    z = expw @ p
+    Boltzmann encoder built from p, with sub-normal masses flushed to zero.
+
+    p is one marginal over an (n, m) expw, or a (lanes, m) stack over a
+    (lanes, n, m) stack. The stacked products go through np.matmul, which
+    reproduces each lane's matrix-vector product bit for bit; einsum or a
+    broadcast multiply-and-sum would round differently and could move a
+    stopping iteration.
+    """
+    if p.ndim == 1:
+        z = expw @ p
+    else:
+        z = np.matmul(expw, p[:, :, None])[:, :, 0]
     if np.any(z <= 0):
         raise NumericalError("partition function vanished")
-    newp = p * ((px / z) @ expw)
+    if p.ndim == 1:
+        newp = p * ((px / z) @ expw)
+    else:
+        newp = p * np.matmul((px / z)[:, None, :], expw)[:, 0, :]
     newp[newp < TINY_MASS] = 0.0
     return newp
 
@@ -187,7 +223,11 @@ def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
 def encoder_from_marginal(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     """Boltzmann encoder rows p(xhat | x) induced by a reproduction marginal."""
     marginal = np.asarray(marginal, dtype=float)
-    enc = marginal[None, :] * boltzmann_factors(problem, marginal, beta)
+    return _encoder_from_factors(marginal, boltzmann_factors(problem, marginal, beta))
+
+
+def _encoder_from_factors(marginal: np.ndarray, a: np.ndarray) -> np.ndarray:
+    enc = marginal[None, :] * a
     return np.where(enc < TINY_MASS, 0.0, enc)
 
 
@@ -247,6 +287,78 @@ def uniform_init(problem: RdProblem) -> np.ndarray:
     return np.full(problem.m, 1.0 / problem.m)
 
 
+def _initial_marginal(problem: RdProblem, init) -> np.ndarray:
+    p = uniform_init(problem) if init is None else as_distribution(init, name="init")
+    if p.shape[0] != problem.m:
+        raise ValueError("init length does not match the representation alphabet")
+    return p
+
+
+def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConfig,
+             trace: list | None = None):
+    """Run the alternating iteration on a stack of independent lanes.
+
+    expw is (lanes, n, m) and p is (lanes, m). Each lane stops on its own
+    epsilon test and then leaves the stack, so later iterations only touch
+    the lanes still running; the last lane left runs on plain 2-D and 1-D
+    views, which is how a single solve runs from the start. Returns each
+    lane's final marginal, iteration count and convergence flag; a lane
+    that exhausts the budget stops at max_iterations with converged False.
+    When trace is a list every iterate of a single lane is appended to it.
+    """
+    lanes = np.arange(p.shape[0])
+    marginals = [None] * lanes.size
+    iterations = [config.max_iterations] * lanes.size
+    converged = [False] * lanes.size
+    stacked = lanes.size > 1
+    w, q = (expw, p) if stacked else (expw[0], p[0])
+    for k in range(1, config.max_iterations + 1):
+        newq = _ba_update(w, px, q)
+        if trace is not None:
+            trace.append(newq.copy())
+        delta = config.distance(newq - q)
+        q = newq
+        if k % _FINITE_CHECK_STRIDE == 0 and not np.all(np.isfinite(q)):
+            raise NumericalError(f"non-finite marginal at iteration {k}")
+        done = delta < config.epsilon
+        if not (done.any() if stacked else done):
+            continue
+        # A last lane runs on 1-D views; give it the stack's shape back.
+        done, q = np.atleast_1d(done), q.reshape(lanes.size, -1)
+        for lane, row in zip(lanes[done], q[done]):
+            marginals[lane] = row
+            iterations[lane] = k
+            converged[lane] = True
+        keep = ~done
+        lanes, expw, q = lanes[keep], expw[keep], q[keep]
+        if lanes.size == 0:
+            break
+        stacked = lanes.size > 1
+        w, q = (expw, q) if stacked else (expw[0], q[0])
+    else:
+        for lane, row in zip(lanes, q.reshape(lanes.size, -1)):
+            marginals[lane] = row
+    return marginals, iterations, converged
+
+
+def _solution(problem: RdProblem, beta, p: np.ndarray, iterations: int,
+              converged: bool) -> RdSolution:
+    if not np.all(np.isfinite(p)):
+        raise NumericalError("non-finite marginal at termination")
+    a = boltzmann_factors(problem, p, beta)
+    encoder = _encoder_from_factors(p, a)
+    return RdSolution(
+        beta=float(beta),
+        marginal=p,
+        encoder=encoder,
+        rate=mutual_information(problem.px, encoder),
+        distortion=expected_distortion(problem, encoder),
+        iterations=iterations,
+        converged=converged,
+        gap=float(np.log((problem.px @ a).max())),
+    )
+
+
 def solve(
     problem: RdProblem,
     beta: float,
@@ -267,39 +379,56 @@ def solve(
     """
     if config is None:
         config = SolverConfig()
-    p = uniform_init(problem) if init is None else as_distribution(init, name="init")
-    if p.shape[0] != problem.m:
-        raise ValueError("init length does not match the representation alphabet")
-
+    p = _initial_marginal(problem, init)
     expw = _shifted_weights(problem, p, beta)
-    px = problem.px
-
     if trace is not None:
         trace.append(p.copy())
-    converged = False
-    iterations = 0
-    for k in range(1, config.max_iterations + 1):
-        newp = _ba_update(expw, px, p)
-        if trace is not None:
-            trace.append(newp.copy())
-        delta = config.distance(newp - p)
-        p = newp
-        iterations = k
-        if k % _FINITE_CHECK_STRIDE == 0 and not np.all(np.isfinite(p)):
-            raise NumericalError(f"non-finite marginal at iteration {k}")
-        if delta < config.epsilon:
-            converged = True
-            break
-
-    if not np.all(np.isfinite(p)):
-        raise NumericalError("non-finite marginal at termination")
-    encoder = encoder_from_marginal(problem, p, beta)
-    return RdSolution(
-        beta=float(beta),
-        marginal=p,
-        encoder=encoder,
-        rate=mutual_information(px, encoder),
-        distortion=expected_distortion(problem, encoder),
-        iterations=iterations,
-        converged=converged,
+    (marginal,), (iterations,), (converged,) = _iterate(
+        expw[None], problem.px, p[None], config, trace
     )
+    return _solution(problem, beta, marginal, iterations, converged)
+
+
+def solve_batch(
+    problem: RdProblem,
+    betas,
+    inits=None,
+    config: SolverConfig | None = None,
+) -> list[RdSolution]:
+    """Independent solves of one problem at each beta, run as batched lanes.
+
+    Lane i starts from inits[i] (uniform when inits is None) and gives the
+    same solution, bit for bit, as solve(problem, betas[i], inits[i],
+    config). The lanes advance together as one stacked iteration and each
+    leaves the stack when it stops, so a grid pays the Python overhead of
+    one iteration loop instead of one per point. Lanes run in chunks whose
+    weight stack fits a fixed byte budget. A NumericalError in any lane is
+    raised from the batch.
+    """
+    if config is None:
+        config = SolverConfig()
+    betas = list(betas)
+    if not betas:
+        raise ValueError("betas must not be empty")
+    for beta in betas:
+        _check_beta(beta)
+    if inits is None:
+        inits = [None] * len(betas)
+    else:
+        inits = list(inits)
+        if len(inits) != len(betas):
+            raise ValueError("inits and betas must have the same length")
+    starts = [_initial_marginal(problem, init) for init in inits]
+    chunk = max(1, _LANE_CHUNK_BYTES // (8 * problem.n * problem.m))
+    solutions = []
+    for lo in range(0, len(betas), chunk):
+        chunk_betas, chunk_starts = betas[lo:lo + chunk], starts[lo:lo + chunk]
+        expw = np.stack([
+            _shifted_weights(problem, p, beta)
+            for p, beta in zip(chunk_starts, chunk_betas)
+        ])
+        lanes = _iterate(expw, problem.px, np.stack(chunk_starts), config)
+        solutions += [
+            _solution(problem, beta, *lane) for beta, lane in zip(chunk_betas, zip(*lanes))
+        ]
+    return solutions

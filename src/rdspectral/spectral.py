@@ -15,6 +15,7 @@ what the predicted iteration counts below are built from.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,15 +41,24 @@ class FixedPointJacobian:
     arbitrary points are allowed; residual_linf records how far from
     stationarity the evaluation point was so downstream consumers can
     discount reports taken at poor points. factors holds the normalized
-    Boltzmann weights the matrix was built from, so the spectrum reuses them.
+    Boltzmann weights the matrix is built from, so the spectrum reuses them;
+    the dense matrix itself is built on first access, since the spectrum
+    never reads it.
     """
 
-    matrix: np.ndarray
     beta: float
     marginal: np.ndarray
     problem: RdProblem
     residual_linf: float
     factors: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        a = self.factors
+        matrix = (a.T * self.problem.px) @ a * self.marginal[None, :]
+        if not np.all(np.isfinite(matrix)):
+            raise NumericalError("Jacobian evaluation produced non-finite entries")
+        return matrix
 
 
 @dataclass
@@ -100,9 +110,8 @@ def jacobian(
     """
     marginal = np.asarray(marginal, dtype=float)
     a = boltzmann_factors(problem, marginal, beta)
-    matrix = (a.T * problem.px) @ a * marginal[None, :]
-    if not np.all(np.isfinite(matrix)):
-        raise NumericalError("Jacobian evaluation produced non-finite entries")
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("Jacobian evaluation produced non-finite factors")
     res = float(np.abs(_residual_from_factors(problem, marginal, a)).max())
     if res > fixed_point_tol:
         warnings.warn(
@@ -111,7 +120,6 @@ def jacobian(
             stacklevel=2,
         )
     return FixedPointJacobian(
-        matrix=matrix,
         beta=float(beta),
         marginal=marginal,
         problem=problem,

@@ -15,7 +15,7 @@ import numpy as np
 from . import ib as ibmod
 from . import rd as rdmod
 from .ib import IbProblem
-from .rd import RdProblem, SolverConfig
+from .rd import RdProblem, SolverConfig, _check_tolerance
 from .spectral import eigen_spectrum, jacobian, predicted_iterations
 
 INIT_POLICIES = ("uniform", "dirichlet", "reverse", "forward")
@@ -59,6 +59,8 @@ class SweepConfig:
             raise ValueError("reverse annealing requires a descending beta grid")
         if self.init == "forward" and not ascending:
             raise ValueError("forward annealing requires an ascending beta grid")
+        if self.support_tol is not None:
+            _check_tolerance(self.support_tol, "support_tol")
         object.__setattr__(self, "beta_grid", grid)
 
     @property
@@ -189,31 +191,17 @@ def _record(problem, beta, sol, config) -> SweepRecord:
     )
 
 
-def sweep(problem, config: SweepConfig) -> list[SweepRecord]:
-    """Solve at every grid point under the configured policy.
-
-    Works for both problem kinds: a rate-distortion solve starts from a
-    marginal, a bottleneck solve from an encoder. Reverse annealing pins
-    sub-threshold coordinates to exact zero at each warm start, so the
-    support shrinks cleanly along the descent. Forward annealing carries the
-    previous state unpinned; note that once a coordinate's mass has decayed
-    far below the simplex scale the warm-started iteration keeps tracking
-    the restricted (metastable) solution branch well past that coordinate's
-    transition, so a forward sweep is not a reliable way to grow support.
-    Records come back sorted by ascending beta whatever the execution order;
-    non-convergence at a point flags that record and the sweep continues.
-    """
-    if not isinstance(problem, (RdProblem, IbProblem)):
-        raise TypeError(f"cannot sweep a {type(problem).__name__}")
+def _solve_in_order(problem, config: SweepConfig, rng) -> list:
+    """Solve at each grid point in grid order, starting each solve as the
+    policy says; the annealing policies start from the previous solution."""
     is_rd = isinstance(problem, RdProblem)
     policy = config.init
     zero_tol = config.solver.zero_tol
-    rng = np.random.default_rng(config.seed)
-    records = []
+    solutions = []
     sol = None
     for beta in config.beta_grid:
         if policy == "dirichlet":
-            init = rng.dirichlet(np.ones(problem.m), size=None if is_rd else problem.n)
+            init = rng.dirichlet(np.ones(problem.m), size=problem.n)
         elif policy == "uniform" or sol is None:
             # A reverse bottleneck sweep starts beyond every expected
             # transition, where the refined near-deterministic encoder is the
@@ -240,7 +228,43 @@ def sweep(problem, config: SweepConfig) -> list[SweepRecord]:
             sol = rdmod.solve(problem, beta, init=init, config=config.solver)
         else:
             sol = ibmod.ib_solve(problem, beta, init_encoder=init, config=config.solver)
-        records.append(_record(problem, beta, sol, config))
+        solutions.append(sol)
+    return solutions
+
+
+def sweep(problem, config: SweepConfig) -> list[SweepRecord]:
+    """Solve at every grid point under the configured policy.
+
+    Works for both problem kinds: a rate-distortion solve starts from a
+    marginal, a bottleneck solve from an encoder. Reverse annealing pins
+    sub-threshold coordinates to exact zero at each warm start, so the
+    support shrinks cleanly along the descent. Forward annealing carries the
+    previous state unpinned; note that once a coordinate's mass has decayed
+    far below the simplex scale the warm-started iteration keeps tracking
+    the restricted (metastable) solution branch well past that coordinate's
+    transition, so a forward sweep is not a reliable way to grow support.
+    Records come back sorted by ascending beta whatever the execution order;
+    non-convergence at a point flags that record and the sweep continues.
+    Rate-distortion points under the uniform and dirichlet policies do not
+    depend on each other, so they run as the lanes of one rd.solve_batch
+    call, with the same results as solving them one at a time.
+    """
+    if not isinstance(problem, (RdProblem, IbProblem)):
+        raise TypeError(f"cannot sweep a {type(problem).__name__}")
+    grid = config.beta_grid
+    rng = np.random.default_rng(config.seed)
+    if isinstance(problem, RdProblem) and config.init in ("uniform", "dirichlet"):
+        # Dirichlet starts are drawn in grid order, as the one-at-a-time
+        # loop draws them.
+        inits = (
+            [rng.dirichlet(np.ones(problem.m)) for _ in grid]
+            if config.init == "dirichlet"
+            else None
+        )
+        solutions = rdmod.solve_batch(problem, grid, inits, config.solver)
+    else:
+        solutions = _solve_in_order(problem, config, rng)
+    records = [_record(problem, beta, sol, config) for beta, sol in zip(grid, solutions)]
     records.sort(key=lambda r: r.beta)
     return records
 

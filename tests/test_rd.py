@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rdspectral import (
+    NumericalError,
     RdProblem,
     SolverConfig,
     ab_step,
@@ -17,7 +18,10 @@ from rdspectral import (
     mutual_information,
     residual,
     solve,
+    solve_batch,
 )
+from rdspectral import rd as rdmod
+from rdspectral.problems import builtin_problem
 
 
 def random_problem(rng, n=None, m=None):
@@ -371,3 +375,126 @@ class TestSolverConfig:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("budget", [10.0, 2.5, True, "10"])
+    def test_rejects_non_integer_budget(self, budget):
+        with pytest.raises(ValueError, match="integer"):
+            SolverConfig(max_iterations=budget)
+
+    def test_accepts_numpy_integer_budget(self):
+        assert SolverConfig(max_iterations=np.int64(7)).max_iterations == 7
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 1.0, 2.0])
+    def test_rejects_bad_zero_tol(self, tol):
+        with pytest.raises(ValueError, match="zero_tol"):
+            SolverConfig(zero_tol=tol)
+
+    def test_accepts_zero_zero_tol(self):
+        assert SolverConfig(zero_tol=0.0).zero_tol == 0.0
+
+
+def assert_lanes_match_solve(problem, betas, inits=None, config=None):
+    """Every lane of a batch equals a standalone solve bit for bit."""
+    lanes = solve_batch(problem, betas, inits, config)
+    assert len(lanes) == len(betas)
+    for i, (beta, lane) in enumerate(zip(betas, lanes)):
+        alone = solve(problem, beta, init=None if inits is None else inits[i],
+                      config=config)
+        np.testing.assert_array_equal(lane.marginal, alone.marginal)
+        np.testing.assert_array_equal(lane.encoder, alone.encoder)
+        assert lane.iterations == alone.iterations
+        assert lane.converged == alone.converged
+        assert lane.beta == alone.beta
+        assert lane.gap == alone.gap
+    return lanes
+
+
+class TestSolveBatch:
+    def test_planar_cold_grid(self):
+        """The 140 cold solves of the planar benchmark grid, whose counts
+        run from a handful to tens of thousands near the transitions."""
+        problem = builtin_problem("fig1_like")
+        grid = np.geomspace(50.0, 0.2, 420)[::3]
+        lanes = assert_lanes_match_solve(
+            problem, grid, config=SolverConfig(epsilon=1e-9)
+        )
+        assert sum(s.iterations for s in lanes) == 369923
+        assert all(s.converged for s in lanes)
+
+    def test_dirichlet_inits_with_exact_zeros(self):
+        rng = np.random.default_rng(21)
+        problem = random_problem(rng, 6, 5)
+        inits = [rng.dirichlet(np.ones(5)) for _ in range(12)]
+        for q in inits[::3]:
+            q[[0, 3]] = 0.0
+            q /= q.sum()
+        lanes = assert_lanes_match_solve(
+            problem, np.geomspace(0.5, 30.0, 12), inits, SolverConfig(epsilon=1e-11)
+        )
+        for lane in lanes[::3]:
+            assert lane.marginal[0] == 0.0 and lane.marginal[3] == 0.0
+
+    def test_l1_norm_at_m32(self):
+        """Pairwise summation over 32 entries, per lane and per vector."""
+        rng = np.random.default_rng(22)
+        problem = random_problem(rng, 20, 32)
+        inits = [rng.dirichlet(np.ones(32)) for _ in range(10)]
+        assert_lanes_match_solve(
+            problem, np.geomspace(1.0, 40.0, 10), inits,
+            SolverConfig(epsilon=1e-10, norm="l1"),
+        )
+
+    def test_budget_exhausted_lane(self):
+        problem = builtin_problem("fig1_like")
+        # 4.9 and 17.2 sit near transitions and need thousands of
+        # iterations; 50.0 and 30.0 converge in a few dozen.
+        lanes = assert_lanes_match_solve(
+            problem, [50.0, 4.9, 30.0, 17.2], config=SolverConfig(max_iterations=60)
+        )
+        assert [s.converged for s in lanes] == [True, False, True, False]
+        assert lanes[1].iterations == lanes[3].iterations == 60
+
+    def test_grid_spanning_two_chunks(self):
+        rng = np.random.default_rng(23)
+        n = m = 256
+        problem = random_problem(rng, n, m)
+        betas = np.geomspace(2.0, 200.0, 18)
+        assert rdmod._LANE_CHUNK_BYTES // (8 * n * m) < len(betas)
+        assert_lanes_match_solve(
+            problem, betas, config=SolverConfig(epsilon=1e-6, max_iterations=200)
+        )
+
+    def test_numerical_error_in_one_lane_is_raised(self):
+        """A dead representative whose weight overflows poisons its lane."""
+        problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0], [1.0, 0.0]])
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            solve_batch(problem, [1.0, 1000.0, 2.0], [None, [1.0, 0.0], None])
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="same length"):
+            solve_batch(binary_hamming(), [1.0, 2.0], [[0.5, 0.5]])
+
+    def test_rejects_empty_betas(self):
+        with pytest.raises(ValueError, match="empty"):
+            solve_batch(binary_hamming(), [])
+
+    def test_rejects_bad_beta(self):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            solve_batch(binary_hamming(), [1.0, np.nan])
+
+
+class TestDualityGap:
+    def test_zero_at_the_closed_form_optimum(self):
+        sol = solve(binary_hamming(0.7), 2.0, config=SolverConfig(epsilon=1e-13))
+        assert abs(sol.gap) < 1e-12
+
+    def test_positive_off_the_optimum(self):
+        """A marginal pinned to one representative is a fixed point that is
+        not optimal once beta is past the first transition."""
+        problem = builtin_problem("fig1_like")
+        pinned = solve(problem, 30.0, init=[0.0, 1.0, 0.0, 0.0])
+        assert pinned.converged and pinned.gap > 1.0
+
+    def test_serialized(self):
+        sol = solve(binary_hamming(), 1.0)
+        assert sol.to_json_dict()["gap"] == sol.gap

@@ -188,6 +188,13 @@ class TestCli:
         assert out.returncode == 1
         assert "finite and non-negative" in out.stderr
 
+    @pytest.mark.parametrize("tol", ["nan", "2.0", "-1"])
+    def test_solve_bad_zero_tol_is_usage_error(self, tol):
+        out = run_cli("solve", "--builtin", "binary_hamming", "--beta", "1.0",
+                      "--zero-tol", tol)
+        assert out.returncode == 1
+        assert "zero_tol must be finite" in out.stderr
+
     def test_solve_missing_problem_is_usage_error(self):
         out = run_cli("solve", "--beta", "1.0")
         assert out.returncode == 1

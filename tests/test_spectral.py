@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rdspectral import (
+    NumericalError,
     RdProblem,
     SolverConfig,
     binary_hamming,
@@ -44,6 +45,29 @@ def solved_interior_instances(seed, count, n_max=6, m_max=6):
         if sol.converged and np.all(sol.marginal > 1e-3):
             out.append((problem, sol))
     return out
+
+
+class TestLazyMatrix:
+    def test_spectrum_does_not_build_the_matrix(self):
+        problem = planar_four_point()
+        sol = solve(problem, 10.0, config=TIGHT)
+        jac = jacobian(problem, sol.marginal, sol.beta)
+        eigen_spectrum(jac)
+        assert "matrix" not in vars(jac)
+        a = jac.factors
+        expected = (a.T * problem.px) @ a * sol.marginal[None, :]
+        np.testing.assert_array_equal(jac.matrix, expected)
+        assert jac.matrix is jac.matrix
+
+    def test_non_finite_matrix_raises_on_access(self):
+        """Finite factors whose square overflows: a dead representative far
+        cheaper than the live one at a large beta."""
+        problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0], [1.0, 0.0]])
+        with np.errstate(all="ignore"):
+            jac = jacobian(problem, [1.0, 0.0], 500.0, fixed_point_tol=np.inf)
+            assert np.all(np.isfinite(jac.factors))
+            with pytest.raises(NumericalError, match="non-finite"):
+                jac.matrix
 
 
 class TestJacobianForms:

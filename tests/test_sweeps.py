@@ -9,6 +9,7 @@ from rdspectral import (
     SweepConfig,
     binary_hamming,
     bottleneck_four_symbol,
+    builtin_problem,
     detect_transitions,
     planar_four_point,
     rate_study,
@@ -44,6 +45,11 @@ class TestSweepConfigValidation:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="init"):
             SweepConfig(beta_grid=[1.0, 2.0], init="warm")
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 1.0])
+    def test_rejects_bad_support_tol(self, tol):
+        with pytest.raises(ValueError, match="support_tol"):
+            SweepConfig(beta_grid=[1.0, 2.0], support_tol=tol)
 
 
 # Per-record (iterations, support_size[, effective_cardinality]) of one short
@@ -96,6 +102,19 @@ def test_every_policy_keeps_its_iteration_counts(key):
     else:
         assert all(r.effective_cardinality is None for r in records)
     assert got == POLICY_RECORDS[key]
+
+
+def test_forward_stall_shows_in_the_duality_gap():
+    """A forward sweep stalls on a two-representative branch that every
+    record calls converged; Blahut's gap tells it from the optimum, which a
+    uniform start reaches at every point."""
+    problem = builtin_problem("fig1_like")
+    grid = np.geomspace(0.3, 30.0, 6)
+    solver = SolverConfig(epsilon=1e-9)
+    forward = sweep(problem, SweepConfig(beta_grid=grid, init="forward", solver=solver))
+    uniform = sweep(problem, SweepConfig(beta_grid=grid, init="uniform", solver=solver))
+    assert forward[-1].converged and forward[-1].solution.gap > 1.0
+    assert all(abs(r.solution.gap) < 1e-8 for r in uniform)
 
 
 class TestRdSweep:
