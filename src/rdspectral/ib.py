@@ -10,6 +10,7 @@ the marginal alone does not determine a bottleneck solution.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,13 +35,16 @@ class IbProblem:
     pxy[i, j] is the joint mass of (x=i, y=j). The x-marginal must be
     strictly positive and x must actually carry information about y;
     m representatives (default |X|, which is always enough) are optimized.
+    The derived arrays (marginals, conditionals and the decoder-independent
+    factors of the relevance distortion) are computed once and read-only;
+    pxy is a read-only copy, so they cannot go stale.
     """
 
     pxy: np.ndarray
     m: int = 0
 
     def __post_init__(self):
-        pxy = np.asarray(self.pxy, dtype=float)
+        pxy = np.array(self.pxy, dtype=float)
         if pxy.ndim != 2 or pxy.size == 0:
             raise ValueError("pxy must be a non-empty 2-d matrix")
         if not np.all(np.isfinite(pxy)) or np.any(pxy < 0):
@@ -56,7 +60,7 @@ class IbProblem:
         m = self.m if self.m else pxy.shape[0]
         if m < 1:
             raise ValueError("representation alphabet must be non-empty")
-        object.__setattr__(self, "pxy", pxy)
+        object.__setattr__(self, "pxy", _read_only(pxy))
         object.__setattr__(self, "m", int(m))
         if self.relevant_information_ceiling() <= 1e-12:
             raise ValueError("x carries no information about y (I(X;Y) = 0)")
@@ -69,17 +73,27 @@ class IbProblem:
     def ny(self) -> int:
         return self.pxy.shape[1]
 
-    @property
+    @cached_property
     def px(self) -> np.ndarray:
-        return self.pxy.sum(axis=1)
+        return _read_only(self.pxy.sum(axis=1))
 
-    @property
+    @cached_property
     def py(self) -> np.ndarray:
-        return self.pxy.sum(axis=0)
+        return _read_only(self.pxy.sum(axis=0))
 
-    @property
+    @cached_property
     def py_given_x(self) -> np.ndarray:
-        return self.pxy / self.px[:, None]
+        return _read_only(self.pxy / self.px[:, None])
+
+    @cached_property
+    def _kl_terms(self) -> tuple:
+        """(n, 1, ny) views of p(y|x), its log and its support mask: the
+        factors of the relevance distortion that do not depend on the
+        decoder."""
+        pygx = self.py_given_x[:, None, :]
+        with np.errstate(divide="ignore"):
+            logp = np.log(pygx)
+        return pygx, _read_only(logp), _read_only(pygx > 0)
 
     def relevant_information_ceiling(self) -> float:
         """I(X;Y), the most relevance any representation can retain."""
@@ -111,6 +125,11 @@ class IbProblem:
         return cls.from_json_dict(json.loads(text))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass
 class IbSolution:
     """State of a bottleneck solve: encoder, marginal, decoder and scores."""
@@ -137,6 +156,51 @@ class IbSolution:
         }
 
 
+def _decode(problem: IbProblem, encoder: np.ndarray, marginal: np.ndarray):
+    """Decoder rows for an encoder and its marginal, with the live mask and
+    the zero-safe marginal the rows were divided by."""
+    if marginal.sum() <= 0:
+        raise ValueError("encoder induces an all-zero marginal")
+    live = marginal > 0
+    safe = np.where(live, marginal, 1.0)
+    dec = ((encoder * problem.px[:, None]).T @ problem.py_given_x) / safe[:, None]
+    return np.where(live[:, None], dec, problem.py[None, :]), live, safe
+
+
+def _relevance(problem: IbProblem, decoder: np.ndarray) -> np.ndarray:
+    """KL(p(y|x) || decoder row) for every pair; needs divide and invalid
+    floating-point errors ignored."""
+    pygx, logp, pos = problem._kl_terms
+    return np.where(pos, pygx * (logp - np.log(decoder[None, :, :])), 0.0).sum(axis=-1)
+
+
+def _ib_update(problem: IbProblem, encoder: np.ndarray, marginal: np.ndarray,
+               beta: float):
+    """The bottleneck map on an encoder and its marginal px @ encoder.
+
+    Returns (new_encoder, new_marginal, decoder_used); the new marginal is
+    the one the next update takes. Needs divide and invalid floating-point
+    errors ignored.
+    """
+    dec, live, safe = _decode(problem, encoder, marginal)
+    dist = _relevance(problem, dec)
+    logits = np.where(live, np.log(safe) - beta * dist, -np.inf)
+    logits -= logits.max(axis=1, keepdims=True)
+    new_encoder = np.exp(logits, out=logits)
+    norms = new_encoder.sum(axis=1, keepdims=True)
+    # Each row must keep positive, finite mass; a NaN fails both tests.
+    if not (norms.min() > 0 and norms.max() < np.inf):
+        raise NumericalError("encoder update lost all mass on some row")
+    new_encoder /= norms
+    new_encoder[new_encoder < TINY_MASS] = 0.0
+    return new_encoder, problem.px @ new_encoder, dec
+
+
+def _check_encoder_shape(problem: IbProblem, encoder: np.ndarray) -> None:
+    if encoder.shape != (problem.n, problem.m):
+        raise ValueError("encoder shape does not match the problem")
+
+
 def ib_decoder(problem: IbProblem, encoder, marginal=None) -> np.ndarray:
     """Decoder rows p(y | xhat) implied by an encoder via Bayes' rule.
 
@@ -145,17 +209,10 @@ def ib_decoder(problem: IbProblem, encoder, marginal=None) -> np.ndarray:
     distortion finite without contaminating anything that carries mass.
     """
     encoder = np.asarray(encoder, dtype=float)
-    if encoder.shape != (problem.n, problem.m):
-        raise ValueError("encoder shape does not match the problem")
+    _check_encoder_shape(problem, encoder)
     if marginal is None:
         marginal = problem.px @ encoder
-    marginal = np.asarray(marginal, dtype=float)
-    if marginal.sum() <= 0:
-        raise ValueError("encoder induces an all-zero marginal")
-    weighted = encoder * problem.px[:, None]
-    safe = np.where(marginal > 0, marginal, 1.0)
-    dec = (weighted.T @ problem.py_given_x) / safe[:, None]
-    return np.where(marginal[:, None] > 0, dec, problem.py[None, :])
+    return _decode(problem, encoder, np.asarray(marginal, dtype=float))[0]
 
 
 def ib_distortion(problem: IbProblem, decoder) -> np.ndarray:
@@ -165,13 +222,8 @@ def ib_distortion(problem: IbProblem, decoder) -> np.ndarray:
     infinities propagate by design.
     """
     decoder = np.asarray(decoder, dtype=float)
-    pygx = problem.py_given_x
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = pygx[:, None, :] * (
-            np.log(pygx[:, None, :]) - np.log(decoder[None, :, :])
-        )
-    logs = np.where(pygx[:, None, :] > 0, logs, 0.0)
-    return logs.sum(axis=-1)
+        return _relevance(problem, decoder)
 
 
 def ib_step(problem: IbProblem, encoder, beta: float):
@@ -183,23 +235,9 @@ def ib_step(problem: IbProblem, encoder, beta: float):
     """
     _check_beta(beta)
     encoder = np.asarray(encoder, dtype=float)
-    marginal = problem.px @ encoder
-    dec = ib_decoder(problem, encoder, marginal)
-    dist = ib_distortion(problem, dec)
-    with np.errstate(divide="ignore"):
-        logits = np.where(
-            marginal[None, :] > 0,
-            np.log(np.where(marginal > 0, marginal, 1.0))[None, :] - beta * dist,
-            -np.inf,
-        )
-    logits -= logits.max(axis=1, keepdims=True)
-    new_encoder = np.exp(logits)
-    norms = new_encoder.sum(axis=1, keepdims=True)
-    if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
-        raise NumericalError("encoder update lost all mass on some row")
-    new_encoder /= norms
-    new_encoder[new_encoder < TINY_MASS] = 0.0
-    return new_encoder, problem.px @ new_encoder, dec
+    _check_encoder_shape(problem, encoder)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _ib_update(problem, encoder, problem.px @ encoder, beta)
 
 
 def relevant_information(problem: IbProblem, marginal, decoder) -> float:
@@ -271,30 +309,36 @@ def ib_solve(
     )
     if enc.shape != (problem.n, problem.m):
         raise ValueError("init encoder shape does not match the problem")
+    if not np.all(np.isfinite(enc)):
+        raise ValueError("init encoder entries must be finite")
     if np.any(enc < 0):
         raise ValueError("init encoder has negative entries")
-    enc = enc / enc.sum(axis=1, keepdims=True)
+    sums = enc.sum(axis=1, keepdims=True)
+    if np.any(sums <= 0):
+        raise ValueError("init encoder has an all-zero row")
+    enc = enc / sums
+    marginal = problem.px @ enc
 
     if trace is not None:
         trace.append(enc.copy())
     converged = False
     iterations = 0
-    for k in range(1, config.max_iterations + 1):
-        new_enc, _, _ = ib_step(problem, enc, beta)
-        if trace is not None:
-            trace.append(new_enc.copy())
-        delta = config.distance((new_enc - enc).ravel())
-        enc = new_enc
-        iterations = k
-        if k % _FINITE_CHECK_STRIDE == 0 and not np.all(np.isfinite(enc)):
-            raise NumericalError(f"non-finite encoder at iteration {k}")
-        if delta < config.epsilon:
-            converged = True
-            break
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, config.max_iterations + 1):
+            new_enc, marginal, _ = _ib_update(problem, enc, marginal, beta)
+            if trace is not None:
+                trace.append(new_enc.copy())
+            delta = config.distance((new_enc - enc).ravel())
+            enc = new_enc
+            iterations = k
+            if k % _FINITE_CHECK_STRIDE == 0 and not np.all(np.isfinite(enc)):
+                raise NumericalError(f"non-finite encoder at iteration {k}")
+            if delta < config.epsilon:
+                converged = True
+                break
 
     if not np.all(np.isfinite(enc)):
         raise NumericalError("non-finite encoder at termination")
-    marginal = problem.px @ enc
     dec = ib_decoder(problem, enc, marginal)
     return IbSolution(
         beta=float(beta),

@@ -57,13 +57,12 @@ class RdProblem:
             raise ValueError("distortion entries must be finite")
         if np.any(d < 0):
             raise ValueError("distortion entries must be non-negative")
-        for j in range(d.shape[1]):
-            for k in range(j + 1, d.shape[1]):
-                if np.array_equal(d[:, j], d[:, k]):
-                    raise ValueError(
-                        f"distortion columns {j} and {k} are identical; "
-                        "merge the duplicate representatives first"
-                    )
+        pair = _duplicate_columns(d)
+        if pair is not None:
+            raise ValueError(
+                f"distortion columns {pair[0]} and {pair[1]} are identical; "
+                "merge the duplicate representatives first"
+            )
         object.__setattr__(self, "px", px)
         object.__setattr__(self, "d", d)
 
@@ -92,6 +91,23 @@ class RdProblem:
     @classmethod
     def from_json(cls, text: str) -> "RdProblem":
         return cls.from_json_dict(json.loads(text))
+
+
+def _duplicate_columns(d: np.ndarray):
+    """The first pair j < k of identical columns of d, or None.
+
+    A lexicographic sort of the columns puts identical ones next to each
+    other, so one sort decides; the quadratic scan that names the first
+    pair runs only when there is one. Both comparisons treat -0.0 and 0.0
+    as equal.
+    """
+    ordered = d[:, np.lexsort(d)]
+    if not (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any():
+        return None
+    for j in range(d.shape[1]):
+        for k in range(j + 1, d.shape[1]):
+            if np.array_equal(d[:, j], d[:, k]):
+                return j, k
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Unit tests for the bottleneck problem type, iteration and tangent construction."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from rdspectral import (
     tangent_rd,
     uniform_encoder_init,
 )
+from rdspectral.sweeps import _snap_encoder
 
 EPS7 = SolverConfig(epsilon=1e-7)
 
@@ -240,6 +244,146 @@ class TestIbSolve:
                        config=EPS7)
         assert sol.converged
         assert sol.relevant_info > 0.01
+
+
+class TestInitEncoderRejection:
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.nan, "finite"),
+            (np.inf, "finite"),
+            (-np.inf, "finite"),
+        ],
+    )
+    def test_non_finite_entry(self, bad, match):
+        problem = bottleneck_four_symbol()
+        enc = identity_encoder_init(problem)
+        enc[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                ib_solve(problem, 10.0, init_encoder=enc)
+
+    def test_all_zero_row(self):
+        problem = bottleneck_four_symbol()
+        enc = identity_encoder_init(problem)
+        enc[3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="all-zero row"):
+                ib_solve(problem, 10.0, init_encoder=enc)
+
+    def test_zero_column_is_accepted(self):
+        problem = bottleneck_four_symbol()
+        enc = identity_encoder_init(problem)
+        enc[:, 3] = 0.0
+        sol = ib_solve(problem, 10.0, init_encoder=enc, config=EPS7)
+        assert sol.converged and np.all(sol.encoder[:, 3] == 0.0)
+
+
+class TestCachedConstants:
+    def test_read_only_and_equal_to_fresh(self):
+        problem = bottleneck_four_symbol()
+        pxy = problem.pxy
+        px = pxy.sum(axis=1)
+        pygx = pxy / px[:, None]
+        with np.errstate(divide="ignore"):
+            logp = np.log(pygx[:, None, :])
+        fresh = {
+            "px": px,
+            "py": pxy.sum(axis=0),
+            "py_given_x": pygx,
+        }
+        for name, expected in fresh.items():
+            cached = getattr(problem, name)
+            assert cached is getattr(problem, name)
+            assert not cached.flags.writeable
+            assert np.array_equal(cached, expected)
+        cached_pygx, cached_logp, cached_pos = problem._kl_terms
+        assert np.array_equal(cached_pygx, pygx[:, None, :])
+        assert np.array_equal(cached_logp, logp)
+        assert np.array_equal(cached_pos, pygx[:, None, :] > 0)
+        for arr in (pxy, *problem._kl_terms):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            problem.px[0] = 0.5
+
+    def test_log_of_zero_conditional_is_cached_quietly(self):
+        pxy = np.array([[0.35, 0.0, 0.0], [0.0, 0.35, 0.0], [0.0, 0.0, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problem = IbProblem(pxy=pxy)
+            _, logp, pos = problem._kl_terms
+        assert np.all(np.isneginf(logp[~pos]))
+
+    def test_caller_array_is_not_aliased(self):
+        pxy = np.array([[0.35, 0.15], [0.1, 0.4]])
+        problem = IbProblem(pxy=pxy)
+        px = problem.px.copy()
+        pxy[0, 0] = 0.0
+        assert problem.pxy[0, 0] == 0.35
+        assert np.array_equal(problem.px, px)
+
+
+def _bytes_digest(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestLeanLoop:
+    """The solve loop is the bottleneck map iterated, bit for bit."""
+
+    @staticmethod
+    def _snapped_start(problem):
+        hi = ib_solve(problem, 25.0, init_encoder=identity_encoder_init(problem),
+                      config=EPS7)
+        start = _snap_encoder(hi.encoder, hi.marginal, 1e-5)
+        assert np.any(np.all(start == 0.0, axis=0))
+        return start
+
+    @pytest.mark.parametrize(
+        "beta, start",
+        [(30.0, "identity"), (8.0, "uniform"), (22.0, "snapped")],
+    )
+    def test_trace_is_repeated_ib_step(self, beta, start):
+        problem = bottleneck_four_symbol()
+        init = {
+            "identity": identity_encoder_init,
+            "uniform": uniform_encoder_init,
+            "snapped": self._snapped_start,
+        }[start](problem)
+        trace = []
+        sol = ib_solve(problem, beta, init_encoder=init, config=EPS7, trace=trace)
+        assert len(trace) == sol.iterations + 1
+        enc = trace[0]
+        for k in range(1, len(trace)):
+            enc, marginal, _ = ib_step(problem, enc, beta)
+            assert enc.tobytes() == trace[k].tobytes(), f"iterate {k}"
+        assert sol.encoder.tobytes() == enc.tobytes()
+        assert sol.marginal.tobytes() == marginal.tobytes()
+        assert sol.decoder.tobytes() == ib_decoder(problem, enc, marginal).tobytes()
+        if start == "snapped":
+            assert np.all(sol.encoder[:, np.all(init == 0.0, axis=0)] == 0.0)
+
+    @pytest.mark.parametrize(
+        "beta, start, iterations, digest",
+        [
+            (8.0, "uniform", 37,
+             "67c062bf97de7319989bbfabfb8c826e3389c3f8027d505e26ddcff6aa018764"),
+            (25.0, "identity", 3665,
+             "23f29935bdb14eec6894b855fc1f32ab2ce538ba027dfbc614cd868d8dd10925"),
+            (30.0, "identity", 81,
+             "648f662b5bfb9569564d325f5869b6d1d91982245042336c6e4779967de4c187"),
+        ],
+    )
+    def test_pinned_counts_and_encoder_bytes(self, beta, start, iterations, digest):
+        """Iteration counts and final encoder bytes at the default epsilon,
+        recorded before the loop was rewritten."""
+        problem = bottleneck_four_symbol()
+        init = identity_encoder_init(problem) if start == "identity" else None
+        sol = ib_solve(problem, beta, init_encoder=init)
+        assert sol.converged
+        assert sol.iterations == iterations
+        assert _bytes_digest(sol.encoder) == digest
 
 
 class TestEffectiveCardinality:

@@ -45,6 +45,42 @@ class TestRdProblemValidation:
         with pytest.raises(ValueError, match="identical"):
             RdProblem(px=[0.5, 0.5], d=[[0.3, 0.3], [0.7, 0.7]])
 
+    @pytest.mark.parametrize(
+        "d, pair",
+        [
+            # two duplicate pairs: the first column with a duplicate wins
+            ([[1.0, 2.0, 1.0, 2.0, 3.0], [0.0, 5.0, 0.0, 5.0, 3.0]], (0, 2)),
+            ([[2.0, 1.0, 1.0, 2.0], [5.0, 0.0, 0.0, 5.0]], (0, 3)),
+            # -0.0 and 0.0 are the same distortion
+            ([[1.0, 0.0, -0.0], [0.5, 1.0, 1.0]], (1, 2)),
+            ([[-0.0, 1.0, 0.0], [0.0, 0.0, -0.0]], (0, 2)),
+        ],
+    )
+    def test_duplicate_message_names_first_pair(self, d, pair):
+        n = len(d)
+        with pytest.raises(
+            ValueError, match=f"columns {pair[0]} and {pair[1]} are identical"
+        ):
+            RdProblem(px=np.full(n, 1.0 / n), d=d)
+
+    def test_duplicate_check_matches_pairwise_scan(self):
+        """The sorted check names the same pair as a scan over all pairs, on
+        small integer matrices where repeats are common."""
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            d = rng.integers(0, 2, size=(n, m)).astype(float)
+            expected = next(
+                (
+                    (j, k)
+                    for j in range(m)
+                    for k in range(j + 1, m)
+                    if np.array_equal(d[:, j], d[:, k])
+                ),
+                None,
+            )
+            assert rdmod._duplicate_columns(d) == expected
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0]])
