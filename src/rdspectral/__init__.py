@@ -61,13 +61,9 @@ from .spectral import (
     FixedPointJacobian,
     SpectralReport,
     eigen_spectrum,
-    eigenvalues_nonsymmetric,
     jacobian,
-    jacobian_finite_difference,
-    jacobian_product_form,
     kernel_dimension_check,
     predicted_iterations,
-    symmetrized_support_block,
 )
 from .sweeps import (
     RateStudyPoint,

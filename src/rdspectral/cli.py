@@ -13,6 +13,7 @@ import numpy as np
 
 from . import ib as ibmod
 from . import rd as rdmod
+from . import studies
 from .ib import IbProblem
 from .probability import NumericalError
 from .problems import BUILTIN_PROBLEMS, builtin_problem, dump_problem, load_problem
@@ -161,6 +162,13 @@ def spectrum_cmd(problem_path, builtin, beta, epsilon, norm, max_iters, zero_tol
         sys.exit(EXIT_NO_CONVERGENCE)
 
 
+def _echo_run(transitions, manifest, label="transition bracketed"):
+    for lo, hi in transitions.intervals:
+        click.echo(f"{label} in beta = ({lo:g}, {hi:g})")
+    for path in manifest:
+        click.echo(f"wrote {path}")
+
+
 def _run_sweep(problem, beta_min, beta_max, beta_steps, log_grid, init, seed,
                support_tol, merge_tol, config, out_dir, formats):
     grid = _beta_grid(beta_min, beta_max, beta_steps, log_grid,
@@ -174,11 +182,7 @@ def _run_sweep(problem, beta_min, beta_max, beta_steps, log_grid, init, seed,
         raise click.UsageError(str(exc)) from exc
     records = sweep(problem, sweep_cfg)
     transitions = detect_transitions(records)
-    manifest = emit_reports(records, transitions, out_dir, formats)
-    for interval in transitions.intervals:
-        click.echo(f"transition bracketed in beta = ({interval[0]:g}, {interval[1]:g})")
-    for path in manifest:
-        click.echo(f"wrote {path}")
+    _echo_run(transitions, emit_reports(records, transitions, out_dir, formats))
     return records, transitions
 
 
@@ -303,12 +307,19 @@ def tangent_cmd(problem_path, builtin, epsilon, norm, max_iters, zero_tol,
     tr_records = sweep(tangent, tangent_cfg)
     tr_transitions = detect_transitions(tr_records)
     manifest = emit_reports(tr_records, tr_transitions, f"{out_dir}/tangent", formats)
-    for interval in tr_transitions.intervals:
-        click.echo(
-            f"tangent support transition in beta = ({interval[0]:g}, {interval[1]:g})"
-        )
-    for path in manifest:
-        click.echo(f"wrote {path}")
+    _echo_run(tr_transitions, manifest, "tangent support transition")
+
+
+@cli.command("study")
+@click.argument("name", type=click.Choice(sorted(studies.STUDIES)))
+@click.option("--out", "out_dir", type=click.Path(), default="rdspectral-out",
+              show_default=True)
+def study_cmd(name, out_dir):
+    """Run one of the paper's frozen figure studies and write its reports:
+    fig1's into --out, fig2's bottleneck sweep into ib/ and the tangent sweep
+    across its k-th transition into tangent_k/."""
+    study = studies.run(name)
+    _echo_run(study.transitions, studies.write_reports(study, out_dir))
 
 
 @cli.command("builtin")

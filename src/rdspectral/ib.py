@@ -23,7 +23,7 @@ from .probability import (
     kl_divergence,
     mutual_information,
 )
-from .rd import _FINITE_CHECK_STRIDE, RdProblem, SolverConfig, _check_beta
+from .rd import _FINITE_CHECK_STRIDE, RdProblem, SolverConfig, _check_beta, _read_only
 
 DEFAULT_MERGE_TOL = 1e-6
 
@@ -123,11 +123,6 @@ class IbProblem:
     @classmethod
     def from_json(cls, text: str) -> "IbProblem":
         return cls.from_json_dict(json.loads(text))
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 @dataclass

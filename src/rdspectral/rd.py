@@ -42,15 +42,17 @@ class RdProblem:
     px[i] is the source mass of symbol i; d[i, j] >= 0 is the distortion of
     reproducing symbol i as representative j. Two representatives with
     identical distortion columns are rejected because every spectral
-    statement downstream assumes distinguishable representatives.
+    statement downstream assumes distinguishable representatives. Both
+    arrays are read-only copies, so the caller's arrays can change afterwards
+    without changing the problem behind its validation.
     """
 
     px: np.ndarray
     d: np.ndarray
 
     def __post_init__(self):
-        px = as_distribution(self.px, name="px")
-        d = np.asarray(self.d, dtype=float)
+        px = np.array(as_distribution(self.px, name="px"))
+        d = np.array(self.d, dtype=float)
         if d.ndim != 2 or d.shape[0] != px.shape[0]:
             raise ValueError("d must be a matrix with one row per source symbol")
         if not np.all(np.isfinite(d)):
@@ -63,8 +65,8 @@ class RdProblem:
                 f"distortion columns {pair[0]} and {pair[1]} are identical; "
                 "merge the duplicate representatives first"
             )
-        object.__setattr__(self, "px", px)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "px", _read_only(px))
+        object.__setattr__(self, "d", _read_only(d))
 
     @property
     def n(self) -> int:
@@ -91,6 +93,11 @@ class RdProblem:
     @classmethod
     def from_json(cls, text: str) -> "RdProblem":
         return cls.from_json_dict(json.loads(text))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _duplicate_columns(d: np.ndarray):

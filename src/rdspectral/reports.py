@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .svgplot import Chart
 
+# The keys of SweepRecord.to_json_dict in order, without the marginal.
 CSV_HEADER = (
     "beta,iterations,converged,support_size,effective_cardinality,"
     "lambda0,lambda_max,predicted_rate,measured_rate,rate,distortion_or_info"
@@ -27,21 +28,12 @@ def _csv_num(x) -> str:
     return format(x, ".17g")
 
 
-def _csv_row(r) -> str:
+def _csv_row(record) -> str:
+    """One CSV line: the record's JSON fields in order, without the marginal."""
     return ",".join(
-        [
-            _csv_num(r.beta),
-            str(r.iterations),
-            "true" if r.converged else "false",
-            str(r.support_size),
-            "" if r.effective_cardinality is None else str(r.effective_cardinality),
-            _csv_num(r.lambda0),
-            _csv_num(r.lambda_max),
-            _csv_num(r.predicted_rate),
-            _csv_num(r.measured_rate),
-            _csv_num(r.rate),
-            _csv_num(r.distortion_or_info),
-        ]
+        ("true" if value else "false") if isinstance(value, bool) else _csv_num(value)
+        for key, value in record.to_json_dict().items()
+        if key != "marginal"
     )
 
 

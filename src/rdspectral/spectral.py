@@ -25,7 +25,6 @@ from .rd import (
     RdSolution,
     _residual_from_factors,
     boltzmann_factors,
-    residual,
 )
 
 # Eigenvalues of A below this are structurally impossible and indicate a
@@ -128,66 +127,9 @@ def jacobian(
     )
 
 
-def jacobian_product_form(problem: RdProblem, marginal, beta: float) -> np.ndarray:
-    """The same matrix as the product of backward and forward channels.
-
-    A = p(x | xhat) composed with p(xhat' | x), defined only where the
-    marginal has full support. Kept as an independent computation path for
-    cross-checking the direct formula.
-    """
-    marginal = np.asarray(marginal, dtype=float)
-    if np.any(marginal <= 0):
-        raise ValueError("the channel-product form needs a full-support marginal")
-    a = boltzmann_factors(problem, marginal, beta)
-    backward = (a * problem.px[:, None]).T      # rows: p(x | xhat)
-    forward = marginal[None, :] * a             # rows: p(xhat' | x)
-    return backward @ forward
-
-
-def jacobian_finite_difference(
-    problem: RdProblem, marginal, beta: float, step: float = 1e-6
-) -> np.ndarray:
-    """Transposed central-difference Jacobian of the residual map.
-
-    Perturbs one coordinate at a time without renormalizing; the residual is
-    a map on the ambient positive orthant, so no simplex projection is
-    wanted here. The marginal must be strictly interior by more than step.
-    """
-    marginal = np.asarray(marginal, dtype=float)
-    if not 0 < step <= 1e-3:
-        raise ValueError("step must lie in (0, 1e-3]")
-    if np.any(marginal <= step):
-        raise ValueError("finite differences need an interior marginal (> step)")
-    m = marginal.shape[0]
-    grad = np.empty((m, m))
-    for j in range(m):
-        hi = marginal.copy()
-        lo = marginal.copy()
-        hi[j] += step
-        lo[j] -= step
-        grad[:, j] = (residual(problem, hi, beta) - residual(problem, lo, beta)) / (
-            2 * step
-        )
-    return grad.T
-
-
-def symmetrized_support_block(
-    problem: RdProblem, marginal, beta: float, zero_tol: float = DEFAULT_ZERO_TOL
-) -> np.ndarray:
-    """Symmetric matrix similar to A restricted to the supported block.
-
-    With B[xhat, x] = sqrt(px(x)) exp(-beta d)/Z(x) and C = diag(q), the
-    scaling C^(1/2) A C^(-1/2) equals (C^(1/2) B)(C^(1/2) B)^T on the
-    support, a Gram matrix whose eigenvalues are exactly the nonzero-block
-    eigenvalues of A.
-    """
-    marginal = np.asarray(marginal, dtype=float)
-    return _support_gram(
-        problem, marginal, boltzmann_factors(problem, marginal, beta), zero_tol
-    )
-
-
 def _support_gram(problem: RdProblem, marginal: np.ndarray, a, zero_tol) -> np.ndarray:
+    """(C^(1/2) B)(C^(1/2) B)^T on the support, with C = diag(q) and
+    B[xhat, x] = sqrt(px(x)) a(x, xhat): symmetric and similar to A there."""
     sup = marginal > zero_tol
     b_sup = (np.sqrt(problem.px)[:, None] * a).T[sup]
     scaled = np.sqrt(marginal[sup])[:, None] * b_sup
@@ -247,16 +189,6 @@ def eigen_spectrum(
         at_criticality=at_criticality,
         residual_linf=jac.residual_linf,
     )
-
-
-def eigenvalues_nonsymmetric(jac: FixedPointJacobian) -> np.ndarray:
-    """Raw eigenvalues from a general eigensolver, sorted by real part.
-
-    Validation path only: the symmetrized route is the production one. Kept
-    for cross-checking realness and agreement on small alphabets.
-    """
-    ev = np.linalg.eigvals(jac.matrix)
-    return ev[np.argsort(ev.real)]
 
 
 def predicted_iterations(report: SpectralReport, epsilon: float) -> float:

@@ -25,21 +25,18 @@ def _tick_label(v: float) -> str:
         return f"{v:.0e}"
     if a >= 100:
         return f"{v:.0f}"
-    if a >= 1:
-        return f"{v:.3g}"
     return f"{v:.3g}"
 
 
 class Chart:
     """A single x-y panel accumulating series and markers before rendering."""
 
-    def __init__(self, title="", xlabel="", ylabel="", width=640, height=420,
-                 log_x=False, log_y=False):
+    width, height = 640, 420
+
+    def __init__(self, title="", xlabel="", ylabel="", log_x=False, log_y=False):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
-        self.width = width
-        self.height = height
         self.log_x = log_x
         self.log_y = log_y
         self.series = []
@@ -47,33 +44,27 @@ class Chart:
         self.diagonal = False
         self.margin = (54, 16, 34, 46)  # left, right, top, bottom
 
-    def add_line(self, xs, ys, label="", color=None):
-        self.series.append(("line", list(xs), list(ys), label, color))
+    def add_line(self, xs, ys, label=""):
+        self.series.append(("line", list(xs), list(ys), label))
 
-    def add_scatter(self, xs, ys, label="", color=None):
-        self.series.append(("scatter", list(xs), list(ys), label, color))
+    def add_scatter(self, xs, ys, label=""):
+        self.series.append(("scatter", list(xs), list(ys), label))
 
-    def add_vline(self, x, label=""):
-        self.vlines.append((x, label))
+    def add_vline(self, x):
+        self.vlines.append(x)
 
     def add_identity_diagonal(self):
         self.diagonal = True
 
-    def _finite_points(self):
-        for _, xs, ys, _, _ in self.series:
-            for x, y in zip(xs, ys):
-                if x is None or y is None:
-                    continue
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    continue
-                if self.log_x and x <= 0:
-                    continue
-                if self.log_y and y <= 0:
-                    continue
-                yield x, y
+    def _plottable(self, x, y) -> bool:
+        """A finite point, positive along each log axis."""
+        if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
+            return False
+        return not (self.log_x and x <= 0 or self.log_y and y <= 0)
 
     def _limits(self):
-        pts = list(self._finite_points())
+        pts = [(x, y) for _, xs, ys, _ in self.series for x, y in zip(xs, ys)
+               if self._plottable(x, y)]
         if not pts:
             return (0.0, 1.0, 0.0, 1.0)
         xs = [p[0] for p in pts]
@@ -135,15 +126,7 @@ class Chart:
             return top + (1 - f) * plot_h
 
         def visible(x, y):
-            if x is None or y is None:
-                return False
-            if not (math.isfinite(x) and math.isfinite(y)):
-                return False
-            if self.log_x and x <= 0:
-                return False
-            if self.log_y and y <= 0:
-                return False
-            return x0 <= x <= x1 and y0 <= y <= y1
+            return self._plottable(x, y) and x0 <= x <= x1 and y0 <= y <= y1
 
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
@@ -194,7 +177,7 @@ class Chart:
                 f'font-family="sans-serif" font-size="12" '
                 f'transform="rotate(-90 {cx} {cy:.1f})">{self.ylabel}</text>'
             )
-        for x, _ in self.vlines:
+        for x in self.vlines:
             if not (x0 <= x <= x1) or (self.log_x and x <= 0):
                 continue
             px = tx(x)
@@ -211,8 +194,8 @@ class Chart:
             )
 
         legend_y = top + 14
-        for idx, (kind, xs, ys, label, color) in enumerate(self.series):
-            color = color or _PALETTE[idx % len(_PALETTE)]
+        for idx, (kind, xs, ys, label) in enumerate(self.series):
+            color = _PALETTE[idx % len(_PALETTE)]
             pts = [(tx(x), ty(y)) for x, y in zip(xs, ys) if visible(x, y)]
             if kind == "line" and len(pts) >= 2:
                 path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)

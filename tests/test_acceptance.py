@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The expensive sweeps are
-shared through module-scoped fixtures; every configuration here is frozen
-(grids, seeds, tolerances), so the suite is deterministic end to end.
+shared through fixtures; the figure studies come from rdspectral.studies
+(run once per session, see conftest.py) and every other configuration here
+is frozen too (grids, seeds, tolerances), so the suite is deterministic end
+to end.
 
 Solver accuracies are chosen per check. Support bookkeeping at a mass
 threshold t only makes sense when the stopping accuracy eps is well below t:
@@ -12,9 +14,16 @@ run on eps <= 1e-13 solves, while the slowing-down sweeps, whose accuracies
 (1e-9 and 1e-7) are part of what they measure, count support at 1e-5.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import (
+    eigenvalues_nonsymmetric,
+    jacobian_finite_difference,
+    symmetrized_support_block,
+)
 from rdspectral import (
     RdProblem,
     SolverConfig,
@@ -23,31 +32,22 @@ from rdspectral import (
     binary_hamming,
     binary_hamming_distortion,
     binary_hamming_rate,
-    bottleneck_four_symbol,
     detect_transitions,
     eigen_spectrum,
-    eigenvalues_nonsymmetric,
     encoder_from_marginal,
     jacobian,
-    jacobian_finite_difference,
     kernel_dimension_check,
     lagrangian,
     planar_four_point,
     rate_study,
     solve,
+    studies,
     sweep,
-    symmetrized_support_block,
-    tangent_rd,
 )
 
 ZERO_TOL = 1e-10
 
-FIG1_CSD_GRID = np.geomspace(50.0, 0.2, 420)
 FIG1_TIGHT_GRID = np.geomspace(50.0, 0.2, 200)
-FIG2_GRID = np.geomspace(300.0, 1.0, 480)
-FIG2_MERGE_TOL = 1e-4
-FIG2_DEDUP_TOL = 5e-3
-SWEEP_SUPPORT_TOL = 1e-5
 
 
 def _verdict(name: str, failures: list, detail: str = ""):
@@ -71,31 +71,19 @@ def fig1_problem():
 
 
 @pytest.fixture(scope="module")
-def fig2_problem():
-    return bottleneck_four_symbol()
+def fig2_problem(fig2_study):
+    return fig2_study.problem
 
 
 @pytest.fixture(scope="module")
-def fig1_csd_sweep(fig1_problem):
+def fig1_csd_sweep(fig1_study):
     """Reverse-annealed slowing-down sweep at the headline accuracy 1e-9."""
-    config = SweepConfig(
-        beta_grid=FIG1_CSD_GRID,
-        init="reverse",
-        solver=SolverConfig(epsilon=1e-9),
-        support_tol=SWEEP_SUPPORT_TOL,
-    )
-    return sweep(fig1_problem, config)
+    return fig1_study.records
 
 
 @pytest.fixture(scope="module")
 def fig1_uniform_sweep(fig1_problem):
-    config = SweepConfig(
-        beta_grid=FIG1_CSD_GRID,
-        init="uniform",
-        solver=SolverConfig(epsilon=1e-9),
-        support_tol=SWEEP_SUPPORT_TOL,
-    )
-    return sweep(fig1_problem, config)
+    return sweep(fig1_problem, replace(studies.FIG1, init="uniform"))
 
 
 @pytest.fixture(scope="module")
@@ -110,63 +98,38 @@ def fig1_tight_sweep(fig1_problem):
 
 
 @pytest.fixture(scope="module")
-def fig2_sweep(fig2_problem):
-    config = SweepConfig(
-        beta_grid=FIG2_GRID,
-        init="reverse",
-        solver=SolverConfig(epsilon=1e-7),
-        merge_tol=FIG2_MERGE_TOL,
-        support_tol=SWEEP_SUPPORT_TOL,
-    )
-    return sweep(fig2_problem, config)
+def fig2_sweep(fig2_study):
+    return fig2_study.records
 
 
 @pytest.fixture(scope="module")
 def fig2_uniform_sweep(fig2_problem):
-    config = SweepConfig(
-        beta_grid=FIG2_GRID,
-        init="uniform",
-        solver=SolverConfig(epsilon=1e-7),
-        merge_tol=FIG2_MERGE_TOL,
-        support_tol=SWEEP_SUPPORT_TOL,
-    )
-    return sweep(fig2_problem, config)
+    return sweep(fig2_problem, replace(studies.FIG2, init="uniform"))
 
 
 @pytest.fixture(scope="module")
-def fig2_tangents(fig2_problem, fig2_sweep):
-    """Tangent problems at each detected bottleneck transition, with a fine
-    sweep across the bracketing interval and a wide high-accuracy sweep."""
-    report = detect_transitions(fig2_sweep)
+def fig2_tangents(fig2_study):
+    """Tangent problems at each detected bottleneck transition, with the
+    study's fine sweep across the bracketing interval and a wide
+    high-accuracy sweep."""
+    report = fig2_study.transitions
     out = []
-    for lo_idx, hi_idx in report.index_pairs:
-        lo = fig2_sweep[lo_idx].solution
-        hi = fig2_sweep[hi_idx].solution
-        tangent = tangent_rd(
-            fig2_problem, lo, hi,
-            merge_tol=FIG2_MERGE_TOL, dedup_tol=FIG2_DEDUP_TOL,
-            zero_tol=SWEEP_SUPPORT_TOL,
-        )
-        fine_cfg = SweepConfig(
-            beta_grid=np.geomspace(hi.beta, lo.beta, 30),
-            init="reverse",
-            solver=SolverConfig(epsilon=1e-10, max_iterations=2 * 10**6),
-            support_tol=SWEEP_SUPPORT_TOL,
-        )
-        fine = sweep(tangent, fine_cfg)
+    for (lo_idx, hi_idx), tangent in zip(report.index_pairs, fig2_study.tangents):
+        lo = fig2_study.records[lo_idx].solution
+        hi = fig2_study.records[hi_idx].solution
         wide_cfg = SweepConfig(
             beta_grid=np.geomspace(3.0 * hi.beta, lo.beta / 3.0, 73),
             init="reverse",
             solver=SolverConfig(epsilon=1e-14),
         )
-        wide = sweep(tangent, wide_cfg)
+        wide = sweep(tangent.problem, wide_cfg)
         out.append(
             {
                 "interval": (lo.beta, hi.beta),
                 "lo_idx": lo_idx,
                 "hi_idx": hi_idx,
-                "tangent": tangent,
-                "fine": fine,
+                "tangent": tangent.problem,
+                "fine": tangent.records,
                 "wide": wide,
             }
         )
@@ -421,7 +384,7 @@ def test_criterion_7_bottleneck_structure(fig2_sweep, fig2_tangents):
             rep = eigen_spectrum(
                 jacobian(entry["tangent"], r.marginal, r.beta,
                          fixed_point_tol=float("inf")),
-                zero_tol=SWEEP_SUPPORT_TOL,
+                zero_tol=studies.SUPPORT_TOL,
             )
             lam0.append(0.0 if rep.at_criticality else rep.lambda0)
         top = lam0[-1]

@@ -85,6 +85,24 @@ class TestRdProblemValidation:
         with pytest.raises(ValueError):
             RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0]])
 
+    def test_caller_arrays_are_copied(self):
+        """Writing to the caller's arrays afterwards cannot change the problem,
+        not even into the duplicate columns the constructor rejects."""
+        px = np.array([0.5, 0.5])
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        problem = RdProblem(px=px, d=d)
+        d[:, 1] = d[:, 0]
+        px[:] = [1.0, 0.0]
+        np.testing.assert_array_equal(problem.d, [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(problem.px, [0.5, 0.5])
+
+    def test_arrays_are_read_only(self):
+        problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            problem.d[:, 1] = problem.d[:, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            problem.px[0] = 1.0
+
     def test_json_roundtrip(self):
         problem = binary_hamming(0.7)
         again = RdProblem.from_json(problem.to_json())

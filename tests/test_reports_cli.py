@@ -56,6 +56,13 @@ class TestCsv:
             "distortion_or_info"
         )
 
+    def test_header_is_the_json_fields_without_the_marginal(
+        self, rd_sweep_results, ib_sweep_results
+    ):
+        for records, _ in (rd_sweep_results, ib_sweep_results):
+            keys = [k for k in records[0].to_json_dict() if k != "marginal"]
+            assert CSV_HEADER == ",".join(keys)
+
     def test_single_record(self, rd_sweep_results, tmp_path):
         records, _ = rd_sweep_results
         path = write_sweep_csv(records[:1], tmp_path / "one.csv")

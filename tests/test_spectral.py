@@ -3,21 +3,23 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    eigenvalues_nonsymmetric,
+    jacobian_finite_difference,
+    jacobian_product_form,
+    symmetrized_support_block,
+)
 from rdspectral import (
     NumericalError,
     RdProblem,
     SolverConfig,
     binary_hamming,
     eigen_spectrum,
-    eigenvalues_nonsymmetric,
     jacobian,
-    jacobian_finite_difference,
-    jacobian_product_form,
     kernel_dimension_check,
     planar_four_point,
     predicted_iterations,
     solve,
-    symmetrized_support_block,
 )
 
 TIGHT = SolverConfig(epsilon=1e-13)
