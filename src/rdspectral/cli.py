@@ -1,8 +1,17 @@
 """Command-line interface for solving, sweeping and reporting.
 
-Exit codes: 0 on success, 1 on usage errors (bad flags, unknown builtins,
-malformed problem files), 2 on numerical failure, 3 when a single-point
-solve fails to converge within its budget.
+`sweep` runs one annealing sweep of either problem kind and writes its
+reports. `tangent` and `study` run the bottleneck pipeline of
+`rdspectral.studies`, which follows each detected transition through its
+tangent rate-distortion problem.
+
+Exit codes:
+  0  success, including a `tangent` sweep that detects no transition;
+  1  usage errors: bad flags or values, unknown builtins, problem files that
+     cannot be loaded;
+  2  numerical failure;
+  3  a single-point solve (`solve`, `spectrum`) that does not converge within
+     its budget.
 """
 
 import json
@@ -15,12 +24,12 @@ from . import ib as ibmod
 from . import rd as rdmod
 from . import studies
 from .ib import IbProblem
-from .probability import NumericalError
+from .probability import DEFAULT_ZERO_TOL, NumericalError
 from .problems import BUILTIN_PROBLEMS, builtin_problem, dump_problem, load_problem
-from .rd import RdProblem, SolverConfig
-from .reports import emit_reports
+from .rd import SolverConfig
+from .reports import emit_reports, write_rate_study_csv
 from .spectral import eigen_spectrum, jacobian
-from .sweeps import SweepConfig, detect_transitions, rate_study, sweep
+from .sweeps import INIT_POLICIES, SweepConfig, detect_transitions, rate_study, sweep
 
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
@@ -31,23 +40,17 @@ def _load(problem_path, builtin):
     if (problem_path is None) == (builtin is None):
         raise click.UsageError("provide exactly one of --problem or --builtin")
     if builtin is not None:
-        try:
-            return builtin_problem(builtin)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+        return builtin_problem(builtin)
     try:
         return load_problem(problem_path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot load {problem_path}: {exc}") from exc
 
 
 def _solver_config(epsilon, norm, max_iters, zero_tol) -> SolverConfig:
-    try:
-        return SolverConfig(
-            epsilon=epsilon, norm=norm, max_iterations=max_iters, zero_tol=zero_tol
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    return SolverConfig(
+        epsilon=epsilon, norm=norm, max_iterations=max_iters, zero_tol=zero_tol
+    )
 
 
 def _beta_grid(beta_min, beta_max, beta_steps, log_grid, descending):
@@ -57,13 +60,14 @@ def _beta_grid(beta_min, beta_max, beta_steps, log_grid, descending):
         raise click.UsageError("need 0 <= beta-min < beta-max")
     if beta_steps < 2:
         raise click.UsageError("--beta-steps must be at least 2")
-    if log_grid:
-        if beta_min <= 0:
-            raise click.UsageError("--log-grid needs beta-min > 0")
-        grid = np.geomspace(beta_min, beta_max, beta_steps)
-    else:
-        grid = np.linspace(beta_min, beta_max, beta_steps)
-    return grid[::-1] if descending else grid
+    if log_grid and beta_min <= 0:
+        raise click.UsageError("--log-grid needs beta-min > 0")
+    space = np.geomspace if log_grid else np.linspace
+    # Built in sweep order, so a descending grid is bit for bit the one a
+    # study declares with the same end points.
+    if descending:
+        return space(beta_max, beta_min, beta_steps)
+    return space(beta_min, beta_max, beta_steps)
 
 
 def problem_options(f):
@@ -74,16 +78,20 @@ def problem_options(f):
     return f
 
 
+def budget_options(f):
+    f = click.option("--max-iters", type=int, default=rdmod.DEFAULT_MAX_ITERATIONS,
+                     show_default=True)(f)
+    f = click.option("--zero-tol", type=float, default=DEFAULT_ZERO_TOL,
+                     show_default=True, help="Mass threshold treated as zero.")(f)
+    return f
+
+
 def solver_options(f):
     f = click.option("--epsilon", type=float, default=rdmod.DEFAULT_EPSILON,
                      show_default=True, help="Successive-iterate stopping distance.")(f)
     f = click.option("--norm", type=click.Choice(["l1", "linf"]), default="linf",
                      show_default=True)(f)
-    f = click.option("--max-iters", type=int, default=rdmod.DEFAULT_MAX_ITERATIONS,
-                     show_default=True)(f)
-    f = click.option("--zero-tol", type=float, default=1e-10, show_default=True,
-                     help="Mass threshold treated as zero.")(f)
-    return f
+    return budget_options(f)
 
 
 def sweep_options(f):
@@ -91,10 +99,6 @@ def sweep_options(f):
     f = click.option("--beta-max", type=float, default=None)(f)
     f = click.option("--beta-steps", type=int, default=600, show_default=True)(f)
     f = click.option("--log-grid/--linear-grid", default=True, show_default=True)(f)
-    f = click.option("--init", type=click.Choice(["uniform", "dirichlet", "reverse",
-                                                  "forward"]),
-                     default="uniform", show_default=True)(f)
-    f = click.option("--seed", type=int, default=0, show_default=True)(f)
     f = click.option("--support-tol", type=float, default=None,
                      help="Support-count threshold; defaults to --zero-tol.")(f)
     f = click.option("--merge-tol", type=float, default=ibmod.DEFAULT_MERGE_TOL,
@@ -102,8 +106,6 @@ def sweep_options(f):
                      help="Decoder-row clustering tolerance (bottleneck only).")(f)
     f = click.option("--out", "out_dir", type=click.Path(), default="rdspectral-out",
                      show_default=True)(f)
-    f = click.option("--formats", type=str, default="csv,json,svg", show_default=True,
-                     help="Comma-separated subset of csv,json,svg.")(f)
     return f
 
 
@@ -113,6 +115,13 @@ def _parse_formats(text):
     if unknown:
         raise click.UsageError(f"unknown formats: {sorted(unknown)}")
     return formats
+
+
+def _echo_run(transitions, manifest):
+    for lo, hi in transitions.intervals:
+        click.echo(f"transition bracketed in beta = ({lo:g}, {hi:g})")
+    for path in manifest:
+        click.echo(f"wrote {path}")
 
 
 @click.group()
@@ -162,63 +171,35 @@ def spectrum_cmd(problem_path, builtin, beta, epsilon, norm, max_iters, zero_tol
         sys.exit(EXIT_NO_CONVERGENCE)
 
 
-def _echo_run(transitions, manifest, label="transition bracketed"):
-    for lo, hi in transitions.intervals:
-        click.echo(f"{label} in beta = ({lo:g}, {hi:g})")
-    for path in manifest:
-        click.echo(f"wrote {path}")
-
-
-def _run_sweep(problem, beta_min, beta_max, beta_steps, log_grid, init, seed,
-               support_tol, merge_tol, config, out_dir, formats):
+@cli.command("sweep")
+@problem_options
+@solver_options
+@sweep_options
+@click.option("--init", type=click.Choice(INIT_POLICIES), default="uniform",
+              show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--formats", type=str, default="csv,json,svg", show_default=True,
+              help="Comma-separated subset of csv,json,svg.")
+def sweep_cmd(problem_path, builtin, epsilon, norm, max_iters, zero_tol, beta_min,
+              beta_max, beta_steps, log_grid, support_tol, merge_tol, out_dir, init,
+              seed, formats):
+    """Sweep a rate-distortion or bottleneck problem over a beta grid and
+    write its reports."""
+    problem = _load(problem_path, builtin)
+    solver = _solver_config(epsilon, norm, max_iters, zero_tol)
+    formats = _parse_formats(formats)
     grid = _beta_grid(beta_min, beta_max, beta_steps, log_grid,
                       descending=(init == "reverse"))
-    try:
-        sweep_cfg = SweepConfig(
-            beta_grid=grid, init=init, solver=config, seed=seed,
-            merge_tol=merge_tol, support_tol=support_tol,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    records = sweep(problem, sweep_cfg)
+    config = SweepConfig(beta_grid=grid, init=init, solver=solver, seed=seed,
+                         merge_tol=merge_tol, support_tol=support_tol)
+    records = sweep(problem, config)
     transitions = detect_transitions(records)
     _echo_run(transitions, emit_reports(records, transitions, out_dir, formats))
-    return records, transitions
-
-
-def _sweep_command(name, kind, wrong_kind_message, help_text):
-    """Register a sweep command that accepts problems of one kind only."""
-
-    @cli.command(name, help=help_text)
-    @problem_options
-    @solver_options
-    @sweep_options
-    def command(problem_path, builtin, epsilon, norm, max_iters, zero_tol,
-                beta_min, beta_max, beta_steps, log_grid, init, seed, support_tol,
-                merge_tol, out_dir, formats):
-        problem = _load(problem_path, builtin)
-        if not isinstance(problem, kind):
-            raise click.UsageError(wrong_kind_message)
-        config = _solver_config(epsilon, norm, max_iters, zero_tol)
-        _run_sweep(problem, beta_min, beta_max, beta_steps, log_grid, init, seed,
-                   support_tol, merge_tol, config, out_dir, _parse_formats(formats))
-
-    return command
-
-
-sweep_cmd = _sweep_command(
-    "sweep", RdProblem, "use ib-sweep for bottleneck problems",
-    "Sweep a rate-distortion problem over a beta grid and emit reports.",
-)
-ib_sweep_cmd = _sweep_command(
-    "ib-sweep", IbProblem, "use sweep for rate-distortion problems",
-    "Sweep a bottleneck problem over a beta grid and emit reports.",
-)
 
 
 @cli.command("rate-study")
 @problem_options
-@solver_options
+@budget_options
 @click.option("--beta", type=float, required=True)
 @click.option("--anchor-beta", type=float, default=None,
               help="Warm-start solution's beta; defaults to 2x target.")
@@ -226,8 +207,9 @@ ib_sweep_cmd = _sweep_command(
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Optional CSV output path.")
 def rate_study_cmd(problem_path, builtin, beta, anchor_beta, epsilons, out_path,
-                   epsilon, norm, max_iters, zero_tol):
-    """Measured vs predicted convergence rate at one beta, across accuracies."""
+                   max_iters, zero_tol):
+    """Measured vs predicted convergence rate at one beta, across accuracies
+    (each run stops on the L1 distance between successive iterates)."""
     problem = _load(problem_path, builtin)
     if isinstance(problem, IbProblem):
         raise click.UsageError("rate-study applies to rate-distortion problems")
@@ -235,79 +217,35 @@ def rate_study_cmd(problem_path, builtin, beta, anchor_beta, epsilons, out_path,
         eps_list = [float(t) for t in epsilons.split(",") if t.strip()]
     except ValueError as exc:
         raise click.UsageError(f"bad --epsilons: {exc}") from exc
-    config = SolverConfig(epsilon=epsilon, norm="l1", max_iterations=max_iters,
-                          zero_tol=zero_tol)
-    try:
-        points = rate_study(problem, beta, eps_list, anchor_beta=anchor_beta,
-                            config=config)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    config = SolverConfig(norm="l1", max_iterations=max_iters, zero_tol=zero_tol)
+    points = rate_study(problem, beta, eps_list, anchor_beta=anchor_beta,
+                        config=config)
     click.echo(json.dumps([p.to_json_dict() for p in points], indent=1))
     if out_path:
-        lines = ["epsilon,iterations,measured_rate,lambda0,lambda_max,predicted_rate"]
-        for p in points:
-            lines.append(
-                f"{p.epsilon:g},{p.iterations},{p.measured_rate:.17g},"
-                f"{p.lambda0:.17g},{p.lambda_max:.17g},{p.predicted_rate:.17g}"
-            )
-        with open(out_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        click.echo(f"wrote {out_path}")
+        click.echo(f"wrote {write_rate_study_csv(points, out_path)}")
 
 
 @cli.command("tangent")
 @problem_options
 @solver_options
 @sweep_options
-@click.option("--transition-index", type=int, default=0, show_default=True,
-              help="Which detected transition to expand (0-based, ascending).")
-@click.option("--tangent-steps", type=int, default=40, show_default=True)
-@click.option("--dedup-tol", type=float, default=None,
-              help="Cross-side decoder dedup tolerance; defaults to --merge-tol.")
-def tangent_cmd(problem_path, builtin, epsilon, norm, max_iters, zero_tol,
-                beta_min, beta_max, beta_steps, log_grid, init, seed, support_tol,
-                merge_tol, out_dir, formats, transition_index, tangent_steps,
-                dedup_tol):
-    """Sweep a bottleneck problem, build the tangent problem at one detected
-    transition, and sweep that tangent problem across the bracketing interval."""
+def tangent_cmd(problem_path, builtin, epsilon, norm, max_iters, zero_tol, beta_min,
+                beta_max, beta_steps, log_grid, support_tol, merge_tol, out_dir):
+    """Reverse-sweep a bottleneck problem into --out/ib, then sweep the tangent
+    rate-distortion problem across its k-th detected transition into
+    --out/tangent_k, as `study fig2` does with its frozen settings."""
     problem = _load(problem_path, builtin)
     if not isinstance(problem, IbProblem):
         raise click.UsageError("tangent needs a bottleneck problem")
-    config = _solver_config(epsilon, norm, max_iters, zero_tol)
-    formats = _parse_formats(formats)
-    if init not in ("reverse", "forward"):
-        init = "reverse"
-    records, transitions = _run_sweep(
-        problem, beta_min, beta_max, beta_steps, log_grid, init, seed,
-        support_tol, merge_tol, config, f"{out_dir}/ib", formats,
-    )
-    if not transitions.intervals:
-        click.echo("no transitions detected; nothing to expand", err=True)
-        sys.exit(EXIT_NO_CONVERGENCE)
-    if not 0 <= transition_index < len(transitions.intervals):
-        raise click.UsageError(
-            f"--transition-index out of range; {len(transitions.intervals)} detected"
-        )
-    lo_idx, hi_idx = transitions.index_pairs[transition_index]
-    sol_minus = records[lo_idx].solution
-    sol_plus = records[hi_idx].solution
-    class_zero_tol = zero_tol if support_tol is None else support_tol
-    try:
-        tangent = ibmod.tangent_rd(problem, sol_minus, sol_plus,
-                                   merge_tol=merge_tol, dedup_tol=dedup_tol,
-                                   zero_tol=class_zero_tol)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    click.echo(f"tangent problem over {tangent.m} representatives: {tangent.to_json()}")
-    fine = np.geomspace(sol_plus.beta, sol_minus.beta, tangent_steps)
-    tangent_cfg = SweepConfig(
-        beta_grid=fine, init="reverse", solver=config, seed=seed,
-        support_tol=support_tol,
-    )
-    tr_records = sweep(tangent, tangent_cfg)
-    tr_transitions = detect_transitions(tr_records)
-    manifest = emit_reports(tr_records, tr_transitions, f"{out_dir}/tangent", formats)
-    _echo_run(tr_transitions, manifest, "tangent support transition")
+    solver = _solver_config(epsilon, norm, max_iters, zero_tol)
+    grid = _beta_grid(beta_min, beta_max, beta_steps, log_grid, descending=True)
+    config = SweepConfig(beta_grid=grid, init="reverse", solver=solver,
+                         merge_tol=merge_tol, support_tol=support_tol)
+    study = studies.analyze(problem, config)
+    _echo_run(study.transitions, studies.write_reports(study, out_dir))
+    if not study.transitions.intervals:
+        click.echo("no transitions detected; wrote the bottleneck sweep alone",
+                   err=True)
 
 
 @cli.command("study")
@@ -333,10 +271,7 @@ def builtin_cmd(name, out_path):
                 else "rate-distortion"
             click.echo(f"{key}\t{kind}")
         return
-    try:
-        problem = builtin_problem(name)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    problem = builtin_problem(name)
     if out_path:
         dump_problem(problem, out_path)
         click.echo(f"wrote {out_path}")

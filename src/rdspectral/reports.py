@@ -15,6 +15,10 @@ CSV_HEADER = (
     "beta,iterations,converged,support_size,effective_cardinality,"
     "lambda0,lambda_max,predicted_rate,measured_rate,rate,distortion_or_info"
 )
+# The keys of RateStudyPoint.to_json_dict in order.
+RATE_STUDY_CSV_HEADER = (
+    "epsilon,iterations,converged,measured_rate,lambda0,lambda_max,predicted_rate"
+)
 
 
 def _csv_num(x) -> str:
@@ -28,20 +32,29 @@ def _csv_num(x) -> str:
     return format(x, ".17g")
 
 
-def _csv_row(record) -> str:
-    """One CSV line: the record's JSON fields in order, without the marginal."""
+def _csv_row(row, keys) -> str:
+    """One CSV line: the attributes of row named by keys, in order."""
+    values = (getattr(row, key) for key in keys)
     return ",".join(
         ("true" if value else "false") if isinstance(value, bool) else _csv_num(value)
-        for key, value in record.to_json_dict().items()
-        if key != "marginal"
+        for value in values
     )
 
 
-def write_sweep_csv(records, path) -> Path:
+def _write_csv(rows, header, path) -> Path:
     path = Path(path)
-    lines = [CSV_HEADER] + [_csv_row(r) for r in records]
+    keys = header.split(",")
+    lines = [header] + [_csv_row(row, keys) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_sweep_csv(records, path) -> Path:
+    return _write_csv(records, CSV_HEADER, path)
+
+
+def write_rate_study_csv(points, path) -> Path:
+    return _write_csv(points, RATE_STUDY_CSV_HEADER, path)
 
 
 def _jsonable(obj):

@@ -172,12 +172,7 @@ def eigen_spectrum(
     else:
         lambda0 = float(positive.min())
         lambda_max = 1.0 - lambda0
-        if at_criticality:
-            predicted_rate = float("inf")
-        elif lambda_max <= 0.0:
-            predicted_rate = 0.0
-        else:
-            predicted_rate = 1.0 / (-np.log(lambda_max))
+        predicted_rate = _iterations(1.0, lambda_max, at_criticality)
     return SpectralReport(
         beta=jac.beta,
         eigenvalues=eigenvalues,
@@ -191,6 +186,17 @@ def eigen_spectrum(
     )
 
 
+def _iterations(log_accuracy, lambda_max, at_criticality):
+    """Iterations to gain log_accuracy nats of accuracy at contraction factor
+    lambda_max: +inf at criticality or when lambda_max rounds to 1 (a lambda0
+    below about 1e-16), 0 when lambda_max <= 0."""
+    if at_criticality or not lambda_max < 1.0:
+        return float("inf")
+    if lambda_max <= 0.0:
+        return 0.0
+    return log_accuracy / (-np.log(lambda_max))
+
+
 def predicted_iterations(report: SpectralReport, epsilon: float) -> float:
     """Asymptotic iteration count (-log eps) / (-log lambda_max).
 
@@ -199,13 +205,7 @@ def predicted_iterations(report: SpectralReport, epsilon: float) -> float:
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    if report.at_criticality or not np.isfinite(report.lambda_max):
-        return float("inf")
-    if report.lambda_max >= 1.0:
-        return float("inf")
-    if report.lambda_max <= 0.0:
-        return 0.0
-    return float(-np.log(epsilon) / (-np.log(report.lambda_max)))
+    return float(_iterations(-np.log(epsilon), report.lambda_max, report.at_criticality))
 
 
 def kernel_dimension_check(

@@ -1,7 +1,8 @@
 """The paper's two figure studies, declared once: fig1 reverse-anneals the
 planar four-point problem, fig2 the four-symbol bottleneck problem with a
 tangent sweep across each transition it detects. The acceptance criteria
-and the `study` command's reports are statements about these frozen sweeps."""
+and the `study` command's reports are statements about these frozen sweeps;
+the `tangent` command runs the same pipeline, `analyze`, on its own grid."""
 
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +26,7 @@ FIG2 = SweepConfig(
     solver=SolverConfig(epsilon=1e-7), merge_tol=1e-4, support_tol=SUPPORT_TOL,
 )
 # A plus-side decoder class this close to a minus-side one is the same representative.
-FIG2_DEDUP_TOL = 5e-3
+DEDUP_TOL = 5e-3
 TANGENT_POINTS = 30
 TANGENT_SOLVER = SolverConfig(epsilon=1e-10, max_iterations=2 * 10**6)
 
@@ -43,30 +44,37 @@ class StudyRun:
     tangents: list["StudyRun"] = field(default_factory=list)
 
 
-def tangent_run(problem: IbProblem, lo, hi) -> StudyRun:
+def tangent_run(problem: IbProblem, lo, hi, config: SweepConfig) -> StudyRun:
     """Reverse-sweep the tangent problem at the transition between the
-    bottleneck solutions lo and hi from hi.beta down to lo.beta."""
-    tangent = tangent_rd(problem, lo, hi, merge_tol=FIG2.merge_tol,
-                         dedup_tol=FIG2_DEDUP_TOL, zero_tol=SUPPORT_TOL)
+    bottleneck solutions lo and hi, found by a sweep under config, from
+    hi.beta down to lo.beta."""
+    tol = config.effective_support_tol
+    tangent = tangent_rd(problem, lo, hi, merge_tol=config.merge_tol,
+                         dedup_tol=DEDUP_TOL, zero_tol=tol)
     records = sweep(tangent, SweepConfig(
         beta_grid=np.geomspace(hi.beta, lo.beta, TANGENT_POINTS), init="reverse",
-        solver=TANGENT_SOLVER, support_tol=SUPPORT_TOL,
+        solver=TANGENT_SOLVER, support_tol=tol,
     ))
     return StudyRun(tangent, records, detect_transitions(records))
+
+
+def analyze(problem, config: SweepConfig) -> StudyRun:
+    """Sweep problem under config and detect its transitions; for a
+    bottleneck problem, also run the tangent follow-up at each transition."""
+    records = sweep(problem, config)
+    study = StudyRun(problem, records, detect_transitions(records))
+    if isinstance(problem, IbProblem):
+        study.tangents = [
+            tangent_run(problem, records[lo].solution, records[hi].solution, config)
+            for lo, hi in study.transitions.index_pairs
+        ]
+    return study
 
 
 def run(name: str) -> StudyRun:
     """Run the study called name, a key of STUDIES."""
     build, config = STUDIES[name]
-    problem = build()
-    records = sweep(problem, config)
-    study = StudyRun(problem, records, detect_transitions(records))
-    if isinstance(problem, IbProblem):
-        study.tangents = [
-            tangent_run(problem, records[lo].solution, records[hi].solution)
-            for lo, hi in study.transitions.index_pairs
-        ]
-    return study
+    return analyze(build(), config)
 
 
 def write_reports(study: StudyRun, out_dir) -> list[Path]:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import click
 import numpy as np
 import pytest
 
@@ -16,9 +17,11 @@ from rdspectral import (
     detect_transitions,
     emit_reports,
     planar_four_point,
+    studies,
     sweep,
 )
-from rdspectral.reports import CSV_HEADER, write_sweep_csv
+from rdspectral.cli import cli
+from rdspectral.reports import CSV_HEADER, RATE_STUDY_CSV_HEADER, write_sweep_csv
 
 
 @pytest.fixture(scope="module")
@@ -256,11 +259,6 @@ class TestCli:
         assert csv_text.startswith(CSV_HEADER)
         assert len(csv_text.strip().split("\n")) == 9
 
-    def test_sweep_rejects_bottleneck_problem(self):
-        out = run_cli("sweep", "--builtin", "fig2", "--beta-min", "1",
-                      "--beta-max", "2", "--beta-steps", "3")
-        assert out.returncode == 1
-
     def test_sweep_linear_grid_forward(self, tmp_path):
         out = run_cli(
             "sweep", "--builtin", "binary_hamming", "--beta-min", "0.5",
@@ -275,7 +273,7 @@ class TestCli:
 
     def test_ib_sweep_end_to_end(self, tmp_path):
         out = run_cli(
-            "ib-sweep", "--builtin", "fig2", "--beta-min", "10",
+            "sweep", "--builtin", "fig2", "--beta-min", "10",
             "--beta-max", "40", "--beta-steps", "10", "--init", "reverse",
             "--epsilon", "1e-7", "--support-tol", "1e-5",
             "--merge-tol", "1e-4", "--out", str(tmp_path / "ib"),
@@ -298,15 +296,96 @@ class TestCli:
         out = run_cli("rate-study", "--builtin", "binary_hamming", "--beta", "0.0")
         assert out.returncode == 1
 
-    def test_tangent_end_to_end(self, tmp_path):
+    def test_rate_study_csv(self, tmp_path):
+        path = tmp_path / "rate.csv"
         out = run_cli(
-            "tangent", "--builtin", "fig2", "--beta-min", "20",
-            "--beta-max", "30", "--beta-steps", "30", "--init", "reverse",
-            "--epsilon", "1e-7", "--support-tol", "1e-5", "--merge-tol", "1e-4",
-            "--dedup-tol", "5e-3", "--tangent-steps", "10",
-            "--out", str(tmp_path / "tan"), "--formats", "csv",
+            "rate-study", "--builtin", "binary_hamming_skewed", "--beta", "2.5",
+            "--anchor-beta", "8.0", "--epsilons", "1e-6,1e-10", "--out", str(path),
         )
         assert out.returncode == 0, out.stderr
-        assert (tmp_path / "tan" / "ib" / "sweep.csv").exists()
-        assert (tmp_path / "tan" / "tangent" / "sweep.csv").exists()
-        assert "tangent problem over" in out.stdout
+        payload = json.loads(out.stdout.rsplit("\nwrote ", 1)[0])
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == RATE_STUDY_CSV_HEADER == ",".join(payload[0])
+        assert len(lines) == 3
+        for line, point in zip(lines[1:], payload):
+            cells = line.split(",")
+            assert float(cells[0]) == point["epsilon"]
+            assert int(cells[1]) == point["iterations"]
+            assert cells[2] == ("true" if point["converged"] else "false")
+            assert float(cells[3]) == point["measured_rate"]
+
+    def test_tangent_end_to_end(self, tmp_path):
+        """The command's tangent sweeps are those of studies.analyze under
+        the same bottleneck sweep settings."""
+        out = run_cli(
+            "tangent", "--builtin", "fig2", "--beta-min", "20",
+            "--beta-max", "30", "--beta-steps", "30", "--epsilon", "1e-7",
+            "--support-tol", "1e-5", "--merge-tol", "1e-4",
+            "--out", str(tmp_path / "tan"),
+        )
+        assert out.returncode == 0, out.stderr
+        study = studies.analyze(bottleneck_four_symbol(), SweepConfig(
+            beta_grid=np.geomspace(30.0, 20.0, 30), init="reverse",
+            solver=SolverConfig(epsilon=1e-7), merge_tol=1e-4, support_tol=1e-5,
+        ))
+        assert len(study.tangents) == 1
+        assert sorted(p.name for p in (tmp_path / "tan").iterdir()) == [
+            "ib", "tangent_0",
+        ]
+        assert (tmp_path / "tan" / "ib" / "decoder_vs_beta.svg").exists()
+        assert (tmp_path / "tan" / "tangent_0" / "rate_prediction.svg").exists()
+        expected = write_sweep_csv(study.tangents[0].records, tmp_path / "expected.csv")
+        written = tmp_path / "tan" / "tangent_0" / "sweep.csv"
+        assert written.read_bytes() == expected.read_bytes()
+
+    def test_tangent_without_transition_writes_the_sweep_alone(self, tmp_path):
+        out = run_cli(
+            "tangent", "--builtin", "fig2", "--beta-min", "40",
+            "--beta-max", "60", "--beta-steps", "4", "--epsilon", "1e-7",
+            "--support-tol", "1e-5", "--merge-tol", "1e-4",
+            "--out", str(tmp_path / "tan"),
+        )
+        assert out.returncode == 0, out.stderr
+        assert "no transitions detected" in out.stderr
+        assert [p.name for p in (tmp_path / "tan").iterdir()] == ["ib"]
+
+    def test_tangent_rejects_rate_distortion_problem(self):
+        out = run_cli("tangent", "--builtin", "fig1_like", "--beta-min", "1",
+                      "--beta-max", "2", "--beta-steps", "3")
+        assert out.returncode == 1
+        assert "bottleneck" in out.stderr
+
+
+# Every command and its options. A new option is a new knob to document and
+# test; this list makes it visible in review.
+CLI_SURFACE = {
+    "builtin": ["--name", "--out"],
+    "rate-study": ["--anchor-beta", "--beta", "--builtin", "--epsilons",
+                   "--max-iters", "--out", "--problem", "--zero-tol"],
+    "solve": ["--beta", "--builtin", "--epsilon", "--max-iters", "--norm",
+              "--problem", "--zero-tol"],
+    "spectrum": ["--beta", "--builtin", "--epsilon", "--max-iters", "--norm",
+                 "--problem", "--zero-tol"],
+    "study": ["--out"],
+    "sweep": ["--beta-max", "--beta-min", "--beta-steps", "--builtin", "--epsilon",
+              "--formats", "--init", "--log-grid/--linear-grid", "--max-iters",
+              "--merge-tol", "--norm", "--out", "--problem", "--seed",
+              "--support-tol", "--zero-tol"],
+    "tangent": ["--beta-max", "--beta-min", "--beta-steps", "--builtin",
+                "--epsilon", "--log-grid/--linear-grid", "--max-iters",
+                "--merge-tol", "--norm", "--out", "--problem", "--support-tol",
+                "--zero-tol"],
+}
+
+
+def test_cli_surface_is_pinned():
+    surface = {
+        name: sorted(
+            "/".join(param.opts + param.secondary_opts)
+            for param in command.params
+            if isinstance(param, click.Option)
+        )
+        for name, command in cli.commands.items()
+    }
+    assert surface == CLI_SURFACE
+    assert sum(len(options) for options in surface.values()) == 54

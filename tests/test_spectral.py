@@ -1,5 +1,7 @@
 """Unit tests for the fixed-point Jacobian and its spectrum."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from oracles import (
     symmetrized_support_block,
 )
 from rdspectral import (
+    FixedPointJacobian,
     NumericalError,
     RdProblem,
     SolverConfig,
@@ -247,6 +250,23 @@ class TestPredictedIterations:
             jacobian(binary_hamming(), np.array([0.5, 0.5]), 1.0)
         )
         report.at_criticality = True
+        assert predicted_iterations(report, 1e-9) == float("inf")
+
+    def test_lambda0_below_rounding_predicts_infinity(self):
+        """A positive lambda0 too small to move 1 - lambda0 off 1.0 is a
+        contraction factor of 1: both predictions are +inf, without a
+        divide-by-zero warning."""
+        problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0], [1.0, 0.0]])
+        factors = np.array([[0.5, 0.5 + 1e-9], [0.5, 0.5 - 1e-9]])
+        jac = FixedPointJacobian(beta=1.0, marginal=np.array([0.5, 0.5]),
+                                 problem=problem, residual_linf=0.0, factors=factors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = eigen_spectrum(jac, zero_tol=0.0)
+        assert 0.0 < report.lambda0 < 1.2e-16
+        assert report.lambda_max == 1.0
+        assert not report.at_criticality
+        assert report.predicted_rate == float("inf")
         assert predicted_iterations(report, 1e-9) == float("inf")
 
     def test_epsilon_validation(self):

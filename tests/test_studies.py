@@ -57,6 +57,23 @@ def test_study_fig1_writes_the_fixture_records(fig1_study, tmp_path):
     assert sum(iterations) == 93185
 
 
+def test_sweep_with_fig1_settings_writes_the_study_files(fig1_study, tmp_path):
+    """The `sweep` command with fig1's grid and tolerances writes the same
+    bytes as the study: a descending CLI grid is the study's grid."""
+    out = run_cli(
+        "sweep", "--builtin", "fig1_like", "--beta-min", "0.2", "--beta-max", "50",
+        "--beta-steps", "420", "--init", "reverse", "--epsilon", "1e-9",
+        "--support-tol", "1e-5", "--out", str(tmp_path / "cli"),
+    )
+    assert out.returncode == 0, out.stderr
+    studies.write_reports(fig1_study, tmp_path / "study")
+    assert names(tmp_path / "cli") == names(tmp_path / "study") == RD_REPORTS
+    for name in RD_REPORTS:
+        assert (tmp_path / "cli" / name).read_bytes() == (
+            tmp_path / "study" / name
+        ).read_bytes(), name
+
+
 def test_unknown_study_is_usage_error(tmp_path):
     out = run_cli("study", "fig3", "--out", str(tmp_path))
     assert out.returncode == 1
@@ -106,5 +123,5 @@ def test_benchmark_copies_match_the_studies():
     assert anneal.init == studies.FIG2.init
     assert anneal.epsilon == studies.FIG2.solver.epsilon
     assert anneal.merge_tol == workloads.FIG2_MERGE_TOL == studies.FIG2.merge_tol
-    assert workloads.FIG2_DEDUP_TOL == studies.FIG2_DEDUP_TOL
+    assert workloads.FIG2_DEDUP_TOL == studies.DEDUP_TOL
     assert workloads.SUPPORT_TOL == studies.SUPPORT_TOL
