@@ -12,7 +12,6 @@ from .ib import (
     effective_cardinality,
     ib_decoder,
     ib_distortion,
-    ib_functional,
     ib_solve,
     ib_step,
     identity_encoder_init,
@@ -24,17 +23,12 @@ from .probability import (
     NumericalError,
     as_channel,
     as_distribution,
-    entropy,
     kl_divergence,
     mutual_information,
-    normalize,
-    support,
 )
 from .problems import (
     BUILTIN_PROBLEMS,
     binary_hamming,
-    binary_hamming_distortion,
-    binary_hamming_rate,
     bottleneck_four_symbol,
     builtin_problem,
     dump_problem,
@@ -47,11 +41,7 @@ from .rd import (
     SolverConfig,
     ab_step,
     boltzmann_factors,
-    encoder_from_marginal,
     expected_distortion,
-    lagrangian,
-    marginal_from_encoder,
-    residual,
     solve,
     solve_batch,
     uniform_init,
@@ -62,7 +52,6 @@ from .spectral import (
     SpectralReport,
     eigen_spectrum,
     jacobian,
-    kernel_dimension_check,
     predicted_iterations,
 )
 from .sweeps import (

@@ -47,10 +47,8 @@ def _load(problem_path, builtin):
         raise click.UsageError(f"cannot load {problem_path}: {exc}") from exc
 
 
-def _solver_config(epsilon, norm, max_iters, zero_tol) -> SolverConfig:
-    return SolverConfig(
-        epsilon=epsilon, norm=norm, max_iterations=max_iters, zero_tol=zero_tol
-    )
+def _solver_config(epsilon, norm, max_iters) -> SolverConfig:
+    return SolverConfig(epsilon=epsilon, norm=norm, max_iterations=max_iters)
 
 
 def _beta_grid(beta_min, beta_max, beta_steps, log_grid, descending):
@@ -79,11 +77,8 @@ def problem_options(f):
 
 
 def budget_options(f):
-    f = click.option("--max-iters", type=int, default=rdmod.DEFAULT_MAX_ITERATIONS,
-                     show_default=True)(f)
-    f = click.option("--zero-tol", type=float, default=DEFAULT_ZERO_TOL,
-                     show_default=True, help="Mass threshold treated as zero.")(f)
-    return f
+    return click.option("--max-iters", type=int, default=rdmod.DEFAULT_MAX_ITERATIONS,
+                        show_default=True)(f)
 
 
 def solver_options(f):
@@ -99,8 +94,8 @@ def sweep_options(f):
     f = click.option("--beta-max", type=float, default=None)(f)
     f = click.option("--beta-steps", type=int, default=600, show_default=True)(f)
     f = click.option("--log-grid/--linear-grid", default=True, show_default=True)(f)
-    f = click.option("--support-tol", type=float, default=None,
-                     help="Support-count threshold; defaults to --zero-tol.")(f)
+    f = click.option("--support-tol", type=float, default=DEFAULT_ZERO_TOL,
+                     show_default=True, help="Support-count threshold.")(f)
     f = click.option("--merge-tol", type=float, default=ibmod.DEFAULT_MERGE_TOL,
                      show_default=True,
                      help="Decoder-row clustering tolerance (bottleneck only).")(f)
@@ -134,10 +129,10 @@ def cli():
 @problem_options
 @solver_options
 @click.option("--beta", type=float, required=True)
-def solve_cmd(problem_path, builtin, beta, epsilon, norm, max_iters, zero_tol):
+def solve_cmd(problem_path, builtin, beta, epsilon, norm, max_iters):
     """Solve one problem at a single beta and print the solution as JSON."""
     problem = _load(problem_path, builtin)
-    config = _solver_config(epsilon, norm, max_iters, zero_tol)
+    config = _solver_config(epsilon, norm, max_iters)
     if isinstance(problem, IbProblem):
         sol = ibmod.ib_solve(problem, beta, config=config)
     else:
@@ -152,6 +147,8 @@ def solve_cmd(problem_path, builtin, beta, epsilon, norm, max_iters, zero_tol):
 @problem_options
 @solver_options
 @click.option("--beta", type=float, required=True)
+@click.option("--zero-tol", type=float, default=DEFAULT_ZERO_TOL, show_default=True,
+              help="Mass at or below which a representative counts as dead.")
 def spectrum_cmd(problem_path, builtin, beta, epsilon, norm, max_iters, zero_tol):
     """Solve at one beta and print the fixed-point spectral report as JSON."""
     problem = _load(problem_path, builtin)
@@ -160,8 +157,7 @@ def spectrum_cmd(problem_path, builtin, beta, epsilon, norm, max_iters, zero_tol
             "spectrum applies to rate-distortion problems; analyze a bottleneck "
             "through its tangent problem instead (see the tangent command)"
         )
-    config = _solver_config(epsilon, norm, max_iters, zero_tol)
-    sol = rdmod.solve(problem, beta, config=config)
+    sol = rdmod.solve(problem, beta, config=_solver_config(epsilon, norm, max_iters))
     jac = jacobian(problem, sol.marginal, beta,
                    fixed_point_tol=float("inf") if not sol.converged else 1e-6)
     report = eigen_spectrum(jac, zero_tol=zero_tol)
@@ -180,13 +176,13 @@ def spectrum_cmd(problem_path, builtin, beta, epsilon, norm, max_iters, zero_tol
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--formats", type=str, default="csv,json,svg", show_default=True,
               help="Comma-separated subset of csv,json,svg.")
-def sweep_cmd(problem_path, builtin, epsilon, norm, max_iters, zero_tol, beta_min,
+def sweep_cmd(problem_path, builtin, epsilon, norm, max_iters, beta_min,
               beta_max, beta_steps, log_grid, support_tol, merge_tol, out_dir, init,
               seed, formats):
     """Sweep a rate-distortion or bottleneck problem over a beta grid and
     write its reports."""
     problem = _load(problem_path, builtin)
-    solver = _solver_config(epsilon, norm, max_iters, zero_tol)
+    solver = _solver_config(epsilon, norm, max_iters)
     formats = _parse_formats(formats)
     grid = _beta_grid(beta_min, beta_max, beta_steps, log_grid,
                       descending=(init == "reverse"))
@@ -207,7 +203,7 @@ def sweep_cmd(problem_path, builtin, epsilon, norm, max_iters, zero_tol, beta_mi
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Optional CSV output path.")
 def rate_study_cmd(problem_path, builtin, beta, anchor_beta, epsilons, out_path,
-                   max_iters, zero_tol):
+                   max_iters):
     """Measured vs predicted convergence rate at one beta, across accuracies
     (each run stops on the L1 distance between successive iterates)."""
     problem = _load(problem_path, builtin)
@@ -217,7 +213,7 @@ def rate_study_cmd(problem_path, builtin, beta, anchor_beta, epsilons, out_path,
         eps_list = [float(t) for t in epsilons.split(",") if t.strip()]
     except ValueError as exc:
         raise click.UsageError(f"bad --epsilons: {exc}") from exc
-    config = SolverConfig(norm="l1", max_iterations=max_iters, zero_tol=zero_tol)
+    config = SolverConfig(norm="l1", max_iterations=max_iters)
     points = rate_study(problem, beta, eps_list, anchor_beta=anchor_beta,
                         config=config)
     click.echo(json.dumps([p.to_json_dict() for p in points], indent=1))
@@ -229,7 +225,7 @@ def rate_study_cmd(problem_path, builtin, beta, anchor_beta, epsilons, out_path,
 @problem_options
 @solver_options
 @sweep_options
-def tangent_cmd(problem_path, builtin, epsilon, norm, max_iters, zero_tol, beta_min,
+def tangent_cmd(problem_path, builtin, epsilon, norm, max_iters, beta_min,
                 beta_max, beta_steps, log_grid, support_tol, merge_tol, out_dir):
     """Reverse-sweep a bottleneck problem into --out/ib, then sweep the tangent
     rate-distortion problem across its k-th detected transition into
@@ -237,7 +233,7 @@ def tangent_cmd(problem_path, builtin, epsilon, norm, max_iters, zero_tol, beta_
     problem = _load(problem_path, builtin)
     if not isinstance(problem, IbProblem):
         raise click.UsageError("tangent needs a bottleneck problem")
-    solver = _solver_config(epsilon, norm, max_iters, zero_tol)
+    solver = _solver_config(epsilon, norm, max_iters)
     grid = _beta_grid(beta_min, beta_max, beta_steps, log_grid, descending=True)
     config = SweepConfig(beta_grid=grid, init="reverse", solver=solver,
                          merge_tol=merge_tol, support_tol=support_tol)

@@ -247,35 +247,23 @@ def relevant_information(problem: IbProblem, marginal, decoder) -> float:
     return max(total, 0.0)
 
 
-def ib_functional(problem: IbProblem, encoder, beta: float) -> float:
-    """The bottleneck objective I(X;Xhat) - beta I(Xhat;Y) for an encoder."""
-    encoder = np.asarray(encoder, dtype=float)
-    marginal = problem.px @ encoder
-    dec = ib_decoder(problem, encoder, marginal)
-    return mutual_information(problem.px, encoder) - beta * relevant_information(
-        problem, marginal, dec
-    )
-
-
-def uniform_encoder_init(problem: IbProblem, identity_weight: float = 0.5) -> np.ndarray:
-    """Uniform encoder blended with an identity pattern.
+def uniform_encoder_init(problem: IbProblem) -> np.ndarray:
+    """Equal blend of the uniform encoder and an identity pattern.
 
     The exactly uniform encoder is a fixed point of the iteration at every
     beta (all decoder rows coincide, so nothing ever breaks the tie), which
     makes it useless as a starting point. The identity-leaning blend is the
     deterministic tie-break that tracks the refined solution branch.
     """
-    if not 0 <= identity_weight < 1:
-        raise ValueError("identity_weight must lie in [0, 1)")
     base = np.full((problem.n, problem.m), 1.0 / problem.m)
-    eye = np.eye(problem.n, problem.m)
-    enc = (1.0 - identity_weight) * base + identity_weight * eye
+    enc = 0.5 * base + 0.5 * np.eye(problem.n, problem.m)
     return enc / enc.sum(axis=1, keepdims=True)
 
 
-def identity_encoder_init(problem: IbProblem, leak: float = 1e-6) -> np.ndarray:
-    """Near-deterministic encoder mapping each source symbol to its own slot."""
-    enc = np.full((problem.n, problem.m), leak)
+def identity_encoder_init(problem: IbProblem) -> np.ndarray:
+    """Near-deterministic encoder mapping each source symbol to its own slot,
+    with a 1e-6 leak to every other slot before normalization."""
+    enc = np.full((problem.n, problem.m), 1e-6)
     for i in range(problem.n):
         enc[i, min(i, problem.m - 1)] = 1.0
     return enc / enc.sum(axis=1, keepdims=True)
@@ -286,13 +274,13 @@ def ib_solve(
     beta: float,
     init_encoder=None,
     config: SolverConfig | None = None,
-    trace: list | None = None,
 ) -> IbSolution:
     """Iterate the bottleneck step until successive encoders are epsilon-close.
 
     The returned decoder is recomputed from the final encoder, so the
     decoder equation holds exactly for the stored triple. Non-convergence
-    within the budget returns converged=False.
+    within the budget returns the encoder after max_iterations applications
+    of ib_step, with converged=False.
     """
     if config is None:
         config = SolverConfig()
@@ -314,15 +302,11 @@ def ib_solve(
     enc = enc / sums
     marginal = problem.px @ enc
 
-    if trace is not None:
-        trace.append(enc.copy())
     converged = False
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(1, config.max_iterations + 1):
             new_enc, marginal, _ = _ib_update(problem, enc, marginal, beta)
-            if trace is not None:
-                trace.append(new_enc.copy())
             delta = config.distance((new_enc - enc).ravel())
             enc = new_enc
             iterations = k
@@ -357,10 +341,11 @@ def decoder_classes(
     Rows within merge_tol (sup norm) of an existing class representative are
     merged into it; classes are seeded in decreasing order of marginal mass,
     so each returned row is the decoder of its class's dominant
-    representative.
+    representative. A NaN merge_tol would merge nothing, so it is rejected
+    along with non-positive and infinite ones.
     """
-    if merge_tol <= 0:
-        raise ValueError("merge_tol must be positive")
+    if not 0 < merge_tol < np.inf:
+        raise ValueError("merge_tol must be finite and positive")
     reps: list[np.ndarray] = []
     order = np.argsort(-solution.marginal, kind="stable")
     for i in order:

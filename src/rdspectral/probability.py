@@ -14,8 +14,9 @@ import numpy as np
 # chains accumulate rounding.
 SIMPLEX_ATOL = 1e-12
 
-# Default threshold below which a probability mass counts as zero when
-# computing supports.
+# Mass at or below which a coordinate counts as dead: the threshold reverse
+# annealing pins to exact zero, and the default for support counts and the
+# spectral kernel.
 DEFAULT_ZERO_TOL = 1e-10
 
 # Smallest normal double. Iteration maps flush masses below this to exact
@@ -26,26 +27,6 @@ TINY_MASS = float(np.finfo(float).tiny)
 
 class NumericalError(RuntimeError):
     """A solver produced NaN/Inf or an otherwise impossible numeric state."""
-
-
-def normalize(v) -> np.ndarray:
-    """Scale a non-negative vector to sum to one.
-
-    Raises ValueError on negative entries or an all-zero vector.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a non-empty 1-d vector")
-    if np.any(v < 0):
-        raise ValueError("negative entries cannot be normalized to a distribution")
-    total = v.sum()
-    if total <= 0:
-        raise ValueError("cannot normalize an all-zero vector")
-    if abs(total - 1.0) <= SIMPLEX_ATOL:
-        # Already on the simplex to working tolerance; returning the input
-        # unchanged makes the operation exactly idempotent.
-        return v.copy()
-    return v / total
 
 
 def as_distribution(p, name: str = "p") -> np.ndarray:
@@ -84,13 +65,6 @@ def as_channel(rows, name: str = "channel") -> np.ndarray:
     return rows
 
 
-def entropy(p) -> float:
-    """Shannon entropy -sum p log p in nats, with 0 log 0 = 0."""
-    p = np.asarray(p, dtype=float)
-    mask = p > 0
-    return float(-np.sum(p[mask] * np.log(p[mask])))
-
-
 def kl_divergence(p, q) -> float:
     """Relative entropy sum p log(p/q) in nats.
 
@@ -124,10 +98,3 @@ def mutual_information(px, channel) -> float:
     # Roundoff can leave a tiny negative residue on independent inputs.
     return max(total, 0.0)
 
-
-def support(p, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
-    """Indices with mass strictly above zero_tol, in increasing order."""
-    if not 0 <= zero_tol < 1:
-        raise ValueError("zero_tol must lie in [0, 1)")
-    p = np.asarray(p, dtype=float)
-    return np.flatnonzero(p > zero_tol)

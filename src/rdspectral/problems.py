@@ -51,26 +51,6 @@ def binary_hamming(p: float = 0.5) -> RdProblem:
                      d=np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def binary_hamming_distortion(beta: float) -> float:
-    """Distortion of the binary Hamming solution at a given beta."""
-    return float(np.exp(-beta) / (1.0 + np.exp(-beta)))
-
-
-def binary_hamming_rate(p: float, beta: float) -> float:
-    """Rate of the binary Hamming solution: H(p) - H_b(D(beta)), in nats.
-
-    Valid while D(beta) <= min(p, 1-p), i.e. above the support transition.
-    """
-    dd = binary_hamming_distortion(beta)
-    if dd > min(p, 1.0 - p):
-        raise ValueError("beta is below the support transition; rate is 0 there")
-
-    def hb(x):
-        return -x * np.log(x) - (1 - x) * np.log(1 - x) if 0 < x < 1 else 0.0
-
-    return float(hb(p) - hb(dd))
-
-
 def bottleneck_four_symbol() -> IbProblem:
     """Four-symbol source with a binary relevance variable."""
     px = np.asarray(_BOTTLENECK_PX, dtype=float)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import (
-    DEFAULT_ZERO_TOL,
     TINY_MASS,
     NumericalError,
     as_distribution,
@@ -42,7 +41,8 @@ class RdProblem:
     px[i] is the source mass of symbol i; d[i, j] >= 0 is the distortion of
     reproducing symbol i as representative j. Two representatives with
     identical distortion columns are rejected because every spectral
-    statement downstream assumes distinguishable representatives. Both
+    statement downstream assumes distinguishable representatives; a d with
+    no columns is rejected too, since it leaves nothing to reproduce. Both
     arrays are read-only copies, so the caller's arrays can change afterwards
     without changing the problem behind its validation.
     """
@@ -55,6 +55,8 @@ class RdProblem:
         d = np.array(self.d, dtype=float)
         if d.ndim != 2 or d.shape[0] != px.shape[0]:
             raise ValueError("d must be a matrix with one row per source symbol")
+        if d.shape[1] == 0:
+            raise ValueError("d needs at least one column (representative)")
         if not np.all(np.isfinite(d)):
             raise ValueError("distortion entries must be finite")
         if np.any(d < 0):
@@ -121,16 +123,16 @@ def _duplicate_columns(d: np.ndarray):
 class SolverConfig:
     """Stopping rule for the alternating iteration.
 
-    Convergence is declared when the distance between successive marginals
-    drops below epsilon under the chosen norm ("l1" or "linf"). zero_tol is
-    the mass threshold used for support bookkeeping and for pinning
-    coordinates to zero when annealing.
+    Convergence is declared when the distance between successive iterates
+    drops below epsilon under the chosen norm ("l1" or "linf"); a solve that
+    reaches max_iterations first stops there with converged False. Mass
+    thresholds are not solver settings: a sweep counts support at its own
+    support_tol, and eigen_spectrum takes its zero_tol as an argument.
     """
 
     epsilon: float = DEFAULT_EPSILON
     norm: str = "linf"
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    zero_tol: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
@@ -143,7 +145,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be an integer")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        _check_tolerance(self.zero_tol, "zero_tol")
 
     def distance(self, v):
         """Norm of v along its last axis: a float, or one value per lane."""
@@ -243,21 +244,9 @@ def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     return expw / z[:, None]
 
 
-def encoder_from_marginal(problem: RdProblem, marginal, beta: float) -> np.ndarray:
-    """Boltzmann encoder rows p(xhat | x) induced by a reproduction marginal."""
-    marginal = np.asarray(marginal, dtype=float)
-    return _encoder_from_factors(marginal, boltzmann_factors(problem, marginal, beta))
-
-
 def _encoder_from_factors(marginal: np.ndarray, a: np.ndarray) -> np.ndarray:
     enc = marginal[None, :] * a
     return np.where(enc < TINY_MASS, 0.0, enc)
-
-
-def marginal_from_encoder(problem: RdProblem, encoder) -> np.ndarray:
-    """Reproduction marginal induced by an encoder: the px-average of its rows."""
-    encoder = np.asarray(encoder, dtype=float)
-    return problem.px @ encoder
 
 
 def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
@@ -270,20 +259,9 @@ def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     return _ba_update(_shifted_weights(problem, marginal, beta), problem.px, marginal)
 
 
-def residual(problem: RdProblem, marginal, beta: float) -> np.ndarray:
-    """Fixed-point residual of the alternating step at a candidate marginal.
-
-    Entry xhat is q(xhat) * (1 - sum_x px(x) a(x, xhat)) with a the
-    normalized Boltzmann weights; zero exactly at fixed points, and the
-    entries always sum to zero.
-    """
-    marginal = np.asarray(marginal, dtype=float)
-    return _residual_from_factors(
-        problem, marginal, boltzmann_factors(problem, marginal, beta)
-    )
-
-
 def _residual_from_factors(problem: RdProblem, marginal: np.ndarray, a) -> np.ndarray:
+    """Fixed-point residual q(xhat) * (1 - sum_x px(x) a(x, xhat)) of the
+    alternating step, from the normalized Boltzmann factors a at q."""
     return marginal * (1.0 - problem.px @ a)
 
 
@@ -291,19 +269,6 @@ def expected_distortion(problem: RdProblem, encoder) -> float:
     """Average distortion sum_{x,xhat} px(x) p(xhat|x) d(x,xhat)."""
     encoder = np.asarray(encoder, dtype=float)
     return float(problem.px @ (encoder * problem.d).sum(axis=1))
-
-
-def lagrangian(problem: RdProblem, encoder, beta: float) -> float:
-    """Rate plus beta times expected distortion for a given encoder.
-
-    The rate term uses the marginal induced by the encoder itself, which is
-    the minimizing choice, so this value is non-increasing along the
-    alternating iteration.
-    """
-    encoder = np.asarray(encoder, dtype=float)
-    return mutual_information(problem.px, encoder) + beta * expected_distortion(
-        problem, encoder
-    )
 
 
 def uniform_init(problem: RdProblem) -> np.ndarray:
@@ -317,8 +282,7 @@ def _initial_marginal(problem: RdProblem, init) -> np.ndarray:
     return p
 
 
-def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConfig,
-             trace: list | None = None):
+def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConfig):
     """Run the alternating iteration on a stack of independent lanes.
 
     expw is (lanes, n, m) and p is (lanes, m). Each lane stops on its own
@@ -327,7 +291,6 @@ def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConf
     views, which is how a single solve runs from the start. Returns each
     lane's final marginal, iteration count and convergence flag; a lane
     that exhausts the budget stops at max_iterations with converged False.
-    When trace is a list every iterate of a single lane is appended to it.
     """
     lanes = np.arange(p.shape[0])
     marginals = [None] * lanes.size
@@ -337,8 +300,6 @@ def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConf
     w, q = (expw, p) if stacked else (expw[0], p[0])
     for k in range(1, config.max_iterations + 1):
         newq = _ba_update(w, px, q)
-        if trace is not None:
-            trace.append(newq.copy())
         delta = config.distance(newq - q)
         q = newq
         if k % _FINITE_CHECK_STRIDE == 0 and not np.all(np.isfinite(q)):
@@ -387,29 +348,20 @@ def solve(
     beta: float,
     init=None,
     config: SolverConfig | None = None,
-    trace: list | None = None,
 ) -> RdSolution:
     """Iterate the alternating step from init until successive marginals are
     epsilon-close.
 
-    Exhausting the iteration budget returns converged=False rather than
-    raising; NaN/Inf contamination raises NumericalError. When trace is a
-    list, every iterate (including the initial point) is appended to it.
+    Exhausting the iteration budget returns the marginal after
+    max_iterations applications of ab_step, with converged=False, rather
+    than raising; NaN/Inf contamination raises NumericalError. This is one
+    lane of solve_batch.
 
     The initial marginal should be strictly positive wherever the solution
     is expected to live; zero coordinates are legitimate and stay exactly
     zero, which is what annealing warm starts rely on.
     """
-    if config is None:
-        config = SolverConfig()
-    p = _initial_marginal(problem, init)
-    expw = _shifted_weights(problem, p, beta)
-    if trace is not None:
-        trace.append(p.copy())
-    (marginal,), (iterations,), (converged,) = _iterate(
-        expw[None], problem.px, p[None], config, trace
-    )
-    return _solution(problem, beta, marginal, iterations, converged)
+    return solve_batch(problem, [beta], [init], config)[0]
 
 
 def solve_batch(

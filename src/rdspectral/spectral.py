@@ -15,17 +15,11 @@ what the predicted iteration counts below are built from.
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .probability import DEFAULT_ZERO_TOL, NumericalError, support
-from .rd import (
-    RdProblem,
-    RdSolution,
-    _residual_from_factors,
-    boltzmann_factors,
-)
+from .probability import DEFAULT_ZERO_TOL, NumericalError
+from .rd import RdProblem, _check_tolerance, _residual_from_factors, boltzmann_factors
 
 # Eigenvalues of A below this are structurally impossible and indicate a
 # numerical failure rather than roundoff.
@@ -40,9 +34,8 @@ class FixedPointJacobian:
     arbitrary points are allowed; residual_linf records how far from
     stationarity the evaluation point was so downstream consumers can
     discount reports taken at poor points. factors holds the normalized
-    Boltzmann weights the matrix is built from, so the spectrum reuses them;
-    the dense matrix itself is built on first access, since the spectrum
-    never reads it.
+    Boltzmann weights a the matrix is built from, A = (a^T diag(px) a)
+    diag(q); the spectrum works from them directly and never forms A.
     """
 
     beta: float
@@ -50,14 +43,6 @@ class FixedPointJacobian:
     problem: RdProblem
     residual_linf: float
     factors: np.ndarray
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        a = self.factors
-        matrix = (a.T * self.problem.px) @ a * self.marginal[None, :]
-        if not np.all(np.isfinite(matrix)):
-            raise NumericalError("Jacobian evaluation produced non-finite entries")
-        return matrix
 
 
 @dataclass
@@ -143,8 +128,10 @@ def eigen_spectrum(
 
     Representatives at or below zero_tol contribute exact zero eigenvalues
     through the block structure of A; the supported block is diagonalized
-    with a symmetric eigensolver, which guarantees a real spectrum.
+    with a symmetric eigensolver, which guarantees a real spectrum. zero_tol
+    must be a number in [0, 1).
     """
+    _check_tolerance(zero_tol, "zero_tol")
     marginal = jac.marginal
     m = marginal.shape[0]
     sup = marginal > zero_tol
@@ -207,20 +194,3 @@ def predicted_iterations(report: SpectralReport, epsilon: float) -> float:
         raise ValueError("epsilon must lie in (0, 1)")
     return float(_iterations(-np.log(epsilon), report.lambda_max, report.at_criticality))
 
-
-def kernel_dimension_check(
-    problem: RdProblem,
-    solution: RdSolution,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> tuple[int, int, bool]:
-    """Compare the kernel dimension of A with the count of dead representatives.
-
-    At a solution these must satisfy kernel_dim = m - |support|; the result
-    is returned as (kernel_dim, support_size, consistent) rather than
-    raised, since an inconsistency is a finding about the solution.
-    """
-    jac = jacobian(problem, solution.marginal, solution.beta)
-    report = eigen_spectrum(jac, zero_tol=zero_tol)
-    support_size = int(support(solution.marginal, zero_tol).size)
-    consistent = report.kernel_dim == problem.m - support_size
-    return report.kernel_dim, support_size, consistent

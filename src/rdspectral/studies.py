@@ -48,7 +48,7 @@ def tangent_run(problem: IbProblem, lo, hi, config: SweepConfig) -> StudyRun:
     """Reverse-sweep the tangent problem at the transition between the
     bottleneck solutions lo and hi, found by a sweep under config, from
     hi.beta down to lo.beta."""
-    tol = config.effective_support_tol
+    tol = config.support_tol
     tangent = tangent_rd(problem, lo, hi, merge_tol=config.merge_tol,
                          dedup_tol=DEDUP_TOL, zero_tol=tol)
     records = sweep(tangent, SweepConfig(

@@ -15,6 +15,7 @@ import numpy as np
 from . import ib as ibmod
 from . import rd as rdmod
 from .ib import IbProblem
+from .probability import DEFAULT_ZERO_TOL
 from .rd import RdProblem, SolverConfig, _check_tolerance
 from .spectral import eigen_spectrum, jacobian, predicted_iterations
 
@@ -25,12 +26,14 @@ INIT_POLICIES = ("uniform", "dirichlet", "reverse", "forward")
 class SweepConfig:
     """Grid, policy and solver settings for one sweep.
 
-    support_tol is the mass threshold used when counting a record's support
-    (and the marginal floor for effective-cardinality classes); it defaults
-    to the solver's zero_tol but is worth raising when the solver epsilon is
-    loose, because a successive-iterate stopping rule leaves dying
-    coordinates stranded at masses of order epsilon / (1 - decay rate).
-    merge_tol clusters decoder rows for bottleneck cardinality counts.
+    support_tol is the mass threshold used when counting a record's support,
+    reading its spectrum and flooring effective-cardinality classes. It
+    defaults to DEFAULT_ZERO_TOL (1e-10), the fixed threshold below which
+    reverse annealing pins a coordinate to zero, and is worth raising when
+    the solver epsilon is loose, because a successive-iterate stopping rule
+    leaves dying coordinates stranded at masses of order
+    epsilon / (1 - decay rate). merge_tol, finite and positive, clusters
+    decoder rows for bottleneck cardinality counts.
     """
 
     beta_grid: np.ndarray
@@ -38,7 +41,7 @@ class SweepConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     seed: int = 0
     merge_tol: float = ibmod.DEFAULT_MERGE_TOL
-    support_tol: float | None = None
+    support_tol: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
         grid = np.asarray(self.beta_grid, dtype=float)
@@ -59,13 +62,10 @@ class SweepConfig:
             raise ValueError("reverse annealing requires a descending beta grid")
         if self.init == "forward" and not ascending:
             raise ValueError("forward annealing requires an ascending beta grid")
-        if self.support_tol is not None:
-            _check_tolerance(self.support_tol, "support_tol")
+        if not 0 < self.merge_tol < np.inf:
+            raise ValueError("merge_tol must be finite and positive")
+        _check_tolerance(self.support_tol, "support_tol")
         object.__setattr__(self, "beta_grid", grid)
-
-    @property
-    def effective_support_tol(self) -> float:
-        return self.solver.zero_tol if self.support_tol is None else self.support_tol
 
 
 @dataclass
@@ -151,7 +151,7 @@ def _snap_encoder(encoder: np.ndarray, marginal: np.ndarray, zero_tol: float) ->
 
 
 def _record(problem, beta, sol, config) -> SweepRecord:
-    sup_tol = config.effective_support_tol
+    sup_tol = config.support_tol
     if isinstance(problem, RdProblem):
         # The record's spectral bookkeeping uses the same mass threshold as
         # its support count, so lambda0 reads the supported block even when
@@ -196,7 +196,6 @@ def _solve_in_order(problem, config: SweepConfig, rng) -> list:
     policy says; the annealing policies start from the previous solution."""
     is_rd = isinstance(problem, RdProblem)
     policy = config.init
-    zero_tol = config.solver.zero_tol
     solutions = []
     sol = None
     for beta in config.beta_grid:
@@ -218,9 +217,9 @@ def _solve_in_order(problem, config: SweepConfig, rng) -> list:
             # pin: the tiny leftover masses are the seeds from which
             # representatives regrow past their transitions.
             init = (
-                _snap_marginal(sol.marginal, zero_tol)
+                _snap_marginal(sol.marginal, DEFAULT_ZERO_TOL)
                 if is_rd
-                else _snap_encoder(sol.encoder, sol.marginal, zero_tol)
+                else _snap_encoder(sol.encoder, sol.marginal, DEFAULT_ZERO_TOL)
             )
         else:
             init = sol.marginal if is_rd else sol.encoder
@@ -339,7 +338,8 @@ def rate_study(
     Solves once at anchor_beta (default twice beta), then re-solves at beta
     from that warm start for each stopping accuracy, pairing the measured
     iterations per unit of -log eps with the prediction from the smallest
-    positive eigenvalue at the solution. Stopping distances default to the
+    positive eigenvalue at the solution, counting masses at or below
+    DEFAULT_ZERO_TOL as dead. Stopping distances default to the
     L1 norm here, matching the norm the asymptotic rate statement is phrased
     in. At a critical point the prediction is +inf and the pairing is
     recorded as such.
@@ -360,7 +360,7 @@ def rate_study(
     anchor = rdmod.solve(problem, anchor_beta, config=anchor_cfg)
     reference = rdmod.solve(problem, beta, init=anchor.marginal, config=anchor_cfg)
     jac = jacobian(problem, reference.marginal, beta, fixed_point_tol=float("inf"))
-    report = eigen_spectrum(jac, zero_tol=config.zero_tol)
+    report = eigen_spectrum(jac, zero_tol=DEFAULT_ZERO_TOL)
 
     points = []
     for eps in sorted(epsilons, reverse=True):

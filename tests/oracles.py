@@ -1,11 +1,128 @@
-"""Independent computations of the fixed-point Jacobian and its spectrum,
-used only to cross-check the production path in rdspectral.spectral."""
+"""Independent computations used only to cross-check the production paths:
+the fixed-point Jacobian and its spectrum, the objectives the iterations
+descend, and closed-form binary Hamming solutions."""
 
 import numpy as np
 
-from rdspectral import RdProblem, boltzmann_factors, residual
-from rdspectral.probability import DEFAULT_ZERO_TOL
+from rdspectral import (
+    IbProblem,
+    NumericalError,
+    RdProblem,
+    RdSolution,
+    ab_step,
+    boltzmann_factors,
+    eigen_spectrum,
+    expected_distortion,
+    ib_decoder,
+    jacobian,
+    mutual_information,
+    relevant_information,
+)
+from rdspectral.probability import DEFAULT_ZERO_TOL, TINY_MASS
 from rdspectral.spectral import FixedPointJacobian, _support_gram
+
+
+def entropy(p) -> float:
+    """Shannon entropy -sum p log p in nats, with 0 log 0 = 0."""
+    p = np.asarray(p, dtype=float)
+    mask = p > 0
+    return float(-np.sum(p[mask] * np.log(p[mask])))
+
+
+def binary_hamming_distortion(beta: float) -> float:
+    """Distortion of the binary Hamming solution at a given beta."""
+    return float(np.exp(-beta) / (1.0 + np.exp(-beta)))
+
+
+def binary_hamming_rate(p: float, beta: float) -> float:
+    """Rate of the binary Hamming solution: H(p) - H_b(D(beta)), in nats.
+
+    Valid while D(beta) <= min(p, 1-p), i.e. above the support transition.
+    """
+    dd = binary_hamming_distortion(beta)
+    if dd > min(p, 1.0 - p):
+        raise ValueError("beta is below the support transition; rate is 0 there")
+
+    def hb(x):
+        return -x * np.log(x) - (1 - x) * np.log(1 - x) if 0 < x < 1 else 0.0
+
+    return float(hb(p) - hb(dd))
+
+
+def encoder_from_marginal(problem: RdProblem, marginal, beta: float) -> np.ndarray:
+    """Boltzmann encoder rows p(xhat | x) induced by a reproduction marginal."""
+    marginal = np.asarray(marginal, dtype=float)
+    enc = marginal[None, :] * boltzmann_factors(problem, marginal, beta)
+    return np.where(enc < TINY_MASS, 0.0, enc)
+
+
+def residual(problem: RdProblem, marginal, beta: float) -> np.ndarray:
+    """Fixed-point residual of the alternating step at a candidate marginal.
+
+    Entry xhat is q(xhat) * (1 - sum_x px(x) a(x, xhat)) with a the
+    normalized Boltzmann weights; zero exactly at fixed points, and the
+    entries always sum to zero.
+    """
+    marginal = np.asarray(marginal, dtype=float)
+    return marginal * (1.0 - problem.px @ boltzmann_factors(problem, marginal, beta))
+
+
+def ab_iterates(problem: RdProblem, marginal, beta: float, count: int) -> list:
+    """The marginal followed by its first count images under ab_step."""
+    iterates = [np.asarray(marginal, dtype=float)]
+    for _ in range(count):
+        iterates.append(ab_step(problem, iterates[-1], beta))
+    return iterates
+
+
+def lagrangian(problem: RdProblem, encoder, beta: float) -> float:
+    """Rate plus beta times expected distortion for a given encoder.
+
+    The rate term uses the marginal induced by the encoder itself, which is
+    the minimizing choice, so this value is non-increasing along the
+    alternating iteration.
+    """
+    encoder = np.asarray(encoder, dtype=float)
+    return mutual_information(problem.px, encoder) + beta * expected_distortion(
+        problem, encoder
+    )
+
+
+def ib_functional(problem: IbProblem, encoder, beta: float) -> float:
+    """The bottleneck objective I(X;Xhat) - beta I(Xhat;Y) for an encoder."""
+    encoder = np.asarray(encoder, dtype=float)
+    marginal = problem.px @ encoder
+    dec = ib_decoder(problem, encoder, marginal)
+    return mutual_information(problem.px, encoder) - beta * relevant_information(
+        problem, marginal, dec
+    )
+
+
+def jacobian_matrix(jac: FixedPointJacobian) -> np.ndarray:
+    """The dense matrix A = (a^T diag(px) a) diag(q) from the factors a."""
+    a = jac.factors
+    matrix = (a.T * jac.problem.px) @ a * jac.marginal[None, :]
+    if not np.all(np.isfinite(matrix)):
+        raise NumericalError("Jacobian evaluation produced non-finite entries")
+    return matrix
+
+
+def kernel_dimension_check(
+    problem: RdProblem,
+    solution: RdSolution,
+    zero_tol: float = DEFAULT_ZERO_TOL,
+) -> tuple[int, int, bool]:
+    """Compare the kernel dimension of A with the count of dead representatives.
+
+    At a solution these must satisfy kernel_dim = m - |support|; the result
+    is returned as (kernel_dim, support_size, consistent) rather than
+    raised, since an inconsistency is a finding about the solution.
+    """
+    jac = jacobian(problem, solution.marginal, solution.beta)
+    report = eigen_spectrum(jac, zero_tol=zero_tol)
+    support_size = int(np.sum(solution.marginal > zero_tol))
+    consistent = report.kernel_dim == problem.m - support_size
+    return report.kernel_dim, support_size, consistent
 
 
 def jacobian_product_form(problem: RdProblem, marginal, beta: float) -> np.ndarray:
@@ -64,5 +181,5 @@ def symmetrized_support_block(
 def eigenvalues_nonsymmetric(jac: FixedPointJacobian) -> np.ndarray:
     """Eigenvalues of the dense matrix from a general eigensolver, sorted by
     real part."""
-    ev = np.linalg.eigvals(jac.matrix)
+    ev = np.linalg.eigvals(jacobian_matrix(jac))
     return ev[np.argsort(ev.real)]

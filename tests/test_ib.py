@@ -2,10 +2,12 @@
 
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import ib_functional
 from rdspectral import (
     IbProblem,
     SolverConfig,
@@ -14,7 +16,6 @@ from rdspectral import (
     effective_cardinality,
     ib_decoder,
     ib_distortion,
-    ib_functional,
     ib_solve,
     ib_step,
     identity_encoder_init,
@@ -221,9 +222,12 @@ class TestIbSolve:
     def test_functional_monotone_along_iterates(self):
         problem = bottleneck_four_symbol()
         for beta in (5.0, 20.0, 40.0):
-            trace = []
-            ib_solve(problem, beta, config=EPS7, trace=trace)
-            values = [ib_functional(problem, enc, beta) for enc in trace]
+            sol = ib_solve(problem, beta, config=EPS7)
+            enc = uniform_encoder_init(problem)
+            values = [ib_functional(problem, enc, beta)]
+            for _ in range(sol.iterations):
+                enc, _, _ = ib_step(problem, enc, beta)
+                values.append(ib_functional(problem, enc, beta))
             assert np.all(np.diff(values) <= 1e-10)
 
     def test_budget_exhaustion_flags(self):
@@ -351,13 +355,14 @@ class TestLeanLoop:
             "uniform": uniform_encoder_init,
             "snapped": self._snapped_start,
         }[start](problem)
-        trace = []
-        sol = ib_solve(problem, beta, init_encoder=init, config=EPS7, trace=trace)
-        assert len(trace) == sol.iterations + 1
-        enc = trace[0]
-        for k in range(1, len(trace)):
+        sol = ib_solve(problem, beta, init_encoder=init, config=EPS7)
+        # ib_solve starts from the init with its rows renormalized.
+        enc = init / init.sum(axis=1, keepdims=True)
+        for k in range(1, sol.iterations + 1):
             enc, marginal, _ = ib_step(problem, enc, beta)
-            assert enc.tobytes() == trace[k].tobytes(), f"iterate {k}"
+            budgeted = ib_solve(problem, beta, init_encoder=init,
+                                config=replace(EPS7, max_iterations=k))
+            assert budgeted.encoder.tobytes() == enc.tobytes(), f"iterate {k}"
         assert sol.encoder.tobytes() == enc.tobytes()
         assert sol.marginal.tobytes() == marginal.tobytes()
         assert sol.decoder.tobytes() == ib_decoder(problem, enc, marginal).tobytes()
@@ -414,6 +419,12 @@ class TestEffectiveCardinality:
         )
         assert effective_cardinality(sol, merge_tol=1e-6) == 2
         assert effective_cardinality(sol, merge_tol=1e-10) == 3
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-4])
+    def test_rejects_merge_tol_that_merges_nothing(self, tol):
+        sol = self._solution_with([0.5, 0.5, 0.0, 0.0], np.tile([0.4, 0.6], (4, 1)))
+        with pytest.raises(ValueError, match="merge_tol"):
+            decoder_classes(sol, merge_tol=tol)
 
     def test_three_classes_between_upper_transitions(self):
         """Between the second and third transitions (near 19 and 25 under

@@ -3,42 +3,9 @@
 import numpy as np
 import pytest
 
-from rdspectral import (
-    entropy,
-    kl_divergence,
-    mutual_information,
-    normalize,
-    support,
-)
+from oracles import entropy
+from rdspectral import kl_divergence, mutual_information
 from rdspectral.probability import as_channel, as_distribution
-
-
-class TestNormalize:
-    def test_symmetric_pair(self):
-        np.testing.assert_allclose(normalize([2, 2]), [0.5, 0.5])
-
-    def test_point_mass_passthrough(self):
-        np.testing.assert_allclose(normalize([1, 0, 0]), [1, 0, 0])
-
-    def test_one_three_split(self):
-        np.testing.assert_allclose(normalize([1, 3]), [0.25, 0.75])
-
-    def test_idempotent_exactly(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            v = rng.uniform(0, 5, size=rng.integers(1, 8))
-            if v.sum() == 0:
-                continue
-            once = normalize(v)
-            np.testing.assert_array_equal(normalize(once), once)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            normalize([0.5, -0.1])
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValueError):
-            normalize([0.0, 0.0])
 
 
 class TestValidation:
@@ -157,19 +124,3 @@ class TestMutualInformation:
             mi = mutual_information(px, ch)
             assert -1e-12 <= mi <= min(entropy(px), np.log(k)) + 1e-10
 
-
-class TestSupport:
-    def test_plain_case(self):
-        np.testing.assert_array_equal(support([0.5, 0.5, 0.0], 1e-10), [0, 1])
-
-    def test_point_mass(self):
-        np.testing.assert_array_equal(support([1.0, 0.0, 0.0], 1e-10), [0])
-
-    def test_threshold_semantics(self):
-        np.testing.assert_array_equal(
-            support([0.4, 1e-12, 0.6], 1e-10), [0, 2]
-        )
-
-    def test_tolerance_range_checked(self):
-        with pytest.raises(ValueError):
-            support([1.0], -0.1)

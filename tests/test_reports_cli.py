@@ -1,14 +1,17 @@
 """Tests for report emission (CSV/JSON/SVG) and the command-line interface."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 
 import click
 import numpy as np
 import pytest
 
+import rdspectral
 from rdspectral import (
     SolverConfig,
     SweepConfig,
@@ -199,11 +202,18 @@ class TestCli:
         assert "finite and non-negative" in out.stderr
 
     @pytest.mark.parametrize("tol", ["nan", "2.0", "-1"])
-    def test_solve_bad_zero_tol_is_usage_error(self, tol):
-        out = run_cli("solve", "--builtin", "binary_hamming", "--beta", "1.0",
+    def test_spectrum_bad_zero_tol_is_usage_error(self, tol):
+        out = run_cli("spectrum", "--builtin", "binary_hamming", "--beta", "1.0",
                       "--zero-tol", tol)
         assert out.returncode == 1
         assert "zero_tol must be finite" in out.stderr
+
+    def test_problem_without_representatives_is_usage_error(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"px": [1.0], "d": [[]]}')
+        out = run_cli("solve", "--problem", str(path), "--beta", "1.0")
+        assert out.returncode == 1
+        assert "at least one column" in out.stderr
 
     def test_solve_missing_problem_is_usage_error(self):
         out = run_cli("solve", "--beta", "1.0")
@@ -349,6 +359,14 @@ class TestCli:
         assert "no transitions detected" in out.stderr
         assert [p.name for p in (tmp_path / "tan").iterdir()] == ["ib"]
 
+    def test_sweep_nan_merge_tol_is_usage_error(self, tmp_path):
+        out = run_cli("sweep", "--builtin", "fig2", "--beta-min", "1.5",
+                      "--beta-max", "60", "--beta-steps", "6", "--init", "reverse",
+                      "--merge-tol", "nan", "--out", str(tmp_path / "run"))
+        assert out.returncode == 1
+        assert "merge_tol must be finite and positive" in out.stderr
+        assert not (tmp_path / "run").exists()
+
     def test_tangent_rejects_rate_distortion_problem(self):
         out = run_cli("tangent", "--builtin", "fig1_like", "--beta-min", "1",
                       "--beta-max", "2", "--beta-steps", "3")
@@ -361,20 +379,19 @@ class TestCli:
 CLI_SURFACE = {
     "builtin": ["--name", "--out"],
     "rate-study": ["--anchor-beta", "--beta", "--builtin", "--epsilons",
-                   "--max-iters", "--out", "--problem", "--zero-tol"],
+                   "--max-iters", "--out", "--problem"],
     "solve": ["--beta", "--builtin", "--epsilon", "--max-iters", "--norm",
-              "--problem", "--zero-tol"],
+              "--problem"],
     "spectrum": ["--beta", "--builtin", "--epsilon", "--max-iters", "--norm",
                  "--problem", "--zero-tol"],
     "study": ["--out"],
     "sweep": ["--beta-max", "--beta-min", "--beta-steps", "--builtin", "--epsilon",
               "--formats", "--init", "--log-grid/--linear-grid", "--max-iters",
               "--merge-tol", "--norm", "--out", "--problem", "--seed",
-              "--support-tol", "--zero-tol"],
+              "--support-tol"],
     "tangent": ["--beta-max", "--beta-min", "--beta-steps", "--builtin",
                 "--epsilon", "--log-grid/--linear-grid", "--max-iters",
-                "--merge-tol", "--norm", "--out", "--problem", "--support-tol",
-                "--zero-tol"],
+                "--merge-tol", "--norm", "--out", "--problem", "--support-tol"],
 }
 
 
@@ -388,4 +405,41 @@ def test_cli_surface_is_pinned():
         for name, command in cli.commands.items()
     }
     assert surface == CLI_SURFACE
-    assert sum(len(options) for options in surface.values()) == 54
+    assert sum(len(options) for options in surface.values()) == 50
+
+
+# Every name the package exports and every field of its two configs, pinned
+# for the same reason: each one is a public name or knob with a caller.
+PACKAGE_SURFACE = [
+    "BUILTIN_PROBLEMS", "CSV_HEADER", "FixedPointJacobian", "IbProblem",
+    "IbSolution", "NumericalError", "RateStudyPoint", "RdProblem", "RdSolution",
+    "SolverConfig", "SpectralReport", "SweepConfig", "SweepRecord",
+    "TransitionReport", "ab_step", "as_channel", "as_distribution",
+    "binary_hamming", "boltzmann_factors", "bottleneck_four_symbol",
+    "builtin_problem", "decoder_classes", "detect_transitions", "dump_problem",
+    "effective_cardinality", "eigen_spectrum", "emit_reports",
+    "expected_distortion", "ib_decoder", "ib_distortion", "ib_solve", "ib_step",
+    "identity_encoder_init", "jacobian", "kl_divergence", "load_problem",
+    "mutual_information", "planar_four_point", "predicted_iterations",
+    "rate_study", "relevant_information", "solve", "solve_batch", "sweep",
+    "tangent_rd", "uniform_encoder_init", "uniform_init", "write_sweep_csv",
+    "write_sweep_json",
+]
+CONFIG_FIELDS = {
+    "SolverConfig": ["epsilon", "norm", "max_iterations"],
+    "SweepConfig": ["beta_grid", "init", "solver", "seed", "merge_tol",
+                    "support_tol"],
+}
+
+
+def test_package_surface_is_pinned():
+    exported = sorted(
+        name for name, value in vars(rdspectral).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == PACKAGE_SURFACE
+    assert len(exported) == 49
+    assert {
+        name: [f.name for f in dataclasses.fields(getattr(rdspectral, name))]
+        for name in CONFIG_FIELDS
+    } == CONFIG_FIELDS

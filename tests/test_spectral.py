@@ -8,7 +8,9 @@ import pytest
 from oracles import (
     eigenvalues_nonsymmetric,
     jacobian_finite_difference,
+    jacobian_matrix,
     jacobian_product_form,
+    kernel_dimension_check,
     symmetrized_support_block,
 )
 from rdspectral import (
@@ -19,7 +21,6 @@ from rdspectral import (
     binary_hamming,
     eigen_spectrum,
     jacobian,
-    kernel_dimension_check,
     planar_four_point,
     predicted_iterations,
     solve,
@@ -52,19 +53,8 @@ def solved_interior_instances(seed, count, n_max=6, m_max=6):
     return out
 
 
-class TestLazyMatrix:
-    def test_spectrum_does_not_build_the_matrix(self):
-        problem = planar_four_point()
-        sol = solve(problem, 10.0, config=TIGHT)
-        jac = jacobian(problem, sol.marginal, sol.beta)
-        eigen_spectrum(jac)
-        assert "matrix" not in vars(jac)
-        a = jac.factors
-        expected = (a.T * problem.px) @ a * sol.marginal[None, :]
-        np.testing.assert_array_equal(jac.matrix, expected)
-        assert jac.matrix is jac.matrix
-
-    def test_non_finite_matrix_raises_on_access(self):
+class TestJacobianForms:
+    def test_non_finite_matrix_raises(self):
         """Finite factors whose square overflows: a dead representative far
         cheaper than the live one at a large beta."""
         problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0], [1.0, 0.0]])
@@ -72,22 +62,20 @@ class TestLazyMatrix:
             jac = jacobian(problem, [1.0, 0.0], 500.0, fixed_point_tol=np.inf)
             assert np.all(np.isfinite(jac.factors))
             with pytest.raises(NumericalError, match="non-finite"):
-                jac.matrix
+                jacobian_matrix(jac)
 
-
-class TestJacobianForms:
     def test_beta_zero_is_rank_one(self):
         rng = np.random.default_rng(0)
         problem = random_problem(rng, 3, 4)
         q = rng.dirichlet(np.ones(4))
         jac = jacobian(problem, q, 0.0)
-        for row in jac.matrix:
+        for row in jacobian_matrix(jac):
             np.testing.assert_allclose(row, q, atol=1e-14)
 
     def test_single_representative(self):
         problem = RdProblem(px=[0.4, 0.6], d=[[0.1], [0.9]])
         jac = jacobian(problem, np.array([1.0]), 2.0)
-        np.testing.assert_allclose(jac.matrix, [[1.0]], atol=1e-14)
+        np.testing.assert_allclose(jacobian_matrix(jac), [[1.0]], atol=1e-14)
 
     def test_channel_product_form_agrees(self):
         """The conditional-probability product reproduces the direct formula."""
@@ -95,22 +83,23 @@ class TestJacobianForms:
         for problem, sol in instances:
             jac = jacobian(problem, sol.marginal, sol.beta)
             alt = jacobian_product_form(problem, sol.marginal, sol.beta)
-            np.testing.assert_allclose(jac.matrix, alt, atol=1e-12)
+            np.testing.assert_allclose(jacobian_matrix(jac), alt, atol=1e-12)
 
     def test_rows_sum_to_one_at_full_support_solutions(self):
         instances = solved_interior_instances(seed=22, count=6)
         for problem, sol in instances:
             jac = jacobian(problem, sol.marginal, sol.beta)
             np.testing.assert_allclose(
-                jac.matrix.sum(axis=1), 1.0, atol=1e-10
+                jacobian_matrix(jac).sum(axis=1), 1.0, atol=1e-10
             )
 
     def test_zero_column_iff_zero_mass(self):
         problem = planar_four_point()
         q = np.array([0.55, 0.45, 0.0, 0.0])
         jac = jacobian(problem, q, 2.0, fixed_point_tol=float("inf"))
-        assert np.all(jac.matrix[:, 2:] == 0.0)
-        assert np.all(np.abs(jac.matrix[:, :2]).max(axis=0) > 1e-12)
+        matrix = jacobian_matrix(jac)
+        assert np.all(matrix[:, 2:] == 0.0)
+        assert np.all(np.abs(matrix[:, :2]).max(axis=0) > 1e-12)
 
     def test_warns_away_from_fixed_points(self):
         problem = binary_hamming(0.7)
@@ -132,7 +121,7 @@ class TestFiniteDifferenceOracle:
         for problem, sol in instances:
             jac = jacobian(problem, sol.marginal, sol.beta)
             fd = jacobian_finite_difference(problem, sol.marginal, sol.beta)
-            assert np.max(np.abs(fd - jac.matrix)) < 1e-6
+            assert np.max(np.abs(fd - jacobian_matrix(jac))) < 1e-6
 
     def test_single_representative(self):
         problem = RdProblem(px=[1.0], d=[[0.3]])
@@ -153,6 +142,16 @@ class TestFiniteDifferenceOracle:
 
 
 class TestEigenSpectrum:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 1.0, 2.0])
+    def test_rejects_bad_zero_tol(self, tol):
+        jac = jacobian(binary_hamming(), np.array([0.5, 0.5]), 1.0)
+        with pytest.raises(ValueError, match="zero_tol"):
+            eigen_spectrum(jac, zero_tol=tol)
+
+    def test_accepts_zero_zero_tol(self):
+        jac = jacobian(binary_hamming(), np.array([0.5, 0.5]), 1.0)
+        assert eigen_spectrum(jac, zero_tol=0.0).zero_tol == 0.0
+
     def test_beta_zero_spectrum(self):
         rng = np.random.default_rng(2)
         problem = random_problem(rng, 4, 5)

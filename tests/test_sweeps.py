@@ -15,6 +15,7 @@ from rdspectral import (
     rate_study,
     sweep,
 )
+from rdspectral.probability import DEFAULT_ZERO_TOL
 
 
 class TestSweepConfigValidation:
@@ -50,6 +51,15 @@ class TestSweepConfigValidation:
     def test_rejects_bad_support_tol(self, tol):
         with pytest.raises(ValueError, match="support_tol"):
             SweepConfig(beta_grid=[1.0, 2.0], support_tol=tol)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1e-4])
+    def test_rejects_merge_tol_that_is_not_finite_and_positive(self, tol):
+        """A NaN merge_tol used to pass and then merge no decoder rows at all."""
+        with pytest.raises(ValueError, match="merge_tol must be finite and positive"):
+            SweepConfig(beta_grid=[1.0, 2.0], merge_tol=tol)
+
+    def test_support_tol_defaults_to_the_pinning_threshold(self):
+        assert SweepConfig(beta_grid=[1.0, 2.0]).support_tol == DEFAULT_ZERO_TOL
 
 
 # Per-record (iterations, support_size[, effective_cardinality]) of one short
