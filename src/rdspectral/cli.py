@@ -27,7 +27,7 @@ from .ib import IbProblem
 from .probability import DEFAULT_ZERO_TOL, NumericalError
 from .problems import BUILTIN_PROBLEMS, builtin_problem, dump_problem, load_problem
 from .rd import SolverConfig
-from .reports import emit_reports, write_rate_study_csv
+from .reports import REPORT_FORMATS, emit_reports, write_rate_study_csv
 from .spectral import eigen_spectrum, jacobian
 from .sweeps import INIT_POLICIES, SweepConfig, detect_transitions, rate_study, sweep
 
@@ -104,9 +104,20 @@ def sweep_options(f):
     return f
 
 
+def _sweep_config(grid, init, solver, merge_tol, support_tol, seed=0) -> SweepConfig:
+    """The sweep settings of a command's flags. Warns when support is counted
+    below 100 x epsilon, where a dying coordinate can still be stranded."""
+    if support_tol < 100 * solver.epsilon:
+        click.echo(f"warning: --support-tol {support_tol:g} is below 100 x --epsilon "
+                   f"{solver.epsilon:g}; dying representatives may still count as "
+                   "support", err=True)
+    return SweepConfig(beta_grid=grid, init=init, solver=solver, seed=seed,
+                       merge_tol=merge_tol, support_tol=support_tol)
+
+
 def _parse_formats(text):
     formats = tuple(t.strip() for t in text.split(",") if t.strip())
-    unknown = set(formats) - {"csv", "json", "svg"}
+    unknown = set(formats) - set(REPORT_FORMATS)
     if unknown:
         raise click.UsageError(f"unknown formats: {sorted(unknown)}")
     return formats
@@ -174,8 +185,8 @@ def spectrum_cmd(problem_path, builtin, beta, epsilon, norm, max_iters, zero_tol
 @click.option("--init", type=click.Choice(INIT_POLICIES), default="uniform",
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--formats", type=str, default="csv,json,svg", show_default=True,
-              help="Comma-separated subset of csv,json,svg.")
+@click.option("--formats", type=str, default=",".join(REPORT_FORMATS), show_default=True,
+              help="Comma-separated subset of the default.")
 def sweep_cmd(problem_path, builtin, epsilon, norm, max_iters, beta_min,
               beta_max, beta_steps, log_grid, support_tol, merge_tol, out_dir, init,
               seed, formats):
@@ -186,8 +197,7 @@ def sweep_cmd(problem_path, builtin, epsilon, norm, max_iters, beta_min,
     formats = _parse_formats(formats)
     grid = _beta_grid(beta_min, beta_max, beta_steps, log_grid,
                       descending=(init == "reverse"))
-    config = SweepConfig(beta_grid=grid, init=init, solver=solver, seed=seed,
-                         merge_tol=merge_tol, support_tol=support_tol)
+    config = _sweep_config(grid, init, solver, merge_tol, support_tol, seed)
     records = sweep(problem, config)
     transitions = detect_transitions(records)
     _echo_run(transitions, emit_reports(records, transitions, out_dir, formats))
@@ -235,8 +245,7 @@ def tangent_cmd(problem_path, builtin, epsilon, norm, max_iters, beta_min,
         raise click.UsageError("tangent needs a bottleneck problem")
     solver = _solver_config(epsilon, norm, max_iters)
     grid = _beta_grid(beta_min, beta_max, beta_steps, log_grid, descending=True)
-    config = SweepConfig(beta_grid=grid, init="reverse", solver=solver,
-                         merge_tol=merge_tol, support_tol=support_tol)
+    config = _sweep_config(grid, "reverse", solver, merge_tol, support_tol)
     study = studies.analyze(problem, config)
     _echo_run(study.transitions, studies.write_reports(study, out_dir))
     if not study.transitions.intervals:
@@ -272,7 +281,7 @@ def builtin_cmd(name, out_path):
         dump_problem(problem, out_path)
         click.echo(f"wrote {out_path}")
     else:
-        click.echo(problem.to_json())
+        click.echo(json.dumps(problem.to_json_dict()))
 
 
 def main(argv=None):

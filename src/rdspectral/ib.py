@@ -8,7 +8,6 @@ updates with that distortion. Convergence is measured on the encoder, since
 the marginal alone does not determine a bottleneck solution.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,13 +22,20 @@ from .probability import (
     kl_divergence,
     mutual_information,
 )
-from .rd import _FINITE_CHECK_STRIDE, RdProblem, SolverConfig, _check_beta, _read_only
+from .rd import (
+    _FINITE_CHECK_STRIDE,
+    JsonRecord,
+    RdProblem,
+    SolverConfig,
+    _check_beta,
+    _read_only,
+)
 
 DEFAULT_MERGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class IbProblem:
+class IbProblem(JsonRecord):
     """Joint source-relevance distribution with a capped representation size.
 
     pxy[i, j] is the joint mass of (x=i, y=j). The x-marginal must be
@@ -99,12 +105,6 @@ class IbProblem:
         """I(X;Y), the most relevance any representation can retain."""
         return mutual_information(self.px, self.py_given_x)
 
-    def to_json_dict(self) -> dict:
-        return {"pxy": self.pxy.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "IbProblem":
         if "pxy" in obj:
@@ -120,13 +120,9 @@ class IbProblem:
             )
         return cls(pxy=pxy, m=int(obj.get("m", 0)))
 
-    @classmethod
-    def from_json(cls, text: str) -> "IbProblem":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass
-class IbSolution:
+class IbSolution(JsonRecord):
     """State of a bottleneck solve: encoder, marginal, decoder and scores."""
 
     beta: float
@@ -137,18 +133,6 @@ class IbSolution:
     relevant_info: float
     iterations: int
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "encoder": self.encoder.tolist(),
-            "marginal": self.marginal.tolist(),
-            "decoder": self.decoder.tolist(),
-            "rate": self.rate,
-            "relevant_info": self.relevant_info,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
 
 
 def _decode(problem: IbProblem, encoder: np.ndarray, marginal: np.ndarray):

@@ -82,7 +82,8 @@ def load_problem(path):
     """Read a problem from a JSON file, dispatching on its fields.
 
     Rate-distortion files carry {"px": [...], "d": [[...]]}; bottleneck
-    files carry {"pxy": [[...]]} or {"px": [...], "py_given_x": [[...]]}.
+    files carry {"pxy": [[...]]} or {"px": [...], "py_given_x": [[...]]},
+    with an optional representation size "m".
     """
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
@@ -95,4 +96,4 @@ def load_problem(path):
 
 
 def dump_problem(problem, path) -> None:
-    Path(path).write_text(problem.to_json() + "\n")
+    Path(path).write_text(json.dumps(problem.to_json_dict()) + "\n")

@@ -6,9 +6,9 @@ marginal induced by the Boltzmann encoder built from q, and solutions at a
 given trade-off parameter beta are exactly the fixed points of that map.
 """
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -34,8 +34,47 @@ _LANE_CHUNK_BYTES = 8 * 2**20
 _NORMS = {"l1": np.add, "linf": np.maximum}
 
 
+# Field metadata that keeps a dataclass field out of its JSON form.
+NOT_SERIALIZED = {"serialized": False}
+
+
+@cache
+def json_fields(cls) -> tuple:
+    """Names of the serialized fields of a JsonRecord class, in declaration order."""
+    return tuple(f.name for f in fields(cls) if f.metadata.get("serialized", True))
+
+
+def _json_value(value):
+    """value with arrays and tuples as lists, NaN as None and an infinity as
+    "inf" or "-inf", which JSON cannot carry as numbers."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return None
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _json_value(value.tolist())
+    return value
+
+
+class JsonRecord:
+    """Mixin for a dataclass whose JSON form is its fields in declaration
+    order, less those declared with NOT_SERIALIZED metadata."""
+
+    def to_json_dict(self) -> dict:
+        return {name: _json_value(getattr(self, name)) for name in json_fields(type(self))}
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
-class RdProblem:
+class RdProblem(JsonRecord):
     """A source distribution together with a finite distortion matrix.
 
     px[i] is the source mass of symbol i; d[i, j] >= 0 is the distortion of
@@ -78,12 +117,6 @@ class RdProblem:
     def m(self) -> int:
         return self.d.shape[1]
 
-    def to_json_dict(self) -> dict:
-        return {"px": self.px.tolist(), "d": self.d.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RdProblem":
         try:
@@ -91,15 +124,6 @@ class RdProblem:
                        d=np.asarray(obj["d"], dtype=float))
         except KeyError as exc:
             raise ValueError(f"missing field {exc} in rate-distortion problem") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "RdProblem":
-        return cls.from_json_dict(json.loads(text))
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def _duplicate_columns(d: np.ndarray):
@@ -158,7 +182,7 @@ def _check_tolerance(value, name: str) -> None:
 
 
 @dataclass
-class RdSolution:
+class RdSolution(JsonRecord):
     """Converged (or budget-exhausted) state of a single solve.
 
     gap is Blahut's duality gap log max_j sum_x px(x) a(x, j), with a the
@@ -175,18 +199,6 @@ class RdSolution:
     iterations: int
     converged: bool
     gap: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "marginal": self.marginal.tolist(),
-            "encoder": self.encoder.tolist(),
-            "rate": self.rate,
-            "distortion": self.distortion,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "gap": self.gap,
-        }
 
 
 def _check_beta(beta: float) -> None:

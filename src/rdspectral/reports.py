@@ -8,17 +8,14 @@ import json
 import math
 from pathlib import Path
 
+from .rd import json_fields
 from .svgplot import Chart
+from .sweeps import RateStudyPoint, SweepRecord
 
-# The keys of SweepRecord.to_json_dict in order, without the marginal.
-CSV_HEADER = (
-    "beta,iterations,converged,support_size,effective_cardinality,"
-    "lambda0,lambda_max,predicted_rate,measured_rate,rate,distortion_or_info"
-)
-# The keys of RateStudyPoint.to_json_dict in order.
-RATE_STUDY_CSV_HEADER = (
-    "epsilon,iterations,converged,measured_rate,lambda0,lambda_max,predicted_rate"
-)
+REPORT_FORMATS = ("csv", "json", "svg")
+# The serialized fields of each row type in order, the marginal left out.
+CSV_HEADER = ",".join(k for k in json_fields(SweepRecord) if k != "marginal")
+RATE_STUDY_CSV_HEADER = ",".join(json_fields(RateStudyPoint))
 
 
 def _csv_num(x) -> str:
@@ -57,57 +54,40 @@ def write_rate_study_csv(points, path) -> Path:
     return _write_csv(points, RATE_STUDY_CSV_HEADER, path)
 
 
-def _jsonable(obj):
-    """Replace non-finite floats, which JSON cannot carry, by strings."""
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return None
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def write_sweep_json(records, path) -> Path:
+def _write_json(payload, path) -> Path:
     path = Path(path)
-    payload = [_jsonable(r.to_json_dict()) for r in records]
     path.write_text(json.dumps(payload, indent=1) + "\n")
     return path
 
 
+def write_sweep_json(records, path) -> Path:
+    return _write_json([r.to_json_dict() for r in records], path)
+
+
 def write_transitions_json(report, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(_jsonable(report.to_json_dict()), indent=1) + "\n")
-    return path
+    return _write_json(report.to_json_dict(), path)
+
+
+def _beta_chart(title, ylabel, transitions, log_y=False) -> Chart:
+    """A panel over log beta with a dashed marker inside each transition bracket."""
+    chart = Chart(title=title, xlabel="beta", ylabel=ylabel, log_x=True, log_y=log_y)
+    for lo, hi in transitions.intervals:
+        chart.add_vline(0.5 * (lo + hi))
+    return chart
 
 
 def _marginal_panel(records, transitions) -> str:
-    chart = Chart(
-        title="reproduction marginal vs beta",
-        xlabel="beta",
-        ylabel="mass",
-        log_x=True,
-    )
+    chart = _beta_chart("reproduction marginal vs beta", "mass", transitions)
     m = len(records[0].marginal)
     betas = [r.beta for r in records]
     for j in range(m):
         chart.add_line(betas, [r.marginal[j] for r in records], label=f"q[{j}]")
-    for lo, hi in transitions.intervals:
-        chart.add_vline(0.5 * (lo + hi))
     return chart.render()
 
 
 def _eigenvalue_panel(records, transitions) -> str:
-    chart = Chart(
-        title="eigenvalues of the fixed-point Jacobian vs beta",
-        xlabel="beta",
-        ylabel="eigenvalue",
-        log_x=True,
-    )
+    chart = _beta_chart("eigenvalues of the fixed-point Jacobian vs beta", "eigenvalue",
+                        transitions)
     betas = []
     spectra = []
     for r in records:
@@ -118,24 +98,13 @@ def _eigenvalue_panel(records, transitions) -> str:
         m = len(spectra[0])
         for j in range(m):
             chart.add_line(betas, [s[j] for s in spectra], label=f"lambda[{j}]")
-    for lo, hi in transitions.intervals:
-        chart.add_vline(0.5 * (lo + hi))
     return chart.render()
 
 
 def _iterations_panel(records, transitions) -> str:
-    chart = Chart(
-        title="iterations to convergence vs beta",
-        xlabel="beta",
-        ylabel="iterations",
-        log_x=True,
-        log_y=True,
-    )
-    chart.add_line(
-        [r.beta for r in records], [max(r.iterations, 1) for r in records]
-    )
-    for lo, hi in transitions.intervals:
-        chart.add_vline(0.5 * (lo + hi))
+    chart = _beta_chart("iterations to convergence vs beta", "iterations", transitions,
+                        log_y=True)
+    chart.add_line([r.beta for r in records], [max(r.iterations, 1) for r in records])
     return chart.render()
 
 
@@ -157,12 +126,8 @@ def _rate_panel(records) -> str:
 
 
 def _decoder_panel(records, transitions) -> str:
-    chart = Chart(
-        title="decoder p(y=0 | representative) vs beta",
-        xlabel="beta",
-        ylabel="p(y=0 | xhat)",
-        log_x=True,
-    )
+    chart = _beta_chart("decoder p(y=0 | representative) vs beta", "p(y=0 | xhat)",
+                        transitions)
     betas = [r.beta for r in records]
     m = len(records[0].marginal)
     for j in range(m):
@@ -174,23 +139,21 @@ def _decoder_panel(records, transitions) -> str:
             else:
                 ys.append(float(sol.decoder[j][0]))
         chart.add_line(betas, ys, label=f"xhat {j}")
-    for lo, hi in transitions.intervals:
-        chart.add_vline(0.5 * (lo + hi))
     return chart.render()
 
 
-def emit_reports(records, transitions, out_dir, formats=("csv", "json", "svg")) -> list[Path]:
+def emit_reports(records, transitions, out_dir, formats=REPORT_FORMATS) -> list[Path]:
     """Write the requested report files and return the manifest of paths.
 
-    formats is any subset of {"csv", "json", "svg"}; an empty selection
-    writes nothing. SVG output renders the marginal, eigenvalue and
-    iteration panels, the measured-vs-predicted scatter, and (for bottleneck
-    sweeps) the decoder branches.
+    formats is any subset of REPORT_FORMATS; an empty selection writes
+    nothing. SVG output renders the marginal, eigenvalue and iteration
+    panels, the measured-vs-predicted scatter, and (for bottleneck sweeps)
+    the decoder branches.
     """
     if not records:
         raise ValueError("no records to report")
     formats = tuple(formats)
-    unknown = set(formats) - {"csv", "json", "svg"}
+    unknown = set(formats) - set(REPORT_FORMATS)
     if unknown:
         raise ValueError(f"unknown report formats: {sorted(unknown)}")
     out_dir = Path(out_dir)
@@ -207,9 +170,7 @@ def emit_reports(records, transitions, out_dir, formats=("csv", "json", "svg")) 
         manifest.append(write_sweep_csv(records, out_dir / "sweep.csv"))
     if "json" in formats:
         manifest.append(write_sweep_json(records, out_dir / "sweep.json"))
-        manifest.append(
-            write_transitions_json(transitions, out_dir / "transitions.json")
-        )
+        manifest.append(write_transitions_json(transitions, out_dir / "transitions.json"))
     if "svg" in formats:
         panels = {
             "marginal_vs_beta.svg": _marginal_panel(records, transitions),

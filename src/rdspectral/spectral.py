@@ -14,12 +14,19 @@ what the predicted iteration counts below are built from.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .probability import DEFAULT_ZERO_TOL, NumericalError
-from .rd import RdProblem, _check_tolerance, _residual_from_factors, boltzmann_factors
+from .rd import (
+    NOT_SERIALIZED,
+    JsonRecord,
+    RdProblem,
+    _check_tolerance,
+    _residual_from_factors,
+    boltzmann_factors,
+)
 
 # Eigenvalues of A below this are structurally impossible and indicate a
 # numerical failure rather than roundoff.
@@ -46,7 +53,7 @@ class FixedPointJacobian:
 
 
 @dataclass
-class SpectralReport:
+class SpectralReport(JsonRecord):
     """Eigenvalue summary of a FixedPointJacobian.
 
     eigenvalues are sorted ascending; kernel_dim counts those below
@@ -55,7 +62,7 @@ class SpectralReport:
     predicted_rate the asymptotic iterations needed per unit of -log eps.
     at_criticality is set when a full-support point carries more kernel
     directions than its dead representatives explain, where the rate
-    prediction degenerates to +inf.
+    prediction degenerates to +inf. The last three fields are not serialized.
     """
 
     beta: float
@@ -64,19 +71,9 @@ class SpectralReport:
     lambda0: float
     lambda_max: float
     predicted_rate: float
-    zero_tol: float
-    at_criticality: bool
-    residual_linf: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "eigenvalues": self.eigenvalues.tolist(),
-            "kernel_dim": self.kernel_dim,
-            "lambda0": self.lambda0,
-            "lambda_max": self.lambda_max,
-            "predicted_rate": self.predicted_rate,
-        }
+    zero_tol: float = field(metadata=NOT_SERIALIZED)
+    at_criticality: bool = field(metadata=NOT_SERIALIZED)
+    residual_linf: float = field(metadata=NOT_SERIALIZED)
 
 
 def jacobian(

@@ -16,7 +16,7 @@ from . import ib as ibmod
 from . import rd as rdmod
 from .ib import IbProblem
 from .probability import DEFAULT_ZERO_TOL
-from .rd import RdProblem, SolverConfig, _check_tolerance
+from .rd import NOT_SERIALIZED, JsonRecord, RdProblem, SolverConfig, _check_tolerance
 from .spectral import eigen_spectrum, jacobian, predicted_iterations
 
 INIT_POLICIES = ("uniform", "dirichlet", "reverse", "forward")
@@ -69,15 +69,15 @@ class SweepConfig:
 
 
 @dataclass
-class SweepRecord:
+class SweepRecord(JsonRecord):
     """One grid point of a sweep.
 
     effective_cardinality is None for rate-distortion sweeps; the spectral
     fields are NaN for bottleneck sweeps (the fixed-point Jacobian theory is
     a rate-distortion object; bottleneck transitions are analyzed through
     tangent problems instead). measured_rate is iterations per unit of
-    -log epsilon. solution keeps the full solver output and is not
-    serialized.
+    -log epsilon. solution keeps the full solver output; neither it nor
+    the eigenvalues are serialized.
     """
 
     beta: float
@@ -92,44 +92,22 @@ class SweepRecord:
     marginal: np.ndarray
     rate: float
     distortion_or_info: float
-    solution: object = None
-    eigenvalues: np.ndarray | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "support_size": self.support_size,
-            "effective_cardinality": self.effective_cardinality,
-            "lambda0": self.lambda0,
-            "lambda_max": self.lambda_max,
-            "predicted_rate": self.predicted_rate,
-            "measured_rate": self.measured_rate,
-            "marginal": self.marginal.tolist(),
-            "rate": self.rate,
-            "distortion_or_info": self.distortion_or_info,
-        }
+    solution: object = field(default=None, metadata=NOT_SERIALIZED)
+    eigenvalues: np.ndarray | None = field(default=None, metadata=NOT_SERIALIZED)
 
 
 @dataclass
-class TransitionReport:
+class TransitionReport(JsonRecord):
     """Grid intervals bracketing detected topological transitions.
 
     kind is "support" for rate-distortion sweeps and "effective_cardinality"
     for bottleneck sweeps. index_pairs holds the positions of the flanking
-    records in the ascending record list.
+    records in the ascending record list and is not serialized.
     """
 
-    intervals: list
     kind: str
-    index_pairs: list
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "intervals": [[lo, hi] for lo, hi in self.intervals],
-        }
+    intervals: list
+    index_pairs: list = field(metadata=NOT_SERIALIZED)
 
 
 def _snap_marginal(marginal: np.ndarray, zero_tol: float) -> np.ndarray:
@@ -303,7 +281,7 @@ def detect_transitions(records: list[SweepRecord]) -> TransitionReport:
 
 
 @dataclass
-class RateStudyPoint:
+class RateStudyPoint(JsonRecord):
     """Measured-vs-predicted convergence rate at one stopping accuracy."""
 
     epsilon: float
@@ -313,17 +291,6 @@ class RateStudyPoint:
     lambda0: float
     lambda_max: float
     predicted_rate: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "measured_rate": self.measured_rate,
-            "lambda0": self.lambda0,
-            "lambda_max": self.lambda_max,
-            "predicted_rate": self.predicted_rate,
-        }
 
 
 def rate_study(

@@ -13,6 +13,7 @@ from rdspectral import (
     SolverConfig,
     bottleneck_four_symbol,
     decoder_classes,
+    dump_problem,
     effective_cardinality,
     ib_decoder,
     ib_distortion,
@@ -20,6 +21,7 @@ from rdspectral import (
     ib_step,
     identity_encoder_init,
     kl_divergence,
+    load_problem,
     mutual_information,
     relevant_information,
     solve,
@@ -47,12 +49,20 @@ class TestIbProblemValidation:
         np.testing.assert_allclose(problem.pxy.sum(), 1.0, atol=1e-15)
 
     def test_json_forms(self):
-        as_joint = IbProblem.from_json('{"pxy": [[0.35, 0.35], [0.2, 0.1]]}')
-        as_cond = IbProblem.from_json(
-            '{"px": [0.7, 0.3], "py_given_x": [[0.5, 0.5], [0.6666666666666666,'
-            ' 0.3333333333333333]]}'
-        )
+        as_joint = IbProblem.from_json_dict({"pxy": [[0.35, 0.35], [0.2, 0.1]]})
+        as_cond = IbProblem.from_json_dict({
+            "px": [0.7, 0.3],
+            "py_given_x": [[0.5, 0.5], [0.6666666666666666, 0.3333333333333333]],
+        })
         np.testing.assert_allclose(as_joint.pxy, as_cond.pxy, atol=1e-12)
+
+    def test_problem_file_keeps_m(self, tmp_path):
+        problem = IbProblem(pxy=[[0.3, 0.1], [0.1, 0.2], [0.2, 0.1]], m=2)
+        dump_problem(problem, tmp_path / "p.json")
+        again = load_problem(tmp_path / "p.json")
+        assert isinstance(again, IbProblem)
+        assert (again.n, again.m) == (3, 2)
+        np.testing.assert_array_equal(again.pxy, problem.pxy)
 
     def test_builtin_numbers(self):
         problem = bottleneck_four_symbol()

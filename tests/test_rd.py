@@ -24,7 +24,7 @@ from rdspectral import (
     solve_batch,
 )
 from rdspectral import rd as rdmod
-from rdspectral.problems import builtin_problem
+from rdspectral.problems import builtin_problem, dump_problem, load_problem
 
 
 def random_problem(rng, n=None, m=None):
@@ -110,9 +110,11 @@ class TestRdProblemValidation:
         with pytest.raises(ValueError, match="read-only"):
             problem.px[0] = 1.0
 
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
         problem = binary_hamming(0.7)
-        again = RdProblem.from_json(problem.to_json())
+        dump_problem(problem, tmp_path / "p.json")
+        again = load_problem(tmp_path / "p.json")
+        assert isinstance(again, RdProblem)
         np.testing.assert_array_equal(problem.px, again.px)
         np.testing.assert_array_equal(problem.d, again.d)
 

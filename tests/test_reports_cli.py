@@ -13,11 +13,13 @@ import pytest
 
 import rdspectral
 from rdspectral import (
+    RateStudyPoint,
     SolverConfig,
     SweepConfig,
     binary_hamming,
     bottleneck_four_symbol,
     detect_transitions,
+    dump_problem,
     emit_reports,
     planar_four_point,
     studies,
@@ -136,6 +138,20 @@ class TestEmitReports:
         tr = json.loads((tmp_path / "out" / "transitions.json").read_text())
         assert tr["kind"] == "support"
 
+    def test_sweep_json_maps_non_finite_values(self, ib_sweep_results, tmp_path):
+        records, transitions = ib_sweep_results
+        emit_reports(records, transitions, tmp_path / "out", formats=("json",))
+        payload = strict_json((tmp_path / "out" / "sweep.json").read_text())
+        assert payload[0]["lambda0"] is None
+        assert [k for k in payload[0] if k != "marginal"] == CSV_HEADER.split(",")
+        point = RateStudyPoint(epsilon=0.1, iterations=3, converged=True,
+                               measured_rate=float("nan"), lambda0=float("-inf"),
+                               lambda_max=np.float64(0.5), predicted_rate=float("inf"))
+        assert point.to_json_dict() == {
+            "epsilon": 0.1, "iterations": 3, "converged": True, "measured_rate": None,
+            "lambda0": "-inf", "lambda_max": 0.5, "predicted_rate": "inf",
+        }
+
     def test_unknown_format_rejected(self, rd_sweep_results, tmp_path):
         records, transitions = rd_sweep_results
         with pytest.raises(ValueError, match="unknown"):
@@ -163,6 +179,15 @@ def run_cli(*args):
     )
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """Parse text, rejecting the NaN and Infinity that JSON does not have."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 class TestCli:
     def test_builtin_list(self):
         out = run_cli("builtin")
@@ -177,6 +202,22 @@ class TestCli:
         pxy = np.asarray(payload["pxy"])
         np.testing.assert_allclose(pxy.sum(axis=1), [0.7, 0.1, 0.1, 0.1],
                                    atol=1e-12)
+        assert payload["m"] == 4
+
+    @pytest.mark.parametrize("args, infinite", [
+        (("solve", "--builtin", "fig2", "--beta", "3.0"), None),
+        (("solve", "--builtin", "binary_hamming", "--beta", "2.0"), None),
+        (("spectrum", "--builtin", "fig1_like", "--beta", "0"), "predicted_rate"),
+        (("rate-study", "--builtin", "binary_hamming", "--beta", "1e-6",
+          "--epsilons", "1e-6"), "predicted_rate"),
+    ])
+    def test_printed_json_is_strict(self, args, infinite):
+        out = run_cli(*args)
+        assert out.returncode == 0, out.stderr
+        payload = strict_json(out.stdout)
+        if infinite is not None:
+            record = payload[0] if isinstance(payload, list) else payload
+            assert record[infinite] == "inf"
 
     def test_unknown_builtin_is_usage_error(self):
         out = run_cli("builtin", "--name", "nope")
@@ -221,14 +262,14 @@ class TestCli:
 
     def test_solve_conflicting_sources_is_usage_error(self, tmp_path):
         path = tmp_path / "p.json"
-        path.write_text(binary_hamming().to_json())
+        dump_problem(binary_hamming(), path)
         out = run_cli("solve", "--problem", str(path), "--builtin",
                       "binary_hamming", "--beta", "1.0")
         assert out.returncode == 1
 
     def test_solve_from_problem_file(self, tmp_path):
         path = tmp_path / "p.json"
-        path.write_text(binary_hamming(0.7).to_json())
+        dump_problem(binary_hamming(0.7), path)
         out = run_cli("solve", "--problem", str(path), "--beta", "2.0",
                       "--epsilon", "1e-11")
         assert out.returncode == 0
@@ -366,6 +407,26 @@ class TestCli:
         assert out.returncode == 1
         assert "merge_tol must be finite and positive" in out.stderr
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("support_tol, warns", [("1e-10", True), ("1e-5", False)])
+    def test_sweep_warns_when_support_tol_is_below_epsilon(self, tmp_path,
+                                                           support_tol, warns):
+        """fig2's own settings (epsilon 1e-7, support tol 1e-5) sit on the
+        100 x epsilon line and must not warn."""
+        out = run_cli("sweep", "--builtin", "fig2", "--beta-min", "40",
+                      "--beta-max", "60", "--beta-steps", "3", "--init", "reverse",
+                      "--epsilon", "1e-7", "--support-tol", support_tol,
+                      "--merge-tol", "1e-4", "--out", str(tmp_path / "run"),
+                      "--formats", "csv")
+        assert out.returncode == 0, out.stderr
+        assert ("--support-tol" in out.stderr) == warns
+
+    def test_tangent_warns_at_default_support_tol(self, tmp_path):
+        out = run_cli("tangent", "--builtin", "fig2", "--beta-min", "40",
+                      "--beta-max", "60", "--beta-steps", "3",
+                      "--out", str(tmp_path / "tan"))
+        assert out.returncode == 0, out.stderr
+        assert "warning: --support-tol 1e-10 is below 100 x --epsilon 1e-09" in out.stderr
 
     def test_tangent_rejects_rate_distortion_problem(self):
         out = run_cli("tangent", "--builtin", "fig1_like", "--beta-min", "1",
