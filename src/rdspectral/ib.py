@@ -23,7 +23,7 @@ from .probability import (
     mutual_information,
 )
 from .rd import (
-    _FINITE_CHECK_STRIDE,
+    _NORMS,
     JsonRecord,
     RdProblem,
     SolverConfig,
@@ -135,44 +135,110 @@ class IbSolution(JsonRecord):
     converged: bool
 
 
-def _decode(problem: IbProblem, encoder: np.ndarray, marginal: np.ndarray):
-    """Decoder rows for an encoder and its marginal, with the live mask and
-    the zero-safe marginal the rows were divided by."""
+class _IbBuffers:
+    """Work arrays of the bottleneck map for one problem and decoder count,
+    written in place on every step.
+
+    The relevance sums, the row masses and px @ encoder round according to
+    their operands' memory layout, and the map's expressions give those
+    operands a layout that follows the problem's arrays (a column-permuted
+    pxy makes them Fortran-ordered). So the buffers copy the layouts of the
+    same expressions evaluated once on stand-in values.
+    """
+
+    def __init__(self, problem: IbProblem, m: int):
+        n, ny = problem.n, problem.ny
+        pygx, logp, pos = problem._kl_terms
+        with np.errstate(invalid="ignore"):
+            kl = np.where(pos, pygx * (logp - np.zeros((1, m, ny))), 0.0)
+        dist = kl.sum(axis=-1)
+        encoder = np.where(np.ones(m, dtype=bool), np.zeros(m) - dist, -np.inf)
+        self.px_column = problem.px[:, None]
+        # Where p(y|x) > 0 everywhere no relevance term needs blanking.
+        self.blank = None if pos.all() else ~pos
+        self.dead = np.empty(m, dtype=bool)
+        self.safe = np.empty(m)
+        self.dead_column = self.dead[:, None]
+        self.safe_column = self.safe[:, None]
+        self.log_safe = np.empty(m)
+        self.dec = np.empty((m, ny))
+        self.log_dec = np.empty((m, ny))
+        self.kl = np.empty_like(kl)
+        self.dist = np.empty_like(dist)
+        self.row_max = np.empty(n)
+        self.norms = np.empty(n)
+        self.encoders = (np.empty_like(encoder), np.empty_like(encoder))
+        self.weighted = np.empty_like(encoder)
+        self.flush = np.empty_like(encoder, dtype=bool)
+        self.marginal = np.empty(m)
+
+
+def _check_marginal(marginal: np.ndarray) -> None:
     if marginal.sum() <= 0:
         raise ValueError("encoder induces an all-zero marginal")
-    live = marginal > 0
-    safe = np.where(live, marginal, 1.0)
-    dec = ((encoder * problem.px[:, None]).T @ problem.py_given_x) / safe[:, None]
-    return np.where(live[:, None], dec, problem.py[None, :]), live, safe
 
 
-def _relevance(problem: IbProblem, decoder: np.ndarray) -> np.ndarray:
-    """KL(p(y|x) || decoder row) for every pair; needs divide and invalid
-    floating-point errors ignored."""
-    pygx, logp, pos = problem._kl_terms
-    return np.where(pos, pygx * (logp - np.log(decoder[None, :, :])), 0.0).sum(axis=-1)
+def _decode(problem: IbProblem, encoder: np.ndarray, marginal: np.ndarray,
+            buf: _IbBuffers) -> np.ndarray:
+    """Decoder rows for an encoder and its marginal, written to buf.dec.
+
+    buf.dead keeps the mask of representatives without mass, and buf.safe
+    the zero-safe marginal the rows were divided by. The weighted encoder
+    keeps the encoder's own layout.
+    """
+    dead = np.logical_not(np.greater(marginal, 0.0, out=buf.dead), out=buf.dead)
+    np.copyto(buf.safe, marginal)
+    np.putmask(buf.safe, dead, 1.0)
+    weighted = buf.weighted if encoder.strides == buf.weighted.strides else None
+    weighted = np.multiply(encoder, buf.px_column, out=weighted)
+    dec = weighted.T.dot(problem.py_given_x, out=buf.dec)
+    np.divide(dec, buf.safe_column, out=dec)
+    np.copyto(dec, problem.py, where=buf.dead_column)
+    return dec
+
+
+def _relevance(problem: IbProblem, decoder: np.ndarray, buf: _IbBuffers) -> np.ndarray:
+    """KL(p(y|x) || decoder row) for every pair, written to buf.dist; needs
+    divide and invalid floating-point errors ignored."""
+    pygx, logp, _ = problem._kl_terms
+    kl = np.subtract(logp, np.log(decoder, out=buf.log_dec), out=buf.kl)
+    np.multiply(pygx, kl, out=kl)
+    if buf.blank is not None:
+        np.copyto(kl, 0.0, where=buf.blank)
+    return np.add.reduce(kl, axis=-1, out=buf.dist)
 
 
 def _ib_update(problem: IbProblem, encoder: np.ndarray, marginal: np.ndarray,
-               beta: float):
+               beta: float, buf: _IbBuffers, out: np.ndarray):
     """The bottleneck map on an encoder and its marginal px @ encoder.
 
-    Returns (new_encoder, new_marginal, decoder_used); the new marginal is
-    the one the next update takes. Needs divide and invalid floating-point
-    errors ignored.
+    Returns (new_encoder, new_marginal, decoder_used): the new encoder is
+    out, the others are buf.marginal and buf.dec, and the new marginal is
+    the one the next update takes. buf.norms keeps the row masses the new
+    encoder was divided by; a row that lost all mass leaves NaN there and
+    in the new encoder. Needs divide and invalid floating-point errors
+    ignored.
     """
-    dec, live, safe = _decode(problem, encoder, marginal)
-    dist = _relevance(problem, dec)
-    logits = np.where(live, np.log(safe) - beta * dist, -np.inf)
-    logits -= logits.max(axis=1, keepdims=True)
-    new_encoder = np.exp(logits, out=logits)
-    norms = new_encoder.sum(axis=1, keepdims=True)
-    # Each row must keep positive, finite mass; a NaN fails both tests.
+    dec = _decode(problem, encoder, marginal, buf)
+    dist = _relevance(problem, dec, buf)
+    np.log(buf.safe, out=buf.log_safe)
+    logits = np.subtract(buf.log_safe, np.multiply(dist, beta, out=dist), out=out)
+    np.copyto(logits, -np.inf, where=buf.dead)
+    row_max = np.maximum.reduce(logits, axis=1, out=buf.row_max)
+    new_encoder = np.exp(np.subtract(logits, row_max[:, None], out=logits), out=logits)
+    norms = np.add.reduce(new_encoder, axis=1, out=buf.norms)
+    np.divide(new_encoder, norms[:, None], out=new_encoder)
+    np.less(new_encoder, TINY_MASS, out=buf.flush)
+    np.putmask(new_encoder, buf.flush, 0.0)
+    return new_encoder, problem.px.dot(new_encoder, out=buf.marginal), dec
+
+
+def _check_row_mass(buf: _IbBuffers) -> None:
+    """Raise if some row of the last update kept no positive, finite mass;
+    a NaN fails both tests."""
+    norms = buf.norms
     if not (norms.min() > 0 and norms.max() < np.inf):
         raise NumericalError("encoder update lost all mass on some row")
-    new_encoder /= norms
-    new_encoder[new_encoder < TINY_MASS] = 0.0
-    return new_encoder, problem.px @ new_encoder, dec
 
 
 def _check_encoder_shape(problem: IbProblem, encoder: np.ndarray) -> None:
@@ -191,7 +257,9 @@ def ib_decoder(problem: IbProblem, encoder, marginal=None) -> np.ndarray:
     _check_encoder_shape(problem, encoder)
     if marginal is None:
         marginal = problem.px @ encoder
-    return _decode(problem, encoder, np.asarray(marginal, dtype=float))[0]
+    marginal = np.asarray(marginal, dtype=float)
+    _check_marginal(marginal)
+    return _decode(problem, encoder, marginal, _IbBuffers(problem, problem.m))
 
 
 def ib_distortion(problem: IbProblem, decoder) -> np.ndarray:
@@ -202,7 +270,7 @@ def ib_distortion(problem: IbProblem, decoder) -> np.ndarray:
     """
     decoder = np.asarray(decoder, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _relevance(problem, decoder)
+        return _relevance(problem, decoder, _IbBuffers(problem, decoder.shape[0]))
 
 
 def ib_step(problem: IbProblem, encoder, beta: float):
@@ -215,8 +283,13 @@ def ib_step(problem: IbProblem, encoder, beta: float):
     _check_beta(beta)
     encoder = np.asarray(encoder, dtype=float)
     _check_encoder_shape(problem, encoder)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _ib_update(problem, encoder, problem.px @ encoder, beta)
+    marginal = problem.px @ encoder
+    _check_marginal(marginal)
+    buf = _IbBuffers(problem, problem.m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = _ib_update(problem, encoder, marginal, beta, buf, buf.encoders[0])
+    _check_row_mass(buf)
+    return step
 
 
 def relevant_information(problem: IbProblem, marginal, decoder) -> float:
@@ -286,22 +359,31 @@ def ib_solve(
     enc = enc / sums
     marginal = problem.px @ enc
 
+    buf = _IbBuffers(problem, problem.m)
+    reduce, epsilon = _NORMS[config.norm].reduce, config.epsilon
+    # An l1 distance sums the difference in C order, as the flattened
+    # difference of two encoders always did; a maximum reads any order.
+    diff = np.empty(enc.shape) if config.norm == "l1" else np.empty_like(buf.encoders[0])
     converged = False
     iterations = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(1, config.max_iterations + 1):
-            new_enc, marginal, _ = _ib_update(problem, enc, marginal, beta)
-            delta = config.distance((new_enc - enc).ravel())
+            # The two encoder buffers alternate, so a step never writes over
+            # the encoder it reads.
+            new_enc, marginal, _ = _ib_update(problem, enc, marginal, beta, buf,
+                                              buf.encoders[k & 1])
+            np.subtract(new_enc, enc, out=diff)
+            np.abs(diff, out=diff)
+            delta = reduce(diff, axis=None)
             enc = new_enc
             iterations = k
-            if k % _FINITE_CHECK_STRIDE == 0 and not np.all(np.isfinite(enc)):
-                raise NumericalError(f"non-finite encoder at iteration {k}")
-            if delta < config.epsilon:
+            if delta < epsilon:
                 converged = True
                 break
+            if not delta < np.inf:
+                _check_row_mass(buf)
+                raise NumericalError(f"non-finite encoder at iteration {k}")
 
-    if not np.all(np.isfinite(enc)):
-        raise NumericalError("non-finite encoder at termination")
     dec = ib_decoder(problem, enc, marginal)
     return IbSolution(
         beta=float(beta),

@@ -22,9 +22,6 @@ from .probability import (
 DEFAULT_EPSILON = 1e-9
 DEFAULT_MAX_ITERATIONS = 10**7
 
-# How often the iteration loop checks for NaN/Inf contamination.
-_FINITE_CHECK_STRIDE = 512
-
 # Byte budget for one chunk of stacked weights in solve_batch; grids whose
 # weight stack would exceed it run as several chunks one after another.
 _LANE_CHUNK_BYTES = 8 * 2**20
@@ -170,10 +167,6 @@ class SolverConfig:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
-    def distance(self, v):
-        """Norm of v along its last axis: a float, or one value per lane."""
-        return _NORMS[self.norm].reduce(np.abs(v), axis=-1)
-
 
 def _check_tolerance(value, name: str) -> None:
     """Reject a mass threshold that is not a finite number in [0, 1)."""
@@ -207,58 +200,122 @@ def _check_beta(beta: float) -> None:
         raise ValueError("beta must be finite and non-negative")
 
 
-def _shifted_weights(problem: RdProblem, marginal: np.ndarray, beta: float) -> np.ndarray:
-    """Unnormalized weights exp(-beta (d(x, xhat) - shift(x))).
+def _shifted_exponents(problem: RdProblem, marginal: np.ndarray, beta: float):
+    """Exponents -beta (d(x, xhat) - shift(x)) and the dead-column mask.
 
-    Each row is shifted by its smallest d over the support of the marginal
-    before exponentiating, so the partition function keeps at least one O(1)
-    term at any beta and never underflows to zero.
+    Each row is shifted by its smallest d over the support of the marginal,
+    so the partition function keeps at least one O(1) term at any beta and
+    never underflows to zero.
     """
     _check_beta(beta)
-    masked = np.where(marginal[None, :] > 0, problem.d, np.inf)
+    dead = marginal <= 0
+    masked = np.where(dead[None, :], np.inf, problem.d)
     shift = masked.min(axis=1, keepdims=True)
     if not np.all(np.isfinite(shift)):
         raise ValueError("marginal has no support")
-    return np.exp(-beta * (problem.d - shift))
+    return -beta * (problem.d - shift), dead
 
 
-def _ba_update(expw: np.ndarray, px: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _iteration_weights(problem: RdProblem, marginal: np.ndarray, beta: float):
+    """The shifted weights the BA map iterates: dead columns are exact zeros.
+
+    A dead representative stays dead, and its column only ever meets its
+    zero mass, so zeroing it changes no bit wherever its weight was finite;
+    where it would overflow, it keeps inf * 0 = NaN out of the products.
+    """
+    exponents, dead = _shifted_exponents(problem, marginal, beta)
+    exponents[:, dead] = -np.inf
+    return np.exp(exponents)
+
+
+class _BaBuffers:
+    """Work arrays of the BA map for one shape of weights and marginals.
+
+    Written in place on every step: the partition function z, px / z, the
+    flush mask, |new - old| and the per-lane distance. outs holds two
+    arrays for new marginals, which the iteration alternates between. A
+    stack's products land in arrays shaped as np.matmul shapes its own
+    outputs, (lanes, n, 1) and (lanes, 1, m), so they take the path they
+    took when numpy allocated them.
+    """
+
+    def __init__(self, expw: np.ndarray, p: np.ndarray):
+        n, m = expw.shape[-2:]
+        if p.ndim == 1:
+            self.z_out = self.z = np.empty(n)
+            self.outs = (np.empty(m), np.empty(m))
+        else:
+            lanes = p.shape[0]
+            self.z_out = np.empty((lanes, n, 1))
+            self.z = self.z_out[:, :, 0]
+            self.outs = (np.empty((lanes, 1, m)), np.empty((lanes, 1, m)))
+        self.r = np.empty_like(self.z)
+        self.flush = np.empty(p.shape, dtype=bool)
+        self.diff = np.empty(p.shape)
+        self.delta = np.empty(p.shape[:-1])
+        self.done = np.empty(p.shape[:-1], dtype=bool)
+
+
+def _ba_update(expw: np.ndarray, px: np.ndarray, p: np.ndarray,
+               buf: _BaBuffers, out: np.ndarray) -> np.ndarray:
     """One alternating step on shifted weights: the marginal induced by the
     Boltzmann encoder built from p, with sub-normal masses flushed to zero.
 
     p is one marginal over an (n, m) expw, or a (lanes, m) stack over a
-    (lanes, n, m) stack. The stacked products go through np.matmul, which
-    reproduces each lane's matrix-vector product bit for bit; einsum or a
-    broadcast multiply-and-sum would round differently and could move a
-    stopping iteration.
+    (lanes, n, m) stack; out is one of buf.outs, and the result is written
+    there. buf.z keeps the partition function the step divided by: a
+    vanishing one shows up as NaN in the result, which the caller diagnoses
+    from buf.z. One lane's products go through ndarray.dot, which calls the
+    BLAS matrix-vector product that @ calls, without the matmul dispatch; a
+    stack's go through np.matmul, which reproduces each lane's product bit
+    for bit. einsum or a broadcast multiply-and-sum would round differently
+    and could move a stopping iteration.
     """
+    z, r = buf.z, buf.r
     if p.ndim == 1:
-        z = expw @ p
+        expw.dot(p, out=z)
+        np.divide(px, z, out=r)
+        new = r.dot(expw, out=out)
     else:
-        z = np.matmul(expw, p[:, :, None])[:, :, 0]
-    if np.any(z <= 0):
-        raise NumericalError("partition function vanished")
-    if p.ndim == 1:
-        newp = p * ((px / z) @ expw)
-    else:
-        newp = p * np.matmul((px / z)[:, None, :], expw)[:, 0, :]
-    newp[newp < TINY_MASS] = 0.0
-    return newp
+        np.matmul(expw, p[:, :, None], out=buf.z_out)
+        np.divide(px, z, out=r)
+        new = np.matmul(r[:, None, :], expw, out=out)[:, 0, :]
+    np.multiply(p, new, out=new)
+    np.less(new, TINY_MASS, out=buf.flush)
+    np.putmask(new, buf.flush, 0.0)
+    return new
+
+
+def _nonfinite_error(buf: _BaBuffers, k: int) -> NumericalError:
+    """The error for a step that left a non-finite marginal."""
+    if (buf.z <= 0).any():
+        return NumericalError("partition function vanished")
+    return NumericalError(f"non-finite marginal at iteration {k}")
 
 
 def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
-    """Normalized Boltzmann weights a[x, xhat] = exp(-beta d(x, xhat)) / Z(x)."""
+    """Normalized Boltzmann weights a[x, xhat] = exp(-beta d(x, xhat)) / Z(x).
+
+    Every column is kept, so a dead column's factor overflows to inf once
+    beta times its distortion advantage over the support exceeds about 709.
+    """
     marginal = np.asarray(marginal, dtype=float)
-    expw = _shifted_weights(problem, marginal, beta)
-    z = expw @ marginal
+    exponents, dead = _shifted_exponents(problem, marginal, beta)
+    expw = np.exp(exponents)
+    # Dead columns add exact zeros to Z; leaving them out keeps Z finite
+    # when a dead column's weight has overflowed.
+    z = np.where(dead, 0.0, expw) @ marginal
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise NumericalError("partition function underflowed or overflowed")
     return expw / z[:, None]
 
 
 def _encoder_from_factors(marginal: np.ndarray, a: np.ndarray) -> np.ndarray:
-    enc = marginal[None, :] * a
-    return np.where(enc < TINY_MASS, 0.0, enc)
+    """marginal * a with sub-normal entries flushed, and exact zeros in dead
+    columns even where their factor has overflowed."""
+    with np.errstate(invalid="ignore"):
+        enc = marginal[None, :] * a
+    return np.where((enc < TINY_MASS) | (marginal <= 0), 0.0, enc)
 
 
 def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
@@ -268,7 +325,13 @@ def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     is the map solve iterates, with the same arithmetic.
     """
     marginal = np.asarray(marginal, dtype=float)
-    return _ba_update(_shifted_weights(problem, marginal, beta), problem.px, marginal)
+    expw = _iteration_weights(problem, marginal, beta)
+    buf = _BaBuffers(expw, marginal)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        new = _ba_update(expw, problem.px, marginal, buf, buf.outs[0])
+    if (buf.z <= 0).any():
+        raise NumericalError("partition function vanished")
+    return new
 
 
 def _residual_from_factors(problem: RdProblem, marginal: np.ndarray, a) -> np.ndarray:
@@ -300,47 +363,64 @@ def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConf
     expw is (lanes, n, m) and p is (lanes, m). Each lane stops on its own
     epsilon test and then leaves the stack, so later iterations only touch
     the lanes still running; the last lane left runs on plain 2-D and 1-D
-    views, which is how a single solve runs from the start. Returns each
+    arrays, which is how a single solve runs from the start. Returns each
     lane's final marginal, iteration count and convergence flag; a lane
     that exhausts the budget stops at max_iterations with converged False.
+
+    Each step writes into buffers allocated when the stack changes shape,
+    and the only per-step tests read the stopping distance: a vanishing
+    partition function or any non-finite iterate makes it NaN or inf in
+    that same step, and only then is the step diagnosed.
     """
     lanes = np.arange(p.shape[0])
     marginals = [None] * lanes.size
     iterations = [config.max_iterations] * lanes.size
     converged = [False] * lanes.size
-    stacked = lanes.size > 1
-    w, q = (expw, p) if stacked else (expw[0], p[0])
-    for k in range(1, config.max_iterations + 1):
-        newq = _ba_update(w, px, q)
-        delta = config.distance(newq - q)
-        q = newq
-        if k % _FINITE_CHECK_STRIDE == 0 and not np.all(np.isfinite(q)):
-            raise NumericalError(f"non-finite marginal at iteration {k}")
-        done = delta < config.epsilon
-        if not (done.any() if stacked else done):
-            continue
-        # A last lane runs on 1-D views; give it the stack's shape back.
-        done, q = np.atleast_1d(done), q.reshape(lanes.size, -1)
-        for lane, row in zip(lanes[done], q[done]):
-            marginals[lane] = row
-            iterations[lane] = k
-            converged[lane] = True
-        keep = ~done
-        lanes, expw, q = lanes[keep], expw[keep], q[keep]
-        if lanes.size == 0:
-            break
-        stacked = lanes.size > 1
-        w, q = (expw, q) if stacked else (expw[0], q[0])
-    else:
-        for lane, row in zip(lanes, q.reshape(lanes.size, -1)):
-            marginals[lane] = row
+    reduce, epsilon = _NORMS[config.norm].reduce, config.epsilon
+    w, q = (expw, p) if lanes.size > 1 else (expw[0], p[0])
+    buf = _BaBuffers(w, q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, config.max_iterations + 1):
+            # The two output arrays alternate, so a step never writes over
+            # the iterate it reads.
+            new = _ba_update(w, px, q, buf, buf.outs[k & 1])
+            np.subtract(new, q, out=buf.diff)
+            np.abs(buf.diff, out=buf.diff)
+            q = new
+            if q.ndim == 1:
+                delta = reduce(buf.diff)
+                if delta < epsilon:
+                    marginals[lanes[0]] = q
+                    iterations[lanes[0]] = k
+                    converged[lanes[0]] = True
+                    break
+                if not delta < np.inf:
+                    raise _nonfinite_error(buf, k)
+                continue
+            delta = reduce(buf.diff, axis=-1, out=buf.delta)
+            if not np.add.reduce(delta) < np.inf:
+                raise _nonfinite_error(buf, k)
+            done = np.less(delta, epsilon, out=buf.done)
+            if not done.any():
+                continue
+            for lane, row in zip(lanes[done], q[done]):
+                marginals[lane] = row
+                iterations[lane] = k
+                converged[lane] = True
+            keep = ~done
+            lanes, expw, q = lanes[keep], expw[keep], q[keep]
+            if lanes.size == 0:
+                break
+            w, q = (expw, q) if lanes.size > 1 else (expw[0], q[0])
+            buf = _BaBuffers(w, q)
+        else:
+            for lane, row in zip(lanes, q.reshape(lanes.size, -1)):
+                marginals[lane] = row
     return marginals, iterations, converged
 
 
 def _solution(problem: RdProblem, beta, p: np.ndarray, iterations: int,
               converged: bool) -> RdSolution:
-    if not np.all(np.isfinite(p)):
-        raise NumericalError("non-finite marginal at termination")
     a = boltzmann_factors(problem, p, beta)
     encoder = _encoder_from_factors(p, a)
     return RdSolution(
@@ -411,7 +491,7 @@ def solve_batch(
     for lo in range(0, len(betas), chunk):
         chunk_betas, chunk_starts = betas[lo:lo + chunk], starts[lo:lo + chunk]
         expw = np.stack([
-            _shifted_weights(problem, p, beta)
+            _iteration_weights(problem, p, beta)
             for p, beta in zip(chunk_starts, chunk_betas)
         ])
         lanes = _iterate(expw, problem.px, np.stack(chunk_starts), config)

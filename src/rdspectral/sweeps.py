@@ -309,7 +309,8 @@ def rate_study(
     DEFAULT_ZERO_TOL as dead. Stopping distances default to the
     L1 norm here, matching the norm the asymptotic rate statement is phrased
     in. At a critical point the prediction is +inf and the pairing is
-    recorded as such.
+    recorded as such. A reference solve that exhausts the budget raises
+    ValueError, since its spectrum would not be the fixed point's.
     """
     if beta <= 0:
         raise ValueError("rate study needs beta > 0; the iteration is the identity at 0")
@@ -326,6 +327,12 @@ def rate_study(
     anchor_cfg = replace(config, epsilon=1e-13)
     anchor = rdmod.solve(problem, anchor_beta, config=anchor_cfg)
     reference = rdmod.solve(problem, beta, init=anchor.marginal, config=anchor_cfg)
+    if not reference.converged:
+        raise ValueError(
+            f"rate study reference solve at beta={beta!r} did not converge to "
+            f"epsilon={anchor_cfg.epsilon:g} within {config.max_iterations} "
+            "iterations; raise the budget or move beta off the transition"
+        )
     jac = jacobian(problem, reference.marginal, beta, fixed_point_tol=float("inf"))
     report = eigen_spectrum(jac, zero_tol=DEFAULT_ZERO_TOL)
 

@@ -10,6 +10,7 @@ import pytest
 from oracles import ib_functional
 from rdspectral import (
     IbProblem,
+    NumericalError,
     SolverConfig,
     bottleneck_four_symbol,
     decoder_classes,
@@ -399,6 +400,72 @@ class TestLeanLoop:
         assert sol.converged
         assert sol.iterations == iterations
         assert _bytes_digest(sol.encoder) == digest
+
+
+    @staticmethod
+    def _column_permuted():
+        """fig2 with its two relevance columns swapped. Fancy indexing hands
+        IbProblem a Fortran-ordered pxy, which its derived arrays and every
+        encoder the map produces inherit."""
+        problem = IbProblem(pxy=bottleneck_four_symbol().pxy[:, [1, 0]])
+        assert problem.pxy.flags.f_contiguous and not problem.pxy.flags.c_contiguous
+        return problem
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_solve_is_repeated_ib_step_in_either_layout(self, order, permuted):
+        """px @ encoder rounds differently on a C- and an F-ordered encoder,
+        so the loop's buffers must take the layout the map gives its output,
+        whatever the layout of the init and of pxy. ib_solve starts from a
+        C-ordered copy of the init, so the trace starts there too."""
+        problem = self._column_permuted() if permuted else bottleneck_four_symbol()
+        init = np.asarray(identity_encoder_init(problem), order=order)
+        sol = ib_solve(problem, 25.0, init_encoder=init, config=EPS7)
+        start = init.copy()
+        enc = start / start.sum(axis=1, keepdims=True)
+        for _ in range(sol.iterations):
+            enc, marginal, _ = ib_step(problem, enc, 25.0)
+        assert sol.encoder.tobytes(order="A") == enc.tobytes(order="A")
+        assert sol.encoder.strides == enc.strides
+        assert sol.marginal.tobytes() == marginal.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "config, iterations, encoder_digest, marginal_digest",
+        [
+            pytest.param(
+                SolverConfig(), 3665,
+                "c139936fbd827fe2cd952e59eb5217770a59d47449b96240423535c01e15766f",
+                "f9c12b41b65241018b4d934473dc1b10c2296ff0c9ea62609070d7599678eeb2",
+                id="linf"),
+            pytest.param(
+                SolverConfig(norm="l1", epsilon=1e-11), 5624,
+                "6e3638125b16ce892e765bb9d40bb85d1a253e00e07ece352210942a0eb3266e",
+                "29b9f37955c750dc3f56ad5281a0d546cd7f48a6323115130d4da0a138f885ea",
+                id="l1"),
+        ],
+    )
+    def test_pinned_counts_and_bytes_on_a_fortran_ordered_problem(
+        self, order, config, iterations, encoder_digest, marginal_digest
+    ):
+        """Recorded before the loop was rewritten. The l1 distance sums the
+        encoder difference in C order whatever the encoders' layout."""
+        problem = self._column_permuted()
+        init = np.asarray(identity_encoder_init(problem), order=order)
+        sol = ib_solve(problem, 25.0, init_encoder=init, config=config)
+        assert sol.converged and sol.iterations == iterations
+        assert _bytes_digest(sol.encoder) == encoder_digest
+        assert _bytes_digest(sol.marginal) == marginal_digest
+
+    def test_row_that_loses_all_mass_keeps_its_message(self):
+        """With one representative, beta * KL(p(y|x=1) || p(y)) = 1e308 * log 10
+        overflows, so row 1 of the encoder update is exp(-inf - -inf) = NaN."""
+        problem = IbProblem(pxy=[[0.9, 0.0], [0.0, 0.1]], m=1)
+        message = "^encoder update lost all mass on some row$"
+        with pytest.raises(NumericalError, match=message):
+            ib_solve(problem, 1e308)
+        with pytest.raises(NumericalError, match=message):
+            ib_step(problem, np.ones((2, 1)), 1e308)
 
 
 class TestEffectiveCardinality:

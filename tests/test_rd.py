@@ -1,5 +1,7 @@
 """Unit tests for the rate-distortion problem type and the alternating solver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -493,11 +495,27 @@ class TestSolveBatch:
             problem, betas, config=SolverConfig(epsilon=1e-6, max_iterations=200)
         )
 
-    def test_numerical_error_in_one_lane_is_raised(self):
-        """A dead representative whose weight overflows poisons its lane."""
+    def test_overflowing_dead_column_leaves_the_lane_restricted(self):
+        """At beta 1000 the dead representative's weight exp(1000) overflows.
+        The iterated weights hold that column at zero, so the lane solves the
+        restricted problem; the gap reads the overflowed factor as inf."""
         problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0], [1.0, 0.0]])
-        with np.errstate(all="ignore"), pytest.raises(NumericalError):
-            solve_batch(problem, [1.0, 1000.0, 2.0], [None, [1.0, 0.0], None])
+        with np.errstate(over="ignore"):
+            lanes = solve_batch(problem, [1.0, 1000.0, 2.0], [None, [1.0, 0.0], None])
+        restricted = lanes[1]
+        assert restricted.converged and restricted.iterations == 1
+        assert restricted.marginal.tolist() == [1.0, 0.0]
+        assert restricted.encoder.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+        assert restricted.gap == np.inf
+        for lane in (lanes[0], lanes[2]):
+            assert lane.converged and np.all(np.isfinite(lane.marginal))
+
+    def test_numerical_error_in_one_lane_is_raised(self):
+        """A sub-normal starting mass overflows px / z in its lane's first
+        step, and the batch raises at that step."""
+        problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(NumericalError, match="^non-finite marginal at iteration 1$"):
+            solve_batch(problem, [1.0, 1000.0, 2.0], [None, [1.0, 1e-310], None])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="same length"):
@@ -510,6 +528,59 @@ class TestSolveBatch:
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError, match="finite and non-negative"):
             solve_batch(binary_hamming(), [1.0, np.nan])
+
+
+class TestLeanLoop:
+    """The solve loop checks only its stopping distance and writes into
+    buffers; counts, bits and error messages are those of the old loop."""
+
+    # The slowest point of the planar benchmark grid (every third point of
+    # geomspace(50, 0.2, 420)), next to the {1} -> {1, 3} transition. The
+    # count and the marginal's SHA-256 were recorded before the loop was
+    # rewritten.
+    CRITICAL_BETA = 0.45274789611904454
+    CRITICAL_ITERATIONS = 80190
+    CRITICAL_SHA256 = "1dda03cf400e0f3dbc944198cab8562c27b1d57d7743ac4a07bd29a57f9d12f2"
+
+    def test_critical_solve_is_pinned(self):
+        problem = builtin_problem("fig1_like")
+        assert np.geomspace(50.0, 0.2, 420)[::3][119] == self.CRITICAL_BETA
+        sol = solve(problem, self.CRITICAL_BETA, config=SolverConfig(epsilon=1e-9))
+        assert sol.converged and sol.iterations == self.CRITICAL_ITERATIONS
+        assert hashlib.sha256(sol.marginal.tobytes()).hexdigest() == self.CRITICAL_SHA256
+
+    def test_lane_that_leaves_the_stack_last_is_its_standalone_solve(self):
+        """The critical lane outlives the others and finishes on the
+        single-lane path; the two lanes that stop early leave a stack that
+        keeps running."""
+        problem = builtin_problem("fig1_like")
+        lanes = solve_batch(problem, [30.0, self.CRITICAL_BETA, 50.0],
+                            config=SolverConfig(epsilon=1e-9))
+        critical = lanes[1]
+        assert max(lane.iterations for lane in lanes) == critical.iterations
+        assert critical.iterations == self.CRITICAL_ITERATIONS
+        digest = hashlib.sha256(critical.marginal.tobytes()).hexdigest()
+        assert digest == self.CRITICAL_SHA256
+
+    def test_non_finite_iterate_raises_at_its_first_step(self):
+        """The old loop looked for NaN every 512 iterations and raised at 512
+        here; the stopping distance turns non-finite in the first step."""
+        problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(NumericalError, match="^non-finite marginal at iteration 1$"):
+            solve(problem, 1000.0, init=[1.0, 1e-310])
+
+    def test_vanishing_partition_function_keeps_its_message(self):
+        """Representative 0 is the only one close to the massless symbol 1.
+        It starts sub-normal, is flushed in the first step, and in the second
+        symbol 1's partition function underflows to exactly zero."""
+        problem = RdProblem(px=[0.5, 0.0, 0.5],
+                            d=[[1.0, 0.0, 0.5], [0.0, 1.0, 1.0], [1.0, 0.5, 0.0]])
+        init = [1e-310, 0.8, 0.2]
+        assert ab_step(problem, init, 1000.0)[0] == 0.0
+        with pytest.raises(NumericalError, match="^partition function vanished$"):
+            solve(problem, 1000.0, init=init)
+        with pytest.raises(NumericalError, match="^partition function vanished$"):
+            solve_batch(problem, [1.0, 1000.0], [None, init])
 
 
 @settings(max_examples=40, deadline=None)

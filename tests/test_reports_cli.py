@@ -347,6 +347,20 @@ class TestCli:
         out = run_cli("rate-study", "--builtin", "binary_hamming", "--beta", "0.0")
         assert out.returncode == 1
 
+    def test_rate_study_unconverged_reference_is_an_error(self):
+        """At beta = log 4, the skewed source's support transition, the
+        reference solve needs far more than 2000 iterations; its spectrum
+        would give an unflagged prediction, so the study refuses."""
+        out = run_cli(
+            "rate-study", "--builtin", "binary_hamming_skewed",
+            "--beta", "1.3862943611198906", "--max-iters", "2000", "--epsilons", "1e-6",
+        )
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: rate study reference solve at "
+                                     "beta=1.3862943611198906 did not converge")
+        assert "within 2000 iterations" in out.stderr
+
     def test_rate_study_csv(self, tmp_path):
         path = tmp_path / "rate.csv"
         out = run_cli(

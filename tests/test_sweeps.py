@@ -297,6 +297,12 @@ class TestRateStudy:
         with pytest.raises(ValueError, match="beta > 0"):
             rate_study(binary_hamming(), 0.0, [1e-9])
 
+    def test_rejects_unconverged_reference(self):
+        message = r"beta=2\.0 did not converge .* within 50 iterations"
+        with pytest.raises(ValueError, match=message):
+            rate_study(binary_hamming(0.8), 2.0, [1e-6],
+                       config=SolverConfig(norm="l1", max_iterations=50))
+
     def test_rejects_bad_anchor(self):
         with pytest.raises(ValueError, match="anchor"):
             rate_study(binary_hamming(), 2.0, [1e-9], anchor_beta=1.0)
