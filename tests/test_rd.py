@@ -582,6 +582,49 @@ class TestLeanLoop:
         with pytest.raises(NumericalError, match="^partition function vanished$"):
             solve_batch(problem, [1.0, 1000.0], [None, init])
 
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 7, 1), (3, 1, 4)])
+    def test_aligned_empty(self, shape):
+        a = rdmod._aligned_empty(shape)
+        assert a.shape == shape and a.dtype == np.float64
+        assert a.flags.c_contiguous and a.ctypes.data % rdmod._CACHE_LINE == 0
+
+    def test_aligned_copy_keeps_the_layout(self):
+        a = np.stack([np.asfortranarray(np.arange(12.0).reshape(3, 4))] * 2)
+        b = rdmod._aligned_copy(a)
+        assert b.strides == a.strides and b.ctypes.data % rdmod._CACHE_LINE == 0
+        np.testing.assert_array_equal(b, a)
+
+    def test_column_permuted_problem_iterates_the_step_map(self):
+        """A column-permuted d is F-ordered, and BLAS rounds its products
+        differently from a C-ordered copy's: the aligned weight stack keeps
+        that layout, so solve stays bit for bit repeated ab_step."""
+        rng = np.random.default_rng(3)
+        d = rng.uniform(0.0, 1.0, (64, 64))[:, rng.permutation(64)]
+        problem = RdProblem(px=rng.dirichlet(np.ones(64)), d=d)
+        assert problem.d.flags.f_contiguous and not problem.d.flags.c_contiguous
+        init = rng.dirichlet(np.ones(64))
+        for k, q in enumerate(ab_iterates(problem, init, 30.0, 4)[1:], 1):
+            config = SolverConfig(max_iterations=k)
+            np.testing.assert_array_equal(solve(problem, 30.0, init, config).marginal, q)
+            lane = solve_batch(problem, [2.0, 30.0], [None, init], config)[1]
+            np.testing.assert_array_equal(lane.marginal, q)
+
+    def test_weights_and_buffers_stay_cache_aligned(self, monkeypatch):
+        """Every step, before and after lanes leave the stack, reads weights
+        and writes buffers that start on a cache line."""
+        offsets = set()
+        update = rdmod._ba_update
+
+        def recording(expw, px, p, buf, out):
+            for a in (expw, buf.z_out, buf.r, buf.diff, out):
+                offsets.add(a.ctypes.data % rdmod._CACHE_LINE)
+            return update(expw, px, p, buf, out)
+
+        monkeypatch.setattr(rdmod, "_ba_update", recording)
+        problem = builtin_problem("fig1_like")
+        solve_batch(problem, [30.0, 2.0, 50.0], config=SolverConfig(epsilon=1e-6))
+        assert offsets == {0}
+
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
