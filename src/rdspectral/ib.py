@@ -23,11 +23,15 @@ from .probability import (
     mutual_information,
 )
 from .rd import (
+    _BLOCK,
     _NORMS,
     JsonRecord,
     RdProblem,
     SolverConfig,
+    _aligned_rows,
+    _block_length,
     _check_beta,
+    _first_stops,
     _read_only,
 )
 
@@ -143,7 +147,8 @@ class _IbBuffers:
     their operands' memory layout, and the map's expressions give those
     operands a layout that follows the problem's arrays (a column-permuted
     pxy makes them Fortran-ordered). So the buffers copy the layouts of the
-    same expressions evaluated once on stand-in values.
+    same expressions evaluated once on stand-in values; encoder has the
+    layout of the map's output.
     """
 
     def __init__(self, problem: IbProblem, m: int):
@@ -167,7 +172,7 @@ class _IbBuffers:
         self.dist = np.empty_like(dist)
         self.row_max = np.empty(n)
         self.norms = np.empty(n)
-        self.encoders = (np.empty_like(encoder), np.empty_like(encoder))
+        self.encoder = np.empty_like(encoder)
         self.weighted = np.empty_like(encoder)
         self.flush = np.empty_like(encoder, dtype=bool)
         self.marginal = np.empty(m)
@@ -209,15 +214,15 @@ def _relevance(problem: IbProblem, decoder: np.ndarray, buf: _IbBuffers) -> np.n
 
 
 def _ib_update(problem: IbProblem, encoder: np.ndarray, marginal: np.ndarray,
-               beta: float, buf: _IbBuffers, out: np.ndarray):
+               beta: float, buf: _IbBuffers, out: np.ndarray, marginal_out: np.ndarray):
     """The bottleneck map on an encoder and its marginal px @ encoder.
 
     Returns (new_encoder, new_marginal, decoder_used): the new encoder is
-    out, the others are buf.marginal and buf.dec, and the new marginal is
-    the one the next update takes. buf.norms keeps the row masses the new
-    encoder was divided by; a row that lost all mass leaves NaN there and
-    in the new encoder. Needs divide and invalid floating-point errors
-    ignored.
+    out, which has the layout of buf.encoder, the new marginal is
+    marginal_out, and the decoder is buf.dec; the new marginal is the one
+    the next update takes. buf.norms keeps the row masses the new encoder
+    was divided by; a row that lost all mass leaves NaN there and in the
+    new encoder. Needs divide and invalid floating-point errors ignored.
     """
     dec = _decode(problem, encoder, marginal, buf)
     dist = _relevance(problem, dec, buf)
@@ -230,7 +235,7 @@ def _ib_update(problem: IbProblem, encoder: np.ndarray, marginal: np.ndarray,
     np.divide(new_encoder, norms[:, None], out=new_encoder)
     np.less(new_encoder, TINY_MASS, out=buf.flush)
     np.putmask(new_encoder, buf.flush, 0.0)
-    return new_encoder, problem.px.dot(new_encoder, out=buf.marginal), dec
+    return new_encoder, problem.px.dot(new_encoder, out=marginal_out), dec
 
 
 def _check_row_mass(buf: _IbBuffers) -> None:
@@ -287,7 +292,7 @@ def ib_step(problem: IbProblem, encoder, beta: float):
     _check_marginal(marginal)
     buf = _IbBuffers(problem, problem.m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        step = _ib_update(problem, encoder, marginal, beta, buf, buf.encoders[0])
+        step = _ib_update(problem, encoder, marginal, beta, buf, buf.encoder, buf.marginal)
     _check_row_mass(buf)
     return step
 
@@ -360,29 +365,53 @@ def ib_solve(
     marginal = problem.px @ enc
 
     buf = _IbBuffers(problem, problem.m)
+    # Step b of a block writes encoders[b] and marginals[b]; row 0 holds the
+    # block's start. The rows take the layout of the map's output.
+    encoders = _aligned_rows(_BLOCK + 1, enc.shape, buf.encoder.strides)
+    marginals = np.empty((_BLOCK + 1, problem.m))
+    views = list(zip(encoders[1:], marginals[1:]))
+    # An l1 distance sums each step's difference in C order, as the
+    # flattened difference of two encoders always did; a maximum reads any
+    # order.
+    diff = np.empty((_BLOCK,) + enc.shape)
+    flat = diff.reshape(_BLOCK, -1)
+    delta = np.empty(_BLOCK)
     reduce, epsilon = _NORMS[config.norm].reduce, config.epsilon
-    # An l1 distance sums the difference in C order, as the flattened
-    # difference of two encoders always did; a maximum reads any order.
-    diff = np.empty(enc.shape) if config.norm == "l1" else np.empty_like(buf.encoders[0])
+    encoders[0], marginals[0] = enc, marginal
     converged = False
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(1, config.max_iterations + 1):
-            # The two encoder buffers alternate, so a step never writes over
-            # the encoder it reads.
-            new_enc, marginal, _ = _ib_update(problem, enc, marginal, beta, buf,
-                                              buf.encoders[k & 1])
-            np.subtract(new_enc, enc, out=diff)
-            np.abs(diff, out=diff)
-            delta = reduce(diff, axis=None)
-            enc = new_enc
-            iterations = k
-            if delta < epsilon:
-                converged = True
-                break
-            if not delta < np.inf:
+        while iterations < config.max_iterations:
+            steps = _block_length(iterations, config.max_iterations)
+            # The first step reads the block's start as it is: the caller's
+            # layout in the first block, a row of encoders afterwards.
+            new_enc, new_marginal = enc, marginal
+            for out, marginal_out in views[:steps]:
+                new_enc, new_marginal, _ = _ib_update(
+                    problem, new_enc, new_marginal, beta, buf, out, marginal_out)
+            np.subtract(encoders[1:steps + 1], encoders[:steps], out=diff[:steps])
+            np.abs(diff[:steps], out=diff[:steps])
+            reduce(flat[:steps], axis=-1, out=delta[:steps])
+            stops = _first_stops(delta[:steps], epsilon)
+            if stops is None:
+                iterations += steps
+                encoders[0], marginals[0] = new_enc, new_marginal
+                enc, marginal = encoders[0], marginals[0]
+                continue
+            row = int(stops[0])
+            if not delta[row] < epsilon:
+                if row > 0:
+                    enc, marginal = encoders[row], marginals[row]
+                _ib_update(problem, enc, marginal, beta, buf,
+                           encoders[row + 1], marginals[row + 1])
                 _check_row_mass(buf)
-                raise NumericalError(f"non-finite encoder at iteration {k}")
+                raise NumericalError(
+                    f"non-finite encoder at iteration {iterations + row + 1}")
+            iterations += row + 1
+            converged = True
+            enc, marginal = encoders[row + 1], marginals[row + 1]
+            break
+    enc, marginal = enc.copy(order="K"), marginal.copy()
 
     dec = ib_decoder(problem, enc, marginal)
     return IbSolution(

@@ -29,6 +29,18 @@ _LANE_CHUNK_BYTES = 8 * 2**20
 # Bytes in a cache line: the BA loop's weights and work arrays start on one.
 _CACHE_LINE = 64
 
+# Most steps the BA and IB loops take between two stopping tests. Each
+# step's iterate goes to its own row of a block history, and the distances
+# of the whole block are taken at once; the first row that stops decides.
+_BLOCK = 64
+
+# A block holds at most one step per _BLOCK_GROWTH steps already taken, so
+# the steps a solve runs past its stopping row stay below 1/_BLOCK_GROWTH
+# of its work. Warm-started sweeps are mostly short solves: the IB steps of
+# a reverse anneal on fig2 stop after a median of 4, and whole blocks of 64
+# would run half again as many steps as they keep.
+_BLOCK_GROWTH = 16
+
 # The reduction over |difference| behind each stopping norm; along the last
 # axis it gives one distance per lane.
 _NORMS = {"l1": np.add, "linf": np.maximum}
@@ -254,32 +266,53 @@ def _aligned_copy(a: np.ndarray) -> np.ndarray:
     return out
 
 
-class _BaBuffers:
-    """Work arrays of the BA map for one shape of weights and marginals.
+def _aligned_rows(count: int, shape, strides=None) -> np.ndarray:
+    """count float arrays of one dense shape, stacked along a new first axis.
 
-    Written in place on every step: the partition function z, px / z, the
-    flush mask, |new - old| and the per-lane distance. outs holds two
-    arrays for new marginals, which the iteration alternates between. A
-    stack's products land in arrays shaped as np.matmul shapes its own
-    outputs, (lanes, n, 1) and (lanes, 1, m), so they take the path they
-    took when numpy allocated them. Every array starts on a cache line.
+    Each row starts on a cache line: the first axis steps over whole lines,
+    padding a row whose bytes do not fill its last one. strides give a
+    row's layout and default to C order.
+    """
+    shape = tuple(shape)
+    if strides is None:
+        strides = tuple(8 * math.prod(shape[i + 1:]) for i in range(len(shape)))
+    line = _CACHE_LINE // 8
+    step = -(-math.prod(shape) // line) * line
+    raw = _aligned_empty((count * step,))
+    return np.ndarray((count,) + shape, buffer=raw, strides=(8 * step,) + tuple(strides))
+
+
+class _BaBuffers:
+    """Work arrays of the BA map for one shape of weights and marginals, and
+    the history of a block of steps.
+
+    Written in place on every step: the partition function z, px / z and
+    the flush mask. Step b reads iterates[b - 1] and writes outs[b], whose
+    rows start on cache lines; iterates[0] holds the block's start. A
+    stack's outputs are shaped as np.matmul shapes its own, (lanes, 1, m),
+    like its partition functions, (lanes, n, 1), so its products take the
+    path they took when numpy allocated them; iterates views them as
+    (lanes, m). diff and delta receive |new - old| and the per-step
+    distances (per lane for a stack) of a whole block. Every array the
+    products touch starts on a cache line.
     """
 
-    def __init__(self, expw: np.ndarray, p: np.ndarray):
+    def __init__(self, expw: np.ndarray, p: np.ndarray, steps: int = 1):
         n, m = expw.shape[-2:]
         if p.ndim == 1:
             self.z_out = self.z = _aligned_empty((n,))
-            self.outs = (_aligned_empty((m,)), _aligned_empty((m,)))
+            self.outs = self.iterates = _aligned_rows(steps + 1, (m,))
         else:
             lanes = p.shape[0]
             self.z_out = _aligned_empty((lanes, n, 1))
             self.z = self.z_out[:, :, 0]
-            self.outs = (_aligned_empty((lanes, 1, m)), _aligned_empty((lanes, 1, m)))
+            self.outs = _aligned_rows(steps + 1, (lanes, 1, m))
+            self.iterates = self.outs[:, :, 0, :]
         self.r = _aligned_empty(self.z.shape)
         self.flush = np.empty(p.shape, dtype=bool)
-        self.diff = _aligned_empty(p.shape)
-        self.delta = np.empty(p.shape[:-1])
-        self.done = np.empty(p.shape[:-1], dtype=bool)
+        self.steps = list(zip(self.iterates[:-1], self.outs[1:]))
+        self.diff = np.empty((steps,) + p.shape)
+        self.delta = _aligned_empty((steps,) + p.shape[:-1])
 
 
 def _ba_update(expw: np.ndarray, px: np.ndarray, p: np.ndarray,
@@ -312,11 +345,35 @@ def _ba_update(expw: np.ndarray, px: np.ndarray, p: np.ndarray,
     return new
 
 
-def _nonfinite_error(buf: _BaBuffers, k: int) -> NumericalError:
-    """The error for a step that left a non-finite marginal."""
-    if (buf.z <= 0).any():
+def _nonfinite_error(z: np.ndarray, k: int) -> NumericalError:
+    """The error for step k, which left a non-finite marginal in the lanes
+    whose partition functions are z."""
+    if (z <= 0).any():
         return NumericalError("partition function vanished")
     return NumericalError(f"non-finite marginal at iteration {k}")
+
+
+def _block_length(done: int, budget: int) -> int:
+    """Steps in the next block of a solve that has taken done of its budget:
+    one per _BLOCK_GROWTH steps done, at least one and at most _BLOCK, and
+    never past the budget, so max_iterations holds exactly."""
+    return min(_BLOCK, max(1, done // _BLOCK_GROWTH), budget - done)
+
+
+def _first_stops(delta: np.ndarray, epsilon: float):
+    """Each lane's first step whose distance is below epsilon or not finite.
+
+    delta holds one row of distances per step of a block, with one column
+    per lane. Returns None when no lane stops in the block, and otherwise
+    each lane's stopping row and whether it stops at all; rows after a
+    lane's stopping row are never read, so a NaN there changes nothing. A
+    NaN fails every comparison, so it stops a lane like an infinity.
+    """
+    if (np.minimum.reduce(delta, axis=None) >= epsilon
+            and np.maximum.reduce(delta, axis=None) < np.inf):
+        return None
+    running = np.greater_equal(delta, epsilon) & np.less(delta, np.inf)
+    return running.argmin(axis=0), ~running.all(axis=0)
 
 
 def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
@@ -325,7 +382,12 @@ def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     Every column is kept, so a dead column's factor overflows to inf once
     beta times its distortion advantage over the support exceeds about 709.
     """
-    marginal = np.asarray(marginal, dtype=float)
+    return _boltzmann(problem, np.asarray(marginal, dtype=float), beta)[0]
+
+
+def _boltzmann(problem: RdProblem, marginal: np.ndarray, beta: float):
+    """boltzmann_factors, with the shifted exponents and the partition
+    function Z they were divided by."""
     exponents, dead = _shifted_exponents(problem, marginal, beta)
     expw = np.exp(exponents)
     # Dead columns add exact zeros to Z; leaving them out keeps Z finite
@@ -333,7 +395,27 @@ def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     z = np.where(dead, 0.0, expw) @ marginal
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise NumericalError("partition function underflowed or overflowed")
-    return expw / z[:, None]
+    return expw / z[:, None], exponents, z
+
+
+def _duality_gap(problem: RdProblem, marginal: np.ndarray, a: np.ndarray,
+                 exponents: np.ndarray, z: np.ndarray) -> float:
+    """log max_j sum_x px(x) a(x, j), from the factors a = exp(exponents) / z.
+
+    A dead column whose factor overflowed sums to inf, or to NaN against a
+    massless symbol; only such columns are summed again, in log space
+    against the same support shift, so every finite sum keeps its bits.
+    """
+    with np.errstate(invalid="ignore"):
+        sums = problem.px @ a
+    lost = (marginal <= 0) & ~np.isfinite(sums)
+    if not lost.any():
+        return float(np.log(sums.max()))
+    with np.errstate(divide="ignore"):
+        terms = np.log(problem.px)[:, None] + exponents[:, lost] - np.log(z)[:, None]
+    top = terms.max(axis=0)
+    logs = top + np.log(np.exp(terms - top).sum(axis=0))
+    return float(max(np.log(sums[~lost].max()), logs.max()))
 
 
 def _encoder_from_factors(marginal: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -354,7 +436,7 @@ def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     expw = _iteration_weights(problem, marginal, beta)
     buf = _BaBuffers(expw, marginal)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        new = _ba_update(expw, problem.px, marginal, buf, buf.outs[0])
+        new = _ba_update(expw, problem.px, marginal, buf, buf.outs[1])
     if (buf.z <= 0).any():
         raise NumericalError("partition function vanished")
     return new
@@ -387,18 +469,21 @@ def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConf
     """Run the alternating iteration on a stack of independent lanes.
 
     expw is (lanes, n, m) and p is (lanes, m). Each lane stops on its own
-    epsilon test and then leaves the stack, so later iterations only touch
-    the lanes still running; the last lane left runs on plain 2-D and 1-D
+    epsilon test and then leaves the stack, so later blocks only touch the
+    lanes still running; the last lane left runs on plain 2-D and 1-D
     arrays, which is how a single solve runs from the start. Returns each
     lane's final marginal, iteration count and convergence flag; a lane
     that exhausts the budget stops at max_iterations with converged False.
 
-    Each step writes into buffers allocated when the stack changes shape;
-    when lanes leave, the weights of those still running are copied to a
-    new cache-aligned stack. The only per-step tests read the stopping
-    distance: a vanishing partition function or any non-finite iterate
-    makes it NaN or inf in that same step, and only then is the step
-    diagnosed.
+    The stopping rule is tested once per block of steps, whose length
+    _block_length sets: the steps write their iterates into the rows of a
+    history, and one subtract, abs and reduce give the block's distances.
+    A lane stops at its first row below epsilon, or raises at its first
+    non-finite row, which a vanishing partition function or any non-finite
+    iterate makes NaN or inf; that step is then run again from its own
+    start so the error can read its partition function. Lanes that stopped
+    in a block leave at its end; when they do, the weights of those still
+    running are copied to a new cache-aligned stack.
     """
     lanes = np.arange(p.shape[0])
     marginals = [None] * lanes.size
@@ -406,51 +491,53 @@ def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConf
     converged = [False] * lanes.size
     reduce, epsilon = _NORMS[config.norm].reduce, config.epsilon
     w, q = (expw, p) if lanes.size > 1 else (expw[0], p[0])
-    buf = _BaBuffers(w, q)
+    buf = _BaBuffers(w, q, _BLOCK)
+    buf.iterates[0] = q
+    k = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(1, config.max_iterations + 1):
-            # The two output arrays alternate, so a step never writes over
-            # the iterate it reads.
-            new = _ba_update(w, px, q, buf, buf.outs[k & 1])
-            np.subtract(new, q, out=buf.diff)
-            np.abs(buf.diff, out=buf.diff)
-            q = new
-            if q.ndim == 1:
-                delta = reduce(buf.diff)
-                if delta < epsilon:
-                    marginals[lanes[0]] = q
-                    iterations[lanes[0]] = k
-                    converged[lanes[0]] = True
-                    break
-                if not delta < np.inf:
-                    raise _nonfinite_error(buf, k)
+        while k < config.max_iterations:
+            steps = _block_length(k, config.max_iterations)
+            for start, out in buf.steps[:steps]:
+                _ba_update(w, px, start, buf, out)
+            diff = np.subtract(buf.iterates[1:steps + 1], buf.iterates[:steps],
+                               out=buf.diff[:steps])
+            np.abs(diff, out=diff)
+            delta = reduce(diff, axis=-1, out=buf.delta[:steps]).reshape(steps, -1)
+            stops = _first_stops(delta, epsilon)
+            if stops is None:
+                k += steps
+                buf.iterates[0] = buf.iterates[steps]
                 continue
-            delta = reduce(buf.diff, axis=-1, out=buf.delta)
-            if not np.add.reduce(delta) < np.inf:
-                raise _nonfinite_error(buf, k)
-            done = np.less(delta, epsilon, out=buf.done)
-            if not done.any():
-                continue
-            for lane, row in zip(lanes[done], q[done]):
-                marginals[lane] = row
-                iterations[lane] = k
-                converged[lane] = True
-            keep = ~done
-            lanes, q = lanes[keep], q[keep]
+            stop, stopped = stops
+            rows = buf.iterates[:steps + 1].reshape(steps + 1, lanes.size, -1)
+            at = np.flatnonzero(stopped)
+            failed = at[~(delta[stop[at], at] < epsilon)]
+            if failed.size:
+                row = int(stop[failed].min())
+                _ba_update(w, px, buf.iterates[row], buf, buf.outs[row + 1])
+                z = buf.z.reshape(lanes.size, -1)
+                raise _nonfinite_error(z[failed[stop[failed] == row]], k + row + 1)
+            for i in at:
+                marginals[lanes[i]] = rows[stop[i] + 1, i].copy()
+                iterations[lanes[i]] = k + int(stop[i]) + 1
+                converged[lanes[i]] = True
+            k += steps
+            keep = ~stopped
+            lanes, q = lanes[keep], rows[steps, keep]
             if lanes.size == 0:
-                break
+                return marginals, iterations, converged
             expw = _aligned_copy(expw[keep])
             w, q = (expw, q) if lanes.size > 1 else (expw[0], q[0])
-            buf = _BaBuffers(w, q)
-        else:
-            for lane, row in zip(lanes, q.reshape(lanes.size, -1)):
-                marginals[lane] = row
+            buf = _BaBuffers(w, q, _BLOCK)
+            buf.iterates[0] = q
+    for lane, row in zip(lanes, buf.iterates[0].reshape(lanes.size, -1).copy()):
+        marginals[lane] = row
     return marginals, iterations, converged
 
 
 def _solution(problem: RdProblem, beta, p: np.ndarray, iterations: int,
               converged: bool) -> RdSolution:
-    a = boltzmann_factors(problem, p, beta)
+    a, exponents, z = _boltzmann(problem, p, beta)
     encoder = _encoder_from_factors(p, a)
     return RdSolution(
         beta=float(beta),
@@ -460,7 +547,7 @@ def _solution(problem: RdProblem, beta, p: np.ndarray, iterations: int,
         distortion=expected_distortion(problem, encoder),
         iterations=iterations,
         converged=converged,
-        gap=float(np.log((problem.px @ a).max())),
+        gap=_duality_gap(problem, p, a, exponents, z),
     )
 
 

@@ -14,10 +14,12 @@ from rdspectral import (
     eigen_spectrum,
     expected_distortion,
     ib_decoder,
+    ib_step,
     jacobian,
     mutual_information,
     relevant_information,
 )
+from rdspectral import rd as rdmod
 from rdspectral.probability import DEFAULT_ZERO_TOL, TINY_MASS
 from rdspectral.spectral import FixedPointJacobian, _support_gram
 
@@ -73,6 +75,51 @@ def ab_iterates(problem: RdProblem, marginal, beta: float, count: int) -> list:
     for _ in range(count):
         iterates.append(ab_step(problem, iterates[-1], beta))
     return iterates
+
+
+def _distance(new, old, norm: str) -> float:
+    """The stopping distance of two iterates, summed over a C-order flattening."""
+    diff = np.abs(new - old).reshape(-1)
+    return float(np.add.reduce(diff) if norm == "l1" else np.maximum.reduce(diff))
+
+
+def block_of(iteration: int, budget: int = 10**7) -> tuple:
+    """First and last step of the block of steps the BA and IB loops run
+    between two stopping tests that holds the given iteration."""
+    done = 0
+    while True:
+        last = done + rdmod._block_length(done, budget)
+        if last >= iteration:
+            return done + 1, last
+        done = last
+
+
+def stepped_solve(problem: RdProblem, marginal, beta: float, config) -> tuple:
+    """(marginal, iterations, converged) from repeated ab_step calls under
+    config's stopping rule, tested after every step."""
+    q = np.asarray(marginal, dtype=float)
+    for k in range(1, config.max_iterations + 1):
+        new = ab_step(problem, q, beta)
+        delta = _distance(new, q, config.norm)
+        q = new
+        if delta < config.epsilon:
+            return q, k, True
+    return q, config.max_iterations, False
+
+
+def stepped_ib_solve(problem: IbProblem, encoder, beta: float, config) -> tuple:
+    """(encoder, marginal, iterations, converged) from repeated ib_step calls
+    under config's stopping rule, tested after every step, starting from the
+    row-normalized C-ordered copy of encoder that ib_solve starts from."""
+    enc = np.array(encoder, dtype=float)
+    enc = enc / enc.sum(axis=1, keepdims=True)
+    for k in range(1, config.max_iterations + 1):
+        new, marginal, _ = ib_step(problem, enc, beta)
+        delta = _distance(new, enc, config.norm)
+        enc = new
+        if delta < config.epsilon:
+            return enc, marginal, k, True
+    return enc, marginal, config.max_iterations, False
 
 
 def lagrangian(problem: RdProblem, encoder, beta: float) -> float:

@@ -7,7 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import ib_functional
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import block_of, ib_functional, stepped_ib_solve
 from rdspectral import (
     IbProblem,
     NumericalError,
@@ -29,6 +32,7 @@ from rdspectral import (
     tangent_rd,
     uniform_encoder_init,
 )
+from rdspectral import ib as ibmod
 from rdspectral.sweeps import _snap_encoder
 
 EPS7 = SolverConfig(epsilon=1e-7)
@@ -466,6 +470,73 @@ class TestLeanLoop:
             ib_solve(problem, 1e308)
         with pytest.raises(NumericalError, match=message):
             ib_step(problem, np.ones((2, 1)), 1e308)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       budget=st.sampled_from([1, 63, 64, 65, 129, 1100]),
+       norm=st.sampled_from(["l1", "linf"]))
+def test_solve_is_repeated_steps_across_block_edges(seed, budget, norm):
+    """ib_solve tests its stopping rule once per block, and stops where a
+    test after every step does: its encoder, marginal, count and flag are
+    those of repeated ib_step calls, bit for bit, at budgets that end blocks
+    of one to 64 steps early or late, and from starts with exact zeros."""
+    rng = np.random.default_rng(seed)
+    n, ny, m = (int(v) for v in rng.integers(2, 6, 3))
+    problem = IbProblem(pxy=rng.dirichlet(np.ones(n * ny)).reshape(n, ny), m=m)
+    init = rng.dirichlet(np.ones(m), size=n)
+    init[rng.random((n, m)) < 0.3] = 0.0
+    init[np.arange(n), rng.integers(m, size=n)] += 0.5
+    beta = float(rng.uniform(0.0, 30.0))
+    config = SolverConfig(epsilon=10.0 ** -rng.uniform(2.0, 10.0), norm=norm,
+                          max_iterations=budget)
+    sol = ib_solve(problem, beta, init_encoder=init, config=config)
+    encoder, marginal, iterations, converged = stepped_ib_solve(problem, init, beta, config)
+    assert sol.encoder.tobytes(order="A") == encoder.tobytes(order="A")
+    assert sol.marginal.tobytes() == marginal.tobytes()
+    assert sol.iterations == iterations
+    assert sol.converged == converged
+
+
+def poison_ib_step(monkeypatch, call: int) -> None:
+    """Make the call-th bottleneck step (counted from 1) write NaN into the
+    encoder it returns."""
+    update, calls = ibmod._ib_update, [0]
+
+    def poisoned(*args):
+        step = update(*args)
+        calls[0] += 1
+        if calls[0] == call:
+            step[0].fill(np.nan)
+        return step
+
+    monkeypatch.setattr(ibmod, "_ib_update", poisoned)
+
+
+class TestBlockEdges:
+    """ib_solve runs a block of steps past its stopping row, and only rows
+    up to it count; an error names the iteration it happened in."""
+
+    def _solve(self):
+        problem = bottleneck_four_symbol()
+        return ib_solve(problem, 30.0, init_encoder=identity_encoder_init(problem))
+
+    def test_nan_after_the_stopping_row_is_ignored(self, monkeypatch):
+        clean = self._solve()
+        assert clean.converged and block_of(clean.iterations)[1] > clean.iterations
+        poison_ib_step(monkeypatch, clean.iterations + 1)
+        poisoned = self._solve()
+        assert poisoned.iterations == clean.iterations
+        assert poisoned.encoder.tobytes() == clean.encoder.tobytes()
+        assert poisoned.marginal.tobytes() == clean.marginal.tobytes()
+
+    def test_nan_raises_at_its_own_iteration(self, monkeypatch):
+        """Iteration 67 opens a block that runs on to step 70; the solve
+        takes 81."""
+        assert block_of(67) == (67, 70)
+        poison_ib_step(monkeypatch, 67)
+        with pytest.raises(NumericalError, match="^non-finite encoder at iteration 67$"):
+            self._solve()
 
 
 class TestEffectiveCardinality:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     ab_iterates,
+    block_of,
     binary_hamming_distortion,
     binary_hamming_rate,
     encoder_from_marginal,
     lagrangian,
     residual,
+    stepped_solve,
 )
 from rdspectral import (
     NumericalError,
@@ -498,7 +500,8 @@ class TestSolveBatch:
     def test_overflowing_dead_column_leaves_the_lane_restricted(self):
         """At beta 1000 the dead representative's weight exp(1000) overflows.
         The iterated weights hold that column at zero, so the lane solves the
-        restricted problem; the gap reads the overflowed factor as inf."""
+        restricted problem; the gap sums the overflowed factor in log space,
+        to its true value log(0.5 e^1000)."""
         problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0], [1.0, 0.0]])
         with np.errstate(over="ignore"):
             lanes = solve_batch(problem, [1.0, 1000.0, 2.0], [None, [1.0, 0.0], None])
@@ -506,7 +509,7 @@ class TestSolveBatch:
         assert restricted.converged and restricted.iterations == 1
         assert restricted.marginal.tolist() == [1.0, 0.0]
         assert restricted.encoder.tolist() == [[1.0, 0.0], [1.0, 0.0]]
-        assert restricted.gap == np.inf
+        assert restricted.gap == 999.3068528194401
         for lane in (lanes[0], lanes[2]):
             assert lane.converged and np.all(np.isfinite(lane.marginal))
 
@@ -616,7 +619,7 @@ class TestLeanLoop:
         update = rdmod._ba_update
 
         def recording(expw, px, p, buf, out):
-            for a in (expw, buf.z_out, buf.r, buf.diff, out):
+            for a in (expw, buf.z_out, buf.r, buf.delta, out):
                 offsets.add(a.ctypes.data % rdmod._CACHE_LINE)
             return update(expw, px, p, buf, out)
 
@@ -652,6 +655,117 @@ def test_batch_lane_is_a_standalone_solve(seed):
         assert lane.converged == alone.converged
 
 
+def random_start(rng, m):
+    """A Dirichlet draw with each coordinate zeroed with probability 0.3,
+    keeping at least one, renormalized."""
+    q = rng.dirichlet(np.ones(m))
+    dead = rng.random(m) < 0.3
+    dead[rng.integers(m)] = False
+    q[dead] = 0.0
+    return q / q.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       budget=st.sampled_from([1, 63, 64, 65, 129, 1100]),
+       norm=st.sampled_from(["l1", "linf"]))
+def test_solves_are_repeated_steps_across_block_edges(seed, budget, norm):
+    """The stopping rule, tested once per block, stops where a test after
+    every step does: solve and every solve_batch lane give repeated
+    ab_step's marginal, count and flag bit for bit, at budgets that end
+    blocks of one to 64 steps early or late."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 7))
+    problem = random_problem(rng, int(rng.integers(1, 7)), m)
+    betas = rng.uniform(0.0, 30.0, int(rng.integers(1, 6)))
+    inits = [random_start(rng, m) for _ in betas]
+    config = SolverConfig(epsilon=10.0 ** -rng.uniform(2.0, 10.0), norm=norm,
+                          max_iterations=budget)
+    lanes = solve_batch(problem, betas, inits, config)
+    for beta, init, lane in zip(betas, inits, lanes):
+        marginal, iterations, converged = stepped_solve(problem, init, beta, config)
+        for sol in (lane, solve(problem, beta, init, config)):
+            assert sol.marginal.tobytes() == marginal.tobytes()
+            assert sol.iterations == iterations
+            assert sol.converged == converged
+
+
+def poison_step(monkeypatch, call: int, lane=None) -> list:
+    """Make the call-th BA step (counted from 1) write NaN into its output,
+    or only into one lane's row of a stack. Returns the one-item list that
+    counts the steps taken."""
+    update, calls = rdmod._ba_update, [0]
+
+    def poisoned(expw, px, p, buf, out):
+        new = update(expw, px, p, buf, out)
+        calls[0] += 1
+        if calls[0] == call:
+            (out if lane is None else out[lane]).fill(np.nan)
+        return new
+
+    monkeypatch.setattr(rdmod, "_ba_update", poisoned)
+    return calls
+
+
+class TestBlockEdges:
+    """A block of steps runs past a lane's stopping row, and only rows up to
+    it count; an error names the iteration it happened in."""
+
+    CONFIG = SolverConfig(epsilon=1e-9)
+
+    def test_block_length(self):
+        """One step per block until 16 steps are done, then one step per 16
+        taken, up to 64, and never past the budget."""
+        lengths = [rdmod._block_length(done, 10**7) for done in (0, 15, 16, 47, 48, 1023, 1024, 5000)]
+        assert lengths == [1, 1, 1, 2, 3, 63, 64, 64]
+        assert rdmod._block_length(5000, 5010) == 10
+
+    def test_nan_after_the_stopping_row_is_ignored(self, monkeypatch):
+        problem = builtin_problem("fig1_like")
+        clean = solve(problem, 10.0, config=self.CONFIG)
+        assert clean.converged and block_of(clean.iterations)[1] > clean.iterations
+        poison_step(monkeypatch, clean.iterations + 1)
+        poisoned = solve(problem, 10.0, config=self.CONFIG)
+        assert poisoned.iterations == clean.iterations
+        assert poisoned.marginal.tobytes() == clean.marginal.tobytes()
+
+    def test_nan_after_a_lanes_stopping_row_is_ignored_in_a_stack(self, monkeypatch):
+        """Lane 0 stops inside a block that lane 1 runs to its end; its rows
+        after the stop stay in the stack until then."""
+        problem = builtin_problem("fig1_like")
+        betas = [10.0, 4.9]
+        clean = solve_batch(problem, betas, config=self.CONFIG)
+        first = clean[0].iterations
+        assert block_of(first)[1] > first and clean[1].iterations > block_of(first)[1]
+        poison_step(monkeypatch, first + 1, lane=0)
+        for before, after in zip(clean, solve_batch(problem, betas, config=self.CONFIG)):
+            assert after.iterations == before.iterations
+            assert after.marginal.tobytes() == before.marginal.tobytes()
+
+    def test_nan_raises_at_its_own_iteration(self, monkeypatch):
+        """Iteration 67 opens a block that runs on to step 70 before its
+        distances are read."""
+        assert block_of(67) == (67, 70)
+        problem = builtin_problem("fig1_like")
+        poison_step(monkeypatch, 67)
+        with pytest.raises(NumericalError, match="^non-finite marginal at iteration 67$"):
+            solve(problem, 4.9, config=self.CONFIG)
+
+    def test_nan_in_one_lane_raises_at_its_own_iteration(self, monkeypatch):
+        problem = builtin_problem("fig1_like")
+        poison_step(monkeypatch, 67, lane=1)
+        with pytest.raises(NumericalError, match="^non-finite marginal at iteration 67$"):
+            solve_batch(problem, [4.9, 17.2], config=self.CONFIG)
+
+    @pytest.mark.parametrize("budget", [1, 64, 65, 130, 1100])
+    def test_block_is_capped_at_the_budget(self, monkeypatch, budget):
+        """A solve that cannot converge takes exactly max_iterations steps."""
+        problem = builtin_problem("fig1_like")
+        calls = poison_step(monkeypatch, 0)
+        sol = solve(problem, 4.9, config=SolverConfig(max_iterations=budget))
+        assert not sol.converged and sol.iterations == calls[0] == budget
+
+
 class TestDualityGap:
     def test_zero_at_the_closed_form_optimum(self):
         sol = solve(binary_hamming(0.7), 2.0, config=SolverConfig(epsilon=1e-13))
@@ -667,3 +781,14 @@ class TestDualityGap:
     def test_serialized(self):
         sol = solve(binary_hamming(), 1.0)
         assert sol.to_json_dict()["gap"] == sol.gap
+
+    @pytest.mark.parametrize("beta", [700.0, 1000.0])
+    def test_overflowing_dead_factor_is_summed_in_log_space(self, beta):
+        """The dead representative's factor is exp(beta) at the symbol it
+        reproduces exactly; from beta 710 on it overflows. The massless
+        middle symbol gives 0 * inf = NaN in the linear sum."""
+        problem = RdProblem(px=[0.5, 0.0, 0.5], d=[[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        with np.errstate(over="ignore"):
+            sol = solve(problem, beta, init=[1.0, 0.0])
+        assert sol.marginal.tolist() == [1.0, 0.0]
+        assert sol.gap == pytest.approx(np.log(0.5) + beta, rel=1e-15)
