@@ -1,11 +1,11 @@
 """Information bottleneck problems and the extended alternating iteration.
 
-The bottleneck iteration carries three coupled objects: an encoder p(xhat|x),
-its marginal, and a decoder p(y|xhat). Each step refreshes the decoder from
-the current encoder, rebuilds the relevance distortion (a KL divergence to
-the decoder rows), then applies the usual Boltzmann encoder and marginal
-updates with that distortion. Convergence is measured on the encoder, since
-the marginal alone does not determine a bottleneck solution.
+The bottleneck iteration carries an encoder p(xhat|x). Each step takes its
+marginal and its decoder p(y|xhat) from the current encoder, rebuilds the
+relevance distortion (a KL divergence to the decoder rows), then applies the
+usual Boltzmann encoder update with that distortion. Convergence is measured
+on the encoder, since the marginal alone does not determine a bottleneck
+solution.
 """
 
 from dataclasses import dataclass
@@ -24,15 +24,14 @@ from .probability import (
 )
 from .rd import (
     _BLOCK,
-    _NORMS,
     JsonRecord,
     RdProblem,
     SolverConfig,
     _aligned_rows,
-    _block_length,
     _check_beta,
-    _first_stops,
+    _check_tolerance,
     _read_only,
+    _run_blocks,
 )
 
 DEFAULT_MERGE_TOL = 1e-6
@@ -213,17 +212,18 @@ def _relevance(problem: IbProblem, decoder: np.ndarray, buf: _IbBuffers) -> np.n
     return np.add.reduce(kl, axis=-1, out=buf.dist)
 
 
-def _ib_update(problem: IbProblem, encoder: np.ndarray, marginal: np.ndarray,
-               beta: float, buf: _IbBuffers, out: np.ndarray, marginal_out: np.ndarray):
-    """The bottleneck map on an encoder and its marginal px @ encoder.
+def _ib_update(problem: IbProblem, encoder: np.ndarray, beta: float,
+               buf: _IbBuffers, out: np.ndarray):
+    """The bottleneck map on an encoder.
 
-    Returns (new_encoder, new_marginal, decoder_used): the new encoder is
-    out, which has the layout of buf.encoder, the new marginal is
-    marginal_out, and the decoder is buf.dec; the new marginal is the one
-    the next update takes. buf.norms keeps the row masses the new encoder
-    was divided by; a row that lost all mass leaves NaN there and in the
-    new encoder. Needs divide and invalid floating-point errors ignored.
+    Returns (new_encoder, decoder_used): the new encoder is out, which has
+    the layout of buf.encoder, and the decoder is buf.dec. buf.marginal
+    keeps px @ encoder, the marginal the decoder was built from, and
+    buf.norms the row masses the new encoder was divided by; a row that
+    lost all mass leaves NaN there and in the new encoder. Needs divide and
+    invalid floating-point errors ignored.
     """
+    marginal = problem.px.dot(encoder, out=buf.marginal)
     dec = _decode(problem, encoder, marginal, buf)
     dist = _relevance(problem, dec, buf)
     np.log(buf.safe, out=buf.log_safe)
@@ -235,7 +235,7 @@ def _ib_update(problem: IbProblem, encoder: np.ndarray, marginal: np.ndarray,
     np.divide(new_encoder, norms[:, None], out=new_encoder)
     np.less(new_encoder, TINY_MASS, out=buf.flush)
     np.putmask(new_encoder, buf.flush, 0.0)
-    return new_encoder, problem.px.dot(new_encoder, out=marginal_out), dec
+    return new_encoder, dec
 
 
 def _check_row_mass(buf: _IbBuffers) -> None:
@@ -288,13 +288,12 @@ def ib_step(problem: IbProblem, encoder, beta: float):
     _check_beta(beta)
     encoder = np.asarray(encoder, dtype=float)
     _check_encoder_shape(problem, encoder)
-    marginal = problem.px @ encoder
-    _check_marginal(marginal)
     buf = _IbBuffers(problem, problem.m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        step = _ib_update(problem, encoder, marginal, beta, buf, buf.encoder, buf.marginal)
+        new_encoder, dec = _ib_update(problem, encoder, beta, buf, buf.encoder)
+    _check_marginal(buf.marginal)
     _check_row_mass(buf)
-    return step
+    return new_encoder, problem.px.dot(new_encoder), dec
 
 
 def relevant_information(problem: IbProblem, marginal, decoder) -> float:
@@ -362,56 +361,29 @@ def ib_solve(
     if np.any(sums <= 0):
         raise ValueError("init encoder has an all-zero row")
     enc = enc / sums
-    marginal = problem.px @ enc
 
     buf = _IbBuffers(problem, problem.m)
-    # Step b of a block writes encoders[b] and marginals[b]; row 0 holds the
-    # block's start. The rows take the layout of the map's output.
-    encoders = _aligned_rows(_BLOCK + 1, enc.shape, buf.encoder.strides)
-    marginals = np.empty((_BLOCK + 1, problem.m))
-    views = list(zip(encoders[1:], marginals[1:]))
-    # An l1 distance sums each step's difference in C order, as the
-    # flattened difference of two encoders always did; a maximum reads any
-    # order.
-    diff = np.empty((_BLOCK,) + enc.shape)
-    flat = diff.reshape(_BLOCK, -1)
-    delta = np.empty(_BLOCK)
-    reduce, epsilon = _NORMS[config.norm].reduce, config.epsilon
-    encoders[0], marginals[0] = enc, marginal
-    converged = False
-    iterations = 0
+    # Step b writes rows[b], which takes the layout of the map's output;
+    # the first step reads the caller's encoder as it is.
+    rows = _aligned_rows(_BLOCK + 1, enc.shape, buf.encoder.strides)
+    rows[0] = enc
+    outs = list(rows)
+
+    def step(encoder, b):
+        return _ib_update(problem, encoder, beta, buf, outs[b])[0]
+
+    def fail(_, iteration):
+        _check_row_mass(buf)
+        raise NumericalError(f"non-finite encoder at iteration {iteration}")
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while iterations < config.max_iterations:
-            steps = _block_length(iterations, config.max_iterations)
-            # The first step reads the block's start as it is: the caller's
-            # layout in the first block, a row of encoders afterwards.
-            new_enc, new_marginal = enc, marginal
-            for out, marginal_out in views[:steps]:
-                new_enc, new_marginal, _ = _ib_update(
-                    problem, new_enc, new_marginal, beta, buf, out, marginal_out)
-            np.subtract(encoders[1:steps + 1], encoders[:steps], out=diff[:steps])
-            np.abs(diff[:steps], out=diff[:steps])
-            reduce(flat[:steps], axis=-1, out=delta[:steps])
-            stops = _first_stops(delta[:steps], epsilon)
-            if stops is None:
-                iterations += steps
-                encoders[0], marginals[0] = new_enc, new_marginal
-                enc, marginal = encoders[0], marginals[0]
-                continue
-            row = int(stops[0])
-            if not delta[row] < epsilon:
-                if row > 0:
-                    enc, marginal = encoders[row], marginals[row]
-                _ib_update(problem, enc, marginal, beta, buf,
-                           encoders[row + 1], marginals[row + 1])
-                _check_row_mass(buf)
-                raise NumericalError(
-                    f"non-finite encoder at iteration {iterations + row + 1}")
-            iterations += row + 1
-            converged = True
-            enc, marginal = encoders[row + 1], marginals[row + 1]
-            break
-    enc, marginal = enc.copy(order="K"), marginal.copy()
+        iterations, stopped, ends = _run_blocks(
+            step, enc, rows, np.empty((_BLOCK,) + enc.shape), np.empty((_BLOCK, 1)), 1,
+            config, 0, fail)
+    if stopped is not None:
+        iterations = ends[0]
+    marginal = problem.px.dot(rows[0])
+    enc = rows[0].copy(order="K")
 
     dec = ib_decoder(problem, enc, marginal)
     return IbSolution(
@@ -422,7 +394,7 @@ def ib_solve(
         rate=mutual_information(problem.px, enc),
         relevant_info=relevant_information(problem, marginal, dec),
         iterations=iterations,
-        converged=converged,
+        converged=stopped is not None,
     )
 
 
@@ -441,6 +413,7 @@ def decoder_classes(
     """
     if not 0 < merge_tol < np.inf:
         raise ValueError("merge_tol must be finite and positive")
+    _check_tolerance(zero_tol, "zero_tol")
     reps: list[np.ndarray] = []
     order = np.argsort(-solution.marginal, kind="stable")
     for i in order:

@@ -287,32 +287,30 @@ class _BaBuffers:
     the history of a block of steps.
 
     Written in place on every step: the partition function z, px / z and
-    the flush mask. Step b reads iterates[b - 1] and writes outs[b], whose
-    rows start on cache lines; iterates[0] holds the block's start. A
-    stack's outputs are shaped as np.matmul shapes its own, (lanes, 1, m),
-    like its partition functions, (lanes, n, 1), so its products take the
-    path they took when numpy allocated them; iterates views them as
-    (lanes, m). diff and delta receive |new - old| and the per-step
-    distances (per lane for a stack) of a whole block. Every array the
-    products touch starts on a cache line.
+    the flush mask. Step b writes outs[b], whose rows start on cache lines;
+    iterates[0] holds the block's start. A stack's outputs are shaped as
+    np.matmul shapes its own, (lanes, 1, m), like its partition functions,
+    (lanes, n, 1), so its products take the path they took when numpy
+    allocated them; iterates views them as (lanes, m). diff and delta
+    receive |new - old| and the per-lane distances of a whole block. Every
+    array the products touch starts on a cache line.
     """
 
     def __init__(self, expw: np.ndarray, p: np.ndarray, steps: int = 1):
         n, m = expw.shape[-2:]
+        lanes = 1 if p.ndim == 1 else p.shape[0]
         if p.ndim == 1:
             self.z_out = self.z = _aligned_empty((n,))
             self.outs = self.iterates = _aligned_rows(steps + 1, (m,))
         else:
-            lanes = p.shape[0]
             self.z_out = _aligned_empty((lanes, n, 1))
             self.z = self.z_out[:, :, 0]
             self.outs = _aligned_rows(steps + 1, (lanes, 1, m))
             self.iterates = self.outs[:, :, 0, :]
         self.r = _aligned_empty(self.z.shape)
         self.flush = np.empty(p.shape, dtype=bool)
-        self.steps = list(zip(self.iterates[:-1], self.outs[1:]))
         self.diff = np.empty((steps,) + p.shape)
-        self.delta = _aligned_empty((steps,) + p.shape[:-1])
+        self.delta = _aligned_empty((steps, lanes))
 
 
 def _ba_update(expw: np.ndarray, px: np.ndarray, p: np.ndarray,
@@ -360,22 +358,6 @@ def _block_length(done: int, budget: int) -> int:
     return min(_BLOCK, max(1, done // _BLOCK_GROWTH), budget - done)
 
 
-def _first_stops(delta: np.ndarray, epsilon: float):
-    """Each lane's first step whose distance is below epsilon or not finite.
-
-    delta holds one row of distances per step of a block, with one column
-    per lane. Returns None when no lane stops in the block, and otherwise
-    each lane's stopping row and whether it stops at all; rows after a
-    lane's stopping row are never read, so a NaN there changes nothing. A
-    NaN fails every comparison, so it stops a lane like an infinity.
-    """
-    if (np.minimum.reduce(delta, axis=None) >= epsilon
-            and np.maximum.reduce(delta, axis=None) < np.inf):
-        return None
-    running = np.greater_equal(delta, epsilon) & np.less(delta, np.inf)
-    return running.argmin(axis=0), ~running.all(axis=0)
-
-
 def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     """Normalized Boltzmann weights a[x, xhat] = exp(-beta d(x, xhat)) / Z(x).
 
@@ -389,9 +371,10 @@ def _boltzmann(problem: RdProblem, marginal: np.ndarray, beta: float):
     """boltzmann_factors, with the shifted exponents and the partition
     function Z they were divided by."""
     exponents, dead = _shifted_exponents(problem, marginal, beta)
-    expw = np.exp(exponents)
-    # Dead columns add exact zeros to Z; leaving them out keeps Z finite
-    # when a dead column's weight has overflowed.
+    # Only a dead column's weight can overflow, and Z leaves it out: it
+    # adds an exact zero there, and leaving it out keeps Z finite.
+    with np.errstate(over="ignore"):
+        expw = np.exp(exponents)
     z = np.where(dead, 0.0, expw) @ marginal
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise NumericalError("partition function underflowed or overflowed")
@@ -442,12 +425,6 @@ def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     return new
 
 
-def _residual_from_factors(problem: RdProblem, marginal: np.ndarray, a) -> np.ndarray:
-    """Fixed-point residual q(xhat) * (1 - sum_x px(x) a(x, xhat)) of the
-    alternating step, from the normalized Boltzmann factors a at q."""
-    return marginal * (1.0 - problem.px @ a)
-
-
 def expected_distortion(problem: RdProblem, encoder) -> float:
     """Average distortion sum_{x,xhat} px(x) p(xhat|x) d(x,xhat)."""
     encoder = np.asarray(encoder, dtype=float)
@@ -465,72 +442,110 @@ def _initial_marginal(problem: RdProblem, init) -> np.ndarray:
     return p
 
 
+def _run_blocks(step, start, rows, diff, delta, lanes: int, config: SolverConfig,
+                k: int, fail):
+    """Run the alternating iteration from step k in blocks of steps, testing
+    the stopping rule once per block, until some lane stops or the budget
+    runs out.
+
+    step(p, b) takes one step from p, writes it to rows[b] and returns it;
+    the first step reads start, whose values rows[0] holds, and step b + 1
+    reads what step b returned. _block_length sets each block's length, and
+    one subtract, abs and reduce into diff and delta (rows of distances,
+    one column per lane) give the block's distances; an l1 distance sums a
+    lane's difference in C order. A lane stops at its first row below
+    epsilon, or fails at its first non-finite row, which a vanishing
+    partition function, a row that lost all mass or any other non-finite
+    iterate makes NaN or inf; rows after that are never read, so a NaN
+    there changes nothing. The first failing step is run again from its
+    own start, so the map's buffers hold its state, and fail(lanes that
+    failed there, its iteration) raises.
+
+    Returns (k, stopped, ends): k is the number of steps taken, and rows[0]
+    holds each lane's latest iterate, which is its stopping one for a lane
+    that stopped. stopped and ends are None when the budget ran out first;
+    otherwise stopped masks the lanes that stopped, and ends maps each of
+    them to its stopping iteration.
+    """
+    reduce, epsilon = _NORMS[config.norm].reduce, config.epsilon
+    while k < config.max_iterations:
+        steps = _block_length(k, config.max_iterations)
+        p = start
+        for b in range(1, steps + 1):
+            p = step(p, b)
+        d = np.subtract(rows[1:steps + 1], rows[:steps], out=diff[:steps])
+        np.abs(d, out=d)
+        dist = reduce(d.reshape(steps, lanes, -1), axis=-1, out=delta[:steps])
+        if (np.minimum.reduce(dist, axis=None) >= epsilon
+                and np.maximum.reduce(dist, axis=None) < np.inf):
+            k += steps
+            rows[0] = rows[steps]
+            start = rows[0]
+            continue
+        # A NaN fails every comparison, so it stops a lane like an infinity.
+        running = np.greater_equal(dist, epsilon) & np.less(dist, np.inf)
+        stop, stopped = running.argmin(axis=0), ~running.all(axis=0)
+        at = np.flatnonzero(stopped)
+        failed = at[~(dist[stop[at], at] < epsilon)]
+        if failed.size:
+            row = int(stop[failed].min())
+            step(start if row == 0 else rows[row], row + 1)
+            fail(failed[stop[failed] == row], k + row + 1)
+        if lanes == 1:
+            rows[0] = rows[stop[0] + 1]
+        else:
+            rows[0] = rows[steps]
+            for i in at:
+                rows[0, i] = rows[stop[i] + 1, i]
+        return k + steps, stopped, {int(i): k + int(stop[i]) + 1 for i in at}
+    return k, None, None
+
+
 def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConfig):
     """Run the alternating iteration on a stack of independent lanes.
 
     expw is (lanes, n, m) and p is (lanes, m). Each lane stops on its own
-    epsilon test and then leaves the stack, so later blocks only touch the
-    lanes still running; the last lane left runs on plain 2-D and 1-D
-    arrays, which is how a single solve runs from the start. Returns each
-    lane's final marginal, iteration count and convergence flag; a lane
-    that exhausts the budget stops at max_iterations with converged False.
-
-    The stopping rule is tested once per block of steps, whose length
-    _block_length sets: the steps write their iterates into the rows of a
-    history, and one subtract, abs and reduce give the block's distances.
-    A lane stops at its first row below epsilon, or raises at its first
-    non-finite row, which a vanishing partition function or any non-finite
-    iterate makes NaN or inf; that step is then run again from its own
-    start so the error can read its partition function. Lanes that stopped
-    in a block leave at its end; when they do, the weights of those still
-    running are copied to a new cache-aligned stack.
+    epsilon test (_run_blocks) and then leaves the stack, so later blocks
+    only touch the lanes still running; the last lane left runs on plain
+    2-D and 1-D arrays, which is how a single solve runs from the start.
+    Returns each lane's final marginal, iteration count and convergence
+    flag; a lane that exhausts the budget stops at max_iterations with
+    converged False. When lanes leave, the weights of those still running
+    are copied to a new cache-aligned stack.
     """
     lanes = np.arange(p.shape[0])
     marginals = [None] * lanes.size
     iterations = [config.max_iterations] * lanes.size
     converged = [False] * lanes.size
-    reduce, epsilon = _NORMS[config.norm].reduce, config.epsilon
-    w, q = (expw, p) if lanes.size > 1 else (expw[0], p[0])
-    buf = _BaBuffers(w, q, _BLOCK)
-    buf.iterates[0] = q
     k = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while k < config.max_iterations:
-            steps = _block_length(k, config.max_iterations)
-            for start, out in buf.steps[:steps]:
-                _ba_update(w, px, start, buf, out)
-            diff = np.subtract(buf.iterates[1:steps + 1], buf.iterates[:steps],
-                               out=buf.diff[:steps])
-            np.abs(diff, out=diff)
-            delta = reduce(diff, axis=-1, out=buf.delta[:steps]).reshape(steps, -1)
-            stops = _first_stops(delta, epsilon)
-            if stops is None:
-                k += steps
-                buf.iterates[0] = buf.iterates[steps]
-                continue
-            stop, stopped = stops
-            rows = buf.iterates[:steps + 1].reshape(steps + 1, lanes.size, -1)
-            at = np.flatnonzero(stopped)
-            failed = at[~(delta[stop[at], at] < epsilon)]
-            if failed.size:
-                row = int(stop[failed].min())
-                _ba_update(w, px, buf.iterates[row], buf, buf.outs[row + 1])
-                z = buf.z.reshape(lanes.size, -1)
-                raise _nonfinite_error(z[failed[stop[failed] == row]], k + row + 1)
-            for i in at:
-                marginals[lanes[i]] = rows[stop[i] + 1, i].copy()
-                iterations[lanes[i]] = k + int(stop[i]) + 1
+        while True:
+            w, q = (expw, p) if lanes.size > 1 else (expw[0], p[0])
+            buf = _BaBuffers(w, q, _BLOCK)
+            buf.iterates[0] = q
+            outs = list(buf.outs)
+
+            def step(start, b):
+                return _ba_update(w, px, start, buf, outs[b])
+
+            def fail(failed, iteration):
+                raise _nonfinite_error(buf.z.reshape(lanes.size, -1)[failed], iteration)
+
+            k, stopped, ends = _run_blocks(step, buf.iterates[0], buf.iterates, buf.diff,
+                                           buf.delta, lanes.size, config, k, fail)
+            latest = buf.iterates[0].reshape(lanes.size, -1)
+            if stopped is None:
+                break
+            for i, end in ends.items():
+                marginals[lanes[i]] = latest[i].copy()
+                iterations[lanes[i]] = end
                 converged[lanes[i]] = True
-            k += steps
             keep = ~stopped
-            lanes, q = lanes[keep], rows[steps, keep]
+            lanes, p = lanes[keep], latest[keep]
             if lanes.size == 0:
                 return marginals, iterations, converged
             expw = _aligned_copy(expw[keep])
-            w, q = (expw, q) if lanes.size > 1 else (expw[0], q[0])
-            buf = _BaBuffers(w, q, _BLOCK)
-            buf.iterates[0] = q
-    for lane, row in zip(lanes, buf.iterates[0].reshape(lanes.size, -1).copy()):
+    for lane, row in zip(lanes, latest.copy()):
         marginals[lane] = row
     return marginals, iterations, converged
 

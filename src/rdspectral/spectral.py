@@ -24,7 +24,6 @@ from .rd import (
     JsonRecord,
     RdProblem,
     _check_tolerance,
-    _residual_from_factors,
     boltzmann_factors,
 )
 
@@ -42,7 +41,10 @@ class FixedPointJacobian:
     stationarity the evaluation point was so downstream consumers can
     discount reports taken at poor points. factors holds the normalized
     Boltzmann weights a the matrix is built from, A = (a^T diag(px) a)
-    diag(q); the spectrum works from them directly and never forms A.
+    diag(q); the spectrum works from them directly and never forms A. A
+    dead column's factors may be inf: they enter only the dead
+    representatives' rows of A, and since A's dead columns vanish, those
+    rows leave the spectrum alone.
     """
 
     beta: float
@@ -87,13 +89,18 @@ def jacobian(
     Uses the product form with explicit Boltzmann factors, which stays
     defined on zero-mass columns (the conditional-probability form does
     not). Warns when the evaluation point is not a fixed point to within
-    fixed_point_tol.
+    fixed_point_tol, measured by the residual q(xhat) (1 - sum_x px(x)
+    a(x, xhat)). A dead column's factor may overflow, as its mass keeps it
+    out of the spectrum; its residual is exactly 0.
     """
     marginal = np.asarray(marginal, dtype=float)
     a = boltzmann_factors(problem, marginal, beta)
-    if not np.all(np.isfinite(a)):
+    live = marginal > 0
+    if not (np.isfinite(a) | ~live).all():
         raise NumericalError("Jacobian evaluation produced non-finite factors")
-    res = float(np.abs(_residual_from_factors(problem, marginal, a)).max())
+    with np.errstate(invalid="ignore"):
+        residual = marginal * (1.0 - problem.px @ a)
+    res = float(np.abs(np.where(live, residual, 0.0)).max())
     if res > fixed_point_tol:
         warnings.warn(
             f"Jacobian evaluated at a non-fixed point (residual {res:.3g}); "
@@ -113,7 +120,7 @@ def _support_gram(problem: RdProblem, marginal: np.ndarray, a, zero_tol) -> np.n
     """(C^(1/2) B)(C^(1/2) B)^T on the support, with C = diag(q) and
     B[xhat, x] = sqrt(px(x)) a(x, xhat): symmetric and similar to A there."""
     sup = marginal > zero_tol
-    b_sup = (np.sqrt(problem.px)[:, None] * a).T[sup]
+    b_sup = a.T[sup] * np.sqrt(problem.px)
     scaled = np.sqrt(marginal[sup])[:, None] * b_sup
     return scaled @ scaled.T
 

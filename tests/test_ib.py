@@ -539,6 +539,26 @@ class TestBlockEdges:
             self._solve()
 
 
+    def test_first_step_reruns_from_the_callers_encoder(self, monkeypatch):
+        """A column-permuted pxy gives the history rows another layout than
+        the caller's C-ordered encoder; the re-run of a failing first step
+        reads the encoder that step read."""
+        rng = np.random.default_rng(5)
+        problem = IbProblem(pxy=rng.dirichlet(np.ones(12)).reshape(3, 4)[:, [2, 0, 3, 1]])
+        assert problem.pxy.flags.f_contiguous and not problem.pxy.flags.c_contiguous
+        seen, update = [], ibmod._ib_update
+
+        def recording(problem, encoder, *args):
+            seen.append(encoder)
+            return update(problem, encoder, *args)
+
+        monkeypatch.setattr(ibmod, "_ib_update", recording)
+        poison_ib_step(monkeypatch, 1)
+        with pytest.raises(NumericalError, match="^non-finite encoder at iteration 1$"):
+            ib_solve(problem, 5.0)
+        assert len(seen) == 2 and seen[1] is seen[0] and seen[0].flags.c_contiguous
+
+
 class TestEffectiveCardinality:
     def _solution_with(self, marginal, decoder):
         problem = bottleneck_four_symbol()
@@ -573,6 +593,14 @@ class TestEffectiveCardinality:
         sol = self._solution_with([0.5, 0.5, 0.0, 0.0], np.tile([0.4, 0.6], (4, 1)))
         with pytest.raises(ValueError, match="merge_tol"):
             decoder_classes(sol, merge_tol=tol)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 1.0, 2.0])
+    def test_rejects_zero_tol_outside_unit_interval(self, tol):
+        """A NaN zero_tol would count every representative and one of 1 or
+        more none."""
+        sol = self._solution_with([0.5, 0.5, 0.0, 0.0], np.tile([0.4, 0.6], (4, 1)))
+        with pytest.raises(ValueError, match="zero_tol"):
+            decoder_classes(sol, zero_tol=tol)
 
     def test_three_classes_between_upper_transitions(self):
         """Between the second and third transitions (near 19 and 25 under

@@ -1,6 +1,7 @@
 """Unit tests for the rate-distortion problem type and the alternating solver."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -512,6 +513,13 @@ class TestSolveBatch:
         assert restricted.gap == 999.3068528194401
         for lane in (lanes[0], lanes[2]):
             assert lane.converged and np.all(np.isfinite(lane.marginal))
+
+    def test_overflowing_dead_column_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0], [1.0, 0.0]]), 1000.0,
+                        init=[1.0, 0.0])
+        assert sol.gap == 999.3068528194401
 
     def test_numerical_error_in_one_lane_is_raised(self):
         """A sub-normal starting mass overflows px / z in its lane's first

@@ -64,6 +64,24 @@ class TestJacobianForms:
             with pytest.raises(NumericalError, match="non-finite"):
                 jacobian_matrix(jac)
 
+    @pytest.mark.parametrize("px, d", [
+        ([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]),
+        ([0.5, 0.0, 0.5], [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]),
+    ])
+    def test_overflowing_dead_factor(self, px, d):
+        """At beta 1000 the dead representative's factor overflows, and
+        against a massless symbol it meets a zero mass; only the live
+        column enters the spectrum, and the dead one's residual is 0."""
+        problem = RdProblem(px=px, d=d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(problem, 1000.0, init=[1.0, 0.0])
+            jac = jacobian(problem, sol.marginal, 1000.0)
+            report = eigen_spectrum(jac)
+        assert np.isinf(jac.factors[:, 1]).any() and jac.residual_linf == 0.0
+        np.testing.assert_allclose(report.eigenvalues, [0.0, 1.0], rtol=0, atol=1e-15)
+        assert report.kernel_dim == 1
+
     def test_beta_zero_is_rank_one(self):
         rng = np.random.default_rng(0)
         problem = random_problem(rng, 3, 4)
