@@ -35,6 +35,10 @@ from .rd import (
 )
 
 DEFAULT_MERGE_TOL = 1e-6
+# The map's scalar operands as 0-d arrays, which ufuncs take without
+# converting a Python float on every call.
+_ZERO = _read_only(np.zeros(()))
+_TINY_MASS = _read_only(np.array(TINY_MASS))
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,8 @@ class IbProblem(JsonRecord):
 
     pxy[i, j] is the joint mass of (x=i, y=j). The x-marginal must be
     strictly positive and x must actually carry information about y;
-    m representatives (default |X|, which is always enough) are optimized.
+    m representatives are optimized; m is an integer, and 0, the default,
+    means |X|, which is always enough.
     The derived arrays (marginals, conditionals and the decoder-independent
     factors of the relevance distortion) are computed once and read-only;
     pxy is a read-only copy, so they cannot go stale.
@@ -66,11 +71,13 @@ class IbProblem(JsonRecord):
         px = pxy.sum(axis=1)
         if np.any(px <= 0):
             raise ValueError("every source symbol must have positive mass")
-        m = self.m if self.m else pxy.shape[0]
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
+            raise ValueError("m must be an integer")
+        m = int(self.m) or pxy.shape[0]
         if m < 1:
             raise ValueError("representation alphabet must be non-empty")
         object.__setattr__(self, "pxy", _read_only(pxy))
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", m)
         if self.relevant_information_ceiling() <= 1e-12:
             raise ValueError("x carries no information about y (I(X;Y) = 0)")
 
@@ -121,7 +128,7 @@ class IbProblem(JsonRecord):
             raise ValueError(
                 "bottleneck problem needs either 'pxy' or 'px' + 'py_given_x'"
             )
-        return cls(pxy=pxy, m=int(obj.get("m", 0)))
+        return cls(pxy=pxy, m=obj.get("m", 0))
 
 
 @dataclass
@@ -157,14 +164,11 @@ class _IbBuffers:
             kl = np.where(pos, pygx * (logp - np.zeros((1, m, ny))), 0.0)
         dist = kl.sum(axis=-1)
         encoder = np.where(np.ones(m, dtype=bool), np.zeros(m) - dist, -np.inf)
-        self.px_column = problem.px[:, None]
         # Where p(y|x) > 0 everywhere no relevance term needs blanking.
         self.blank = None if pos.all() else ~pos
         self.dead = np.empty(m, dtype=bool)
-        self.safe = np.empty(m)
-        self.dead_column = self.dead[:, None]
-        self.safe_column = self.safe[:, None]
-        self.log_safe = np.empty(m)
+        self.marginal = np.empty(m)
+        self.log_marginal = np.empty(m)
         self.dec = np.empty((m, ny))
         self.log_dec = np.empty((m, ny))
         self.kl = np.empty_like(kl)
@@ -174,68 +178,100 @@ class _IbBuffers:
         self.encoder = np.empty_like(encoder)
         self.weighted = np.empty_like(encoder)
         self.flush = np.empty_like(encoder, dtype=bool)
-        self.marginal = np.empty(m)
+
+
+def _decoder_stage(problem: IbProblem, buf: _IbBuffers):
+    """decode(encoder): the decoder rows of an encoder whose marginal
+    buf.marginal holds, written to buf.dec; needs divide and invalid
+    floating-point errors ignored.
+
+    Rows are divided by the marginal itself. A dead representative's row,
+    0 / 0 (or x / 0 where px * encoder underflowed), is overwritten with py
+    right after, and buf.dead keeps the mask of those rows. The weighted
+    encoder keeps the encoder's own layout.
+    """
+    px_column, pygx, py = problem.px[:, None], problem.py_given_x, problem.py
+    marginal, dead, dec, weighted = buf.marginal, buf.dead, buf.dec, buf.weighted
+    marginal_column, dead_column, strides = marginal[:, None], dead[:, None], weighted.strides
+    # px spread over the encoder's shape spares the broadcast; an encoder of
+    # another layout keeps the column, so numpy lays out its product as before.
+    px_spread = np.empty_like(weighted)
+    px_spread[...] = px_column
+    less_equal, multiply, divide, copyto = np.less_equal, np.multiply, np.divide, np.copyto
+
+    def decode(encoder):
+        less_equal(marginal, _ZERO, out=dead)
+        if encoder.strides == strides:
+            w = multiply(encoder, px_spread, out=weighted)
+        else:
+            w = multiply(encoder, px_column)
+        rows = w.T.dot(pygx, out=dec)
+        divide(rows, marginal_column, out=rows)
+        copyto(rows, py, where=dead_column)
+        return rows
+
+    return decode
+
+
+def _relevance_stage(problem: IbProblem, buf: _IbBuffers):
+    """relevance(decoder): KL(p(y|x) || decoder row) for every pair, written
+    to buf.dist; needs divide and invalid floating-point errors ignored."""
+    pygx, logp, _ = problem._kl_terms
+    log_dec, kl, dist, blank = buf.log_dec, buf.kl, buf.dist, buf.blank
+    log, subtract, multiply, copyto = np.log, np.subtract, np.multiply, np.copyto
+    add_reduce = np.add.reduce
+
+    def relevance(decoder):
+        terms = multiply(pygx, subtract(logp, log(decoder, out=log_dec), out=kl), out=kl)
+        if blank is not None:
+            copyto(terms, _ZERO, where=blank)
+        return add_reduce(terms, axis=-1, out=dist)
+
+    return relevance
+
+
+def _ib_map(problem: IbProblem, beta: float, buf: _IbBuffers):
+    """The bottleneck map at one beta, bound once to the problem's arrays and
+    to buf: step(encoder, out) writes the new encoder to out, which has the
+    layout of buf.encoder, and returns it.
+
+    A step takes the marginal px @ encoder (kept in buf.marginal), the
+    decoder (buf.dec), the relevance distortion, the logits log(marginal) -
+    beta * dist, their row maxima, exp of the shifted logits, the row masses
+    (buf.norms; a row that lost all mass leaves NaN there and in the new
+    encoder), their quotient and the flush of masses below TINY_MASS. A dead
+    representative's logits need no fill: log 0 = -inf, and its distortion
+    is KL(p(y|x) || py), which is finite, so they stay -inf at every beta.
+    Needs divide, invalid and overflow floating-point errors ignored.
+    """
+    decode, relevance = _decoder_stage(problem, buf), _relevance_stage(problem, buf)
+    px_dot = problem.px.dot
+    marginal, log_marginal, flush = buf.marginal, buf.log_marginal, buf.flush
+    row_max, norms = buf.row_max, buf.norms
+    row_max_column, norms_column = row_max[:, None], norms[:, None]
+    log, exp, subtract, multiply = np.log, np.exp, np.subtract, np.multiply
+    divide, less, copyto = np.divide, np.less, np.copyto
+    max_reduce, add_reduce = np.maximum.reduce, np.add.reduce
+    beta = np.array(beta, dtype=float)
+
+    def step(encoder, out):
+        px_dot(encoder, out=marginal)
+        dist = relevance(decode(encoder))
+        logits = subtract(log(marginal, out=log_marginal), multiply(dist, beta, out=dist),
+                          out=out)
+        max_reduce(logits, axis=1, out=row_max)
+        new = exp(subtract(logits, row_max_column, out=logits), out=logits)
+        add_reduce(new, axis=1, out=norms)
+        divide(new, norms_column, out=new)
+        copyto(new, _ZERO, where=less(new, _TINY_MASS, out=flush))
+        return new
+
+    return step
 
 
 def _check_marginal(marginal: np.ndarray) -> None:
     if marginal.sum() <= 0:
         raise ValueError("encoder induces an all-zero marginal")
-
-
-def _decode(problem: IbProblem, encoder: np.ndarray, marginal: np.ndarray,
-            buf: _IbBuffers) -> np.ndarray:
-    """Decoder rows for an encoder and its marginal, written to buf.dec.
-
-    buf.dead keeps the mask of representatives without mass, and buf.safe
-    the zero-safe marginal the rows were divided by. The weighted encoder
-    keeps the encoder's own layout.
-    """
-    dead = np.logical_not(np.greater(marginal, 0.0, out=buf.dead), out=buf.dead)
-    np.copyto(buf.safe, marginal)
-    np.putmask(buf.safe, dead, 1.0)
-    weighted = buf.weighted if encoder.strides == buf.weighted.strides else None
-    weighted = np.multiply(encoder, buf.px_column, out=weighted)
-    dec = weighted.T.dot(problem.py_given_x, out=buf.dec)
-    np.divide(dec, buf.safe_column, out=dec)
-    np.copyto(dec, problem.py, where=buf.dead_column)
-    return dec
-
-
-def _relevance(problem: IbProblem, decoder: np.ndarray, buf: _IbBuffers) -> np.ndarray:
-    """KL(p(y|x) || decoder row) for every pair, written to buf.dist; needs
-    divide and invalid floating-point errors ignored."""
-    pygx, logp, _ = problem._kl_terms
-    kl = np.subtract(logp, np.log(decoder, out=buf.log_dec), out=buf.kl)
-    np.multiply(pygx, kl, out=kl)
-    if buf.blank is not None:
-        np.copyto(kl, 0.0, where=buf.blank)
-    return np.add.reduce(kl, axis=-1, out=buf.dist)
-
-
-def _ib_update(problem: IbProblem, encoder: np.ndarray, beta: float,
-               buf: _IbBuffers, out: np.ndarray):
-    """The bottleneck map on an encoder.
-
-    Returns (new_encoder, decoder_used): the new encoder is out, which has
-    the layout of buf.encoder, and the decoder is buf.dec. buf.marginal
-    keeps px @ encoder, the marginal the decoder was built from, and
-    buf.norms the row masses the new encoder was divided by; a row that
-    lost all mass leaves NaN there and in the new encoder. Needs divide and
-    invalid floating-point errors ignored.
-    """
-    marginal = problem.px.dot(encoder, out=buf.marginal)
-    dec = _decode(problem, encoder, marginal, buf)
-    dist = _relevance(problem, dec, buf)
-    np.log(buf.safe, out=buf.log_safe)
-    logits = np.subtract(buf.log_safe, np.multiply(dist, beta, out=dist), out=out)
-    np.copyto(logits, -np.inf, where=buf.dead)
-    row_max = np.maximum.reduce(logits, axis=1, out=buf.row_max)
-    new_encoder = np.exp(np.subtract(logits, row_max[:, None], out=logits), out=logits)
-    norms = np.add.reduce(new_encoder, axis=1, out=buf.norms)
-    np.divide(new_encoder, norms[:, None], out=new_encoder)
-    np.less(new_encoder, TINY_MASS, out=buf.flush)
-    np.putmask(new_encoder, buf.flush, 0.0)
-    return new_encoder, dec
 
 
 def _check_row_mass(buf: _IbBuffers) -> None:
@@ -246,9 +282,19 @@ def _check_row_mass(buf: _IbBuffers) -> None:
         raise NumericalError("encoder update lost all mass on some row")
 
 
-def _check_encoder_shape(problem: IbProblem, encoder: np.ndarray) -> None:
+def _checked_encoder(problem: IbProblem, encoder, name: str) -> np.ndarray:
+    """The encoder as a float array, rejected unless it has the problem's
+    shape, finite non-negative entries and some mass on every row."""
+    encoder = np.asarray(encoder, dtype=float)
     if encoder.shape != (problem.n, problem.m):
-        raise ValueError("encoder shape does not match the problem")
+        raise ValueError(f"{name} shape does not match the problem")
+    if not np.all(np.isfinite(encoder)):
+        raise ValueError(f"{name} entries must be finite")
+    if np.any(encoder < 0):
+        raise ValueError(f"{name} has negative entries")
+    if np.any(encoder.sum(axis=1) <= 0):
+        raise ValueError(f"{name} has an all-zero row")
+    return encoder
 
 
 def ib_decoder(problem: IbProblem, encoder, marginal=None) -> np.ndarray:
@@ -257,14 +303,24 @@ def ib_decoder(problem: IbProblem, encoder, marginal=None) -> np.ndarray:
     Rows of representatives with zero marginal mass are set to the global
     p(y): the vanishing-compression limit. That keeps the relevance
     distortion finite without contaminating anything that carries mass.
+    A given marginal must have one finite, non-negative entry per
+    representative and some mass.
     """
-    encoder = np.asarray(encoder, dtype=float)
-    _check_encoder_shape(problem, encoder)
+    encoder = _checked_encoder(problem, encoder, "encoder")
     if marginal is None:
         marginal = problem.px @ encoder
     marginal = np.asarray(marginal, dtype=float)
+    if marginal.shape != (problem.m,):
+        raise ValueError("marginal shape does not match the problem")
+    if not np.all(np.isfinite(marginal)):
+        raise ValueError("marginal entries must be finite")
+    if np.any(marginal < 0):
+        raise ValueError("marginal has negative entries")
     _check_marginal(marginal)
-    return _decode(problem, encoder, marginal, _IbBuffers(problem, problem.m))
+    buf = _IbBuffers(problem, problem.m)
+    np.copyto(buf.marginal, marginal)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _decoder_stage(problem, buf)(encoder)
 
 
 def ib_distortion(problem: IbProblem, decoder) -> np.ndarray:
@@ -275,7 +331,7 @@ def ib_distortion(problem: IbProblem, decoder) -> np.ndarray:
     """
     decoder = np.asarray(decoder, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _relevance(problem, decoder, _IbBuffers(problem, decoder.shape[0]))
+        return _relevance_stage(problem, _IbBuffers(problem, decoder.shape[0]))(decoder)
 
 
 def ib_step(problem: IbProblem, encoder, beta: float):
@@ -283,17 +339,17 @@ def ib_step(problem: IbProblem, encoder, beta: float):
 
     Returns (new_encoder, new_marginal, decoder_used). The encoder update is
     done in shifted log space, so large beta never overflows and exact zero
-    marginal mass is preserved.
+    marginal mass is preserved. The encoder is checked as ib_solve checks
+    its init encoder, but not renormalized.
     """
     _check_beta(beta)
-    encoder = np.asarray(encoder, dtype=float)
-    _check_encoder_shape(problem, encoder)
+    encoder = _checked_encoder(problem, encoder, "encoder")
     buf = _IbBuffers(problem, problem.m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        new_encoder, dec = _ib_update(problem, encoder, beta, buf, buf.encoder)
+        new_encoder = _ib_map(problem, beta, buf)(encoder, buf.encoder)
     _check_marginal(buf.marginal)
     _check_row_mass(buf)
-    return new_encoder, problem.px.dot(new_encoder), dec
+    return new_encoder, problem.px.dot(new_encoder), buf.dec
 
 
 def relevant_information(problem: IbProblem, marginal, decoder) -> float:
@@ -346,21 +402,9 @@ def ib_solve(
     if config is None:
         config = SolverConfig()
     _check_beta(beta)
-    enc = (
-        uniform_encoder_init(problem)
-        if init_encoder is None
-        else np.asarray(init_encoder, dtype=float).copy()
-    )
-    if enc.shape != (problem.n, problem.m):
-        raise ValueError("init encoder shape does not match the problem")
-    if not np.all(np.isfinite(enc)):
-        raise ValueError("init encoder entries must be finite")
-    if np.any(enc < 0):
-        raise ValueError("init encoder has negative entries")
-    sums = enc.sum(axis=1, keepdims=True)
-    if np.any(sums <= 0):
-        raise ValueError("init encoder has an all-zero row")
-    enc = enc / sums
+    enc = uniform_encoder_init(problem) if init_encoder is None else init_encoder
+    enc = _checked_encoder(problem, enc, "init encoder").copy()
+    enc = enc / enc.sum(axis=1, keepdims=True)
 
     buf = _IbBuffers(problem, problem.m)
     # Step b writes rows[b], which takes the layout of the map's output;
@@ -368,9 +412,10 @@ def ib_solve(
     rows = _aligned_rows(_BLOCK + 1, enc.shape, buf.encoder.strides)
     rows[0] = enc
     outs = list(rows)
+    bound = _ib_map(problem, beta, buf)
 
     def step(encoder, b):
-        return _ib_update(problem, encoder, beta, buf, outs[b])[0]
+        return bound(encoder, outs[b])
 
     def fail(_, iteration):
         _check_row_mass(buf)
@@ -380,12 +425,14 @@ def ib_solve(
         iterations, stopped, ends = _run_blocks(
             step, enc, rows, np.empty((_BLOCK,) + enc.shape), np.empty((_BLOCK, 1)), 1,
             config, 0, fail)
-    if stopped is not None:
-        iterations = ends[0]
-    marginal = problem.px.dot(rows[0])
-    enc = rows[0].copy(order="K")
-
-    dec = ib_decoder(problem, enc, marginal)
+        if stopped is not None:
+            iterations = ends[0]
+        marginal = problem.px.dot(rows[0])
+        enc = rows[0].copy(order="K")
+        _check_marginal(marginal)
+        # The final decoder reuses the solve's buffers.
+        np.copyto(buf.marginal, marginal)
+        dec = _decoder_stage(problem, buf)(enc)
     return IbSolution(
         beta=float(beta),
         encoder=enc,

@@ -145,6 +145,35 @@ def ib_functional(problem: IbProblem, encoder, beta: float) -> float:
     )
 
 
+def ib_update_reference(problem: IbProblem, encoder, beta: float) -> tuple:
+    """The bottleneck map on an encoder, op by op as the package computed it
+    before the map was bound once per solve: the marginal copied into a
+    zero-safe divisor (1 where it is 0), decoder rows divided by that copy,
+    its log taken as the logits' mass term and the dead logits filled with
+    -inf. Every array is allocated by the expression that computes it.
+
+    Returns (new_encoder, marginal, decoder); the marginal is the one the
+    decoder was built from.
+    """
+    encoder = np.asarray(encoder, dtype=float)
+    pygx, logp, pos = problem._kl_terms
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        marginal = problem.px.dot(encoder)
+        dead = np.logical_not(np.greater(marginal, 0.0))
+        safe = marginal.copy()
+        np.putmask(safe, dead, 1.0)
+        decoder = (encoder * problem.px[:, None]).T.dot(problem.py_given_x)
+        decoder = decoder / safe[:, None]
+        np.copyto(decoder, problem.py, where=dead[:, None])
+        kl = np.where(pos, pygx * (logp - np.log(decoder)), 0.0)
+        logits = np.log(safe) - kl.sum(axis=-1) * beta
+        np.copyto(logits, -np.inf, where=dead)
+        new = np.exp(logits - logits.max(axis=1, keepdims=True))
+        new = new / new.sum(axis=1, keepdims=True)
+        np.putmask(new, new < TINY_MASS, 0.0)
+    return new, marginal, decoder
+
+
 def jacobian_matrix(jac: FixedPointJacobian) -> np.ndarray:
     """The dense matrix A = (a^T diag(px) a) diag(q) from the factors a."""
     a = jac.factors

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_of, ib_functional, stepped_ib_solve
+from oracles import block_of, ib_functional, ib_update_reference, stepped_ib_solve
 from rdspectral import (
     IbProblem,
     NumericalError,
@@ -69,6 +69,22 @@ class TestIbProblemValidation:
         assert (again.n, again.m) == (3, 2)
         np.testing.assert_array_equal(again.pxy, problem.pxy)
 
+    @pytest.mark.parametrize("m", [2.5, True, False, np.float64(3.7), 3.0, "3", None])
+    def test_rejects_non_integer_m(self, m):
+        """m = 2.5 used to give 2, True 1 and np.float64(3.7) 3; "3" raised
+        a TypeError."""
+        pxy = [[0.3, 0.1], [0.1, 0.2], [0.2, 0.1]]
+        with pytest.raises(ValueError, match="^m must be an integer$"):
+            IbProblem(pxy=pxy, m=m)
+        with pytest.raises(ValueError, match="^m must be an integer$"):
+            IbProblem.from_json_dict({"pxy": pxy, "m": m})
+
+    @pytest.mark.parametrize("m, kept", [(2, 2), (np.int64(5), 5), (0, 3)])
+    def test_accepts_integer_m(self, m, kept):
+        problem = IbProblem(pxy=[[0.3, 0.1], [0.1, 0.2], [0.2, 0.1]], m=m)
+        assert problem.m == kept and type(problem.m) is int
+        assert IbProblem.from_json_dict(problem.to_json_dict()).m == kept
+
     def test_builtin_numbers(self):
         problem = bottleneck_four_symbol()
         np.testing.assert_allclose(problem.px, [0.7, 0.1, 0.1, 0.1], atol=1e-15)
@@ -111,6 +127,30 @@ class TestDecoder:
         # mass-free representatives fall back to the global output marginal
         np.testing.assert_allclose(dec[2], problem.py, atol=1e-14)
         np.testing.assert_allclose(dec[3], problem.py, atol=1e-14)
+
+
+class TestDecoderMarginalRejection:
+    """A given marginal must match the problem: a wrong length used to raise
+    numpy's broadcast error, and a NaN one returned py for every row."""
+
+    @pytest.mark.parametrize(
+        "marginal, match",
+        [
+            (np.full(3, 1 / 3), "^marginal shape does not match the problem$"),
+            (np.full(5, 0.2), "^marginal shape does not match the problem$"),
+            (np.full((4, 1), 0.25), "^marginal shape does not match the problem$"),
+            ([0.25, np.nan, 0.25, 0.25], "^marginal entries must be finite$"),
+            ([0.25, np.inf, 0.25, 0.25], "^marginal entries must be finite$"),
+            ([0.5, -0.25, 0.5, 0.25], "^marginal has negative entries$"),
+            (np.zeros(4), "^encoder induces an all-zero marginal$"),
+        ],
+    )
+    def test_rejects(self, marginal, match):
+        problem = bottleneck_four_symbol()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                ib_decoder(problem, np.eye(4), marginal)
 
 
 class TestIbDistortion:
@@ -175,6 +215,37 @@ class TestIbStep:
         new_enc, marginal, _ = ib_step(problem, enc, 5.0)
         assert np.all(new_enc[:, 2:] == 0.0)
         assert np.all(marginal[2:] == 0.0)
+
+
+class TestStepEncoderRejection:
+    """ib_step checks its encoder as ib_solve checks its init encoder. A row
+    [2, -1, 0, 0] used to return a normal-looking encoder, an all-zero row
+    iterated silently, and a NaN or inf encoder raised the misleading "lost
+    all mass" error."""
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ([2.0, -1.0, 0.0, 0.0], "^encoder has negative entries$"),
+            ([0.0, 0.0, 0.0, 0.0], "^encoder has an all-zero row$"),
+            ([np.nan, 0.5, 0.5, 0.0], "^encoder entries must be finite$"),
+            ([np.inf, 0.5, 0.5, 0.0], "^encoder entries must be finite$"),
+            ([-np.inf, 0.5, 0.5, 0.0], "^encoder entries must be finite$"),
+        ],
+    )
+    def test_rejects(self, row, match):
+        problem = bottleneck_four_symbol()
+        enc = identity_encoder_init(problem)
+        enc[1] = row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                ib_step(problem, enc, 10.0)
+
+    def test_rejects_wrong_shape(self):
+        problem = bottleneck_four_symbol()
+        with pytest.raises(ValueError, match="^encoder shape does not match the problem$"):
+            ib_step(problem, np.eye(4)[:, :3], 10.0)
 
 
 class TestIbSolve:
@@ -498,19 +569,93 @@ def test_solve_is_repeated_steps_across_block_edges(seed, budget, norm):
     assert sol.converged == converged
 
 
+def _same_array(got, want) -> bool:
+    return (got.shape == want.shape and got.strides == want.strides
+            and got.tobytes(order="A") == want.tobytes(order="A"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       pxy_order=st.sampled_from("CF"),
+       encoder_order=st.sampled_from("CF"),
+       blank=st.booleans(),
+       beta_kind=st.sampled_from(["zero", "random", "large"]))
+def test_bound_map_is_the_reference_bit_for_bit(seed, pxy_order, encoder_order, blank,
+                                               beta_kind):
+    """The map ib_solve and ib_step step through divides the decoder by the
+    marginal itself and leaves dead logits at log 0 = -inf; the reference
+    divides by a zero-safe copy and fills them. Encoder, marginal and
+    decoder agree bit for bit, strides included, on C- and F-ordered pxy,
+    pxy with zeros (the blanked relevance terms), encoders with dead
+    columns in either layout, and beta 0, random and 1e3. From 16 source
+    symbols on, the decoder product rounds differently on a C- and an
+    F-ordered weighted encoder."""
+    rng = np.random.default_rng(seed)
+    n, ny, m = (int(v) for v in rng.integers(2, 6, 3))
+    if rng.random() < 0.3:
+        n = int(rng.integers(16, 25))
+    pxy = rng.dirichlet(np.ones(n * ny)).reshape(n, ny)
+    if blank:
+        pxy[rng.random((n, ny)) < 0.3] = 0.0
+        pxy[0, 0] = 0.0
+        pxy[1, 0] += 0.2
+        pxy[np.arange(n), 1 + rng.integers(ny - 1, size=n)] += 0.1
+    problem = IbProblem(pxy=np.asarray(pxy, order=pxy_order), m=m)
+    assert problem.pxy.flags[f"{pxy_order}_CONTIGUOUS"]
+    live = rng.random(m) < 0.6
+    live[rng.integers(m)] = True
+    encoder = rng.dirichlet(np.ones(m), size=n) * live
+    encoder[rng.random((n, m)) < 0.2] = 0.0
+    encoder[np.arange(n), rng.choice(np.flatnonzero(live), size=n)] += 0.5
+    encoder = np.asarray(encoder, order=encoder_order)
+    beta = {"zero": 0.0, "random": float(rng.uniform(0.0, 50.0)), "large": 1e3}[beta_kind]
+
+    want_encoder, want_marginal, want_decoder = ib_update_reference(problem, encoder, beta)
+    buf = ibmod._IbBuffers(problem, m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        new = ibmod._ib_map(problem, beta, buf)(encoder, buf.encoder)
+    assert new is buf.encoder
+    assert _same_array(new, want_encoder)
+    assert _same_array(buf.marginal, want_marginal)
+    assert _same_array(buf.dec, want_decoder)
+
+    if not np.all(np.isfinite(want_encoder)):
+        # At beta 0 a decoder zero opposite p(y|x) > 0 gives 0 * inf = NaN.
+        with pytest.raises(NumericalError, match="^encoder update lost all mass on some row$"):
+            ib_step(problem, encoder, beta)
+        return
+    assert np.all(new[:, ~live] == 0.0)
+    stepped, marginal, decoder = ib_step(problem, encoder, beta)
+    assert _same_array(stepped, want_encoder)
+    assert _same_array(marginal, problem.px.dot(want_encoder))
+    assert _same_array(decoder, want_decoder)
+
+
+def wrap_ib_steps(monkeypatch, wrapper) -> None:
+    """Have every bottleneck map that ib_solve binds step through
+    wrapper(step, encoder, out)."""
+    bind = ibmod._ib_map
+
+    def bound(*args):
+        step = bind(*args)
+        return lambda encoder, out: wrapper(step, encoder, out)
+
+    monkeypatch.setattr(ibmod, "_ib_map", bound)
+
+
 def poison_ib_step(monkeypatch, call: int) -> None:
     """Make the call-th bottleneck step (counted from 1) write NaN into the
     encoder it returns."""
-    update, calls = ibmod._ib_update, [0]
+    calls = [0]
 
-    def poisoned(*args):
-        step = update(*args)
+    def poisoned(step, encoder, out):
+        new = step(encoder, out)
         calls[0] += 1
         if calls[0] == call:
-            step[0].fill(np.nan)
-        return step
+            new.fill(np.nan)
+        return new
 
-    monkeypatch.setattr(ibmod, "_ib_update", poisoned)
+    wrap_ib_steps(monkeypatch, poisoned)
 
 
 class TestBlockEdges:
@@ -546,13 +691,13 @@ class TestBlockEdges:
         rng = np.random.default_rng(5)
         problem = IbProblem(pxy=rng.dirichlet(np.ones(12)).reshape(3, 4)[:, [2, 0, 3, 1]])
         assert problem.pxy.flags.f_contiguous and not problem.pxy.flags.c_contiguous
-        seen, update = [], ibmod._ib_update
+        seen = []
 
-        def recording(problem, encoder, *args):
+        def recording(step, encoder, out):
             seen.append(encoder)
-            return update(problem, encoder, *args)
+            return step(encoder, out)
 
-        monkeypatch.setattr(ibmod, "_ib_update", recording)
+        wrap_ib_steps(monkeypatch, recording)
         poison_ib_step(monkeypatch, 1)
         with pytest.raises(NumericalError, match="^non-finite encoder at iteration 1$"):
             ib_solve(problem, 5.0)
