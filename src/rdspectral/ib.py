@@ -19,8 +19,8 @@ from .probability import (
     NumericalError,
     as_channel,
     as_distribution,
-    kl_divergence,
     mutual_information,
+    weighted_divergence,
 )
 from .rd import (
     _BLOCK,
@@ -242,9 +242,21 @@ def _ib_map(problem: IbProblem, beta: float, buf: _IbBuffers):
     encoder), their quotient and the flush of masses below TINY_MASS. A dead
     representative's logits need no fill: log 0 = -inf, and its distortion
     is KL(p(y|x) || py), which is finite, so they stay -inf at every beta.
-    Needs divide, invalid and overflow floating-point errors ignored.
+    At beta 0 the map takes 0 * inf = 0 and skips the relevance distortion,
+    so every encoder row is the marginal even where a decoder zero opposite
+    p(y|x) > 0 makes that distortion infinite. Needs divide, invalid and
+    overflow floating-point errors ignored.
     """
-    decode, relevance = _decoder_stage(problem, buf), _relevance_stage(problem, buf)
+    decode = _decoder_stage(problem, buf)
+    if beta:
+        relevance = _relevance_stage(problem, buf)
+    else:
+        zeros = buf.dist
+        zeros.fill(0.0)
+
+        def relevance(decoder):
+            return zeros
+
     px_dot = problem.px.dot
     marginal, log_marginal, flush = buf.marginal, buf.log_marginal, buf.flush
     row_max, norms = buf.row_max, buf.norms
@@ -356,12 +368,7 @@ def relevant_information(problem: IbProblem, marginal, decoder) -> float:
     """I(Xhat; Y) of a representation given its marginal and decoder rows."""
     marginal = np.asarray(marginal, dtype=float)
     decoder = np.asarray(decoder, dtype=float)
-    py = problem.py
-    total = 0.0
-    for i in range(marginal.size):
-        if marginal[i] > 0:
-            total += marginal[i] * kl_divergence(decoder[i], py)
-    return max(total, 0.0)
+    return weighted_divergence(marginal, decoder, problem.py)
 
 
 def uniform_encoder_init(problem: IbProblem) -> np.ndarray:

@@ -80,6 +80,17 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
+def weighted_divergence(weights, rows, target) -> float:
+    """sum_i weights[i] * KL(rows[i] || target) over the positive weights,
+    clipped at 0: roundoff can leave a tiny negative residue where every
+    row is the target."""
+    total = 0.0
+    for i in range(weights.size):
+        if weights[i] > 0:
+            total += weights[i] * kl_divergence(rows[i], target)
+    return max(total, 0.0)
+
+
 def mutual_information(px, channel) -> float:
     """Mutual information between an input with law px and a channel output.
 
@@ -90,11 +101,4 @@ def mutual_information(px, channel) -> float:
     channel = np.asarray(channel, dtype=float)
     if channel.ndim != 2 or channel.shape[0] != px.shape[0]:
         raise ValueError("channel must have one row per input symbol")
-    out = px @ channel
-    total = 0.0
-    for i in range(px.size):
-        if px[i] > 0:
-            total += px[i] * kl_divergence(channel[i], out)
-    # Roundoff can leave a tiny negative residue on independent inputs.
-    return max(total, 0.0)
-
+    return weighted_divergence(px, channel, px @ channel)

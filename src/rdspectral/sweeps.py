@@ -2,9 +2,10 @@
 
 A sweep solves one problem at every point of a monotone beta grid under an
 initialization policy and returns per-point records (always sorted by
-ascending beta). Annealing policies warm-start each solve from the previous
-converged state with sub-threshold coordinates pinned to exact zero; those
-sweeps are inherently sequential.
+ascending beta). Cold policies start every point afresh, so their points
+do not depend on each other. Reverse annealing warm-starts each solve from
+the previous converged state with sub-threshold coordinates pinned to exact
+zero; it is inherently sequential.
 """
 
 import warnings
@@ -19,7 +20,7 @@ from .probability import DEFAULT_ZERO_TOL
 from .rd import NOT_SERIALIZED, JsonRecord, RdProblem, SolverConfig, _check_tolerance
 from .spectral import eigen_spectrum, jacobian, predicted_iterations
 
-INIT_POLICIES = ("uniform", "dirichlet", "reverse", "forward")
+INIT_POLICIES = ("uniform", "dirichlet", "reverse")
 
 
 @dataclass
@@ -50,18 +51,12 @@ class SweepConfig:
         if not np.all((0 <= grid) & (grid < np.inf)):
             raise ValueError("beta grid values must be finite and non-negative")
         diffs = np.diff(grid)
-        if np.all(diffs > 0):
-            ascending = True
-        elif np.all(diffs < 0):
-            ascending = False
-        else:
+        if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("beta grid must be strictly monotone")
         if self.init not in INIT_POLICIES:
             raise ValueError(f"init must be one of {INIT_POLICIES}")
-        if self.init == "reverse" and ascending:
+        if self.init == "reverse" and diffs[0] > 0:
             raise ValueError("reverse annealing requires a descending beta grid")
-        if self.init == "forward" and not ascending:
-            raise ValueError("forward annealing requires an ascending beta grid")
         if not 0 < self.merge_tol < np.inf:
             raise ValueError("merge_tol must be finite and positive")
         _check_tolerance(self.support_tol, "support_tol")
@@ -110,22 +105,15 @@ class TransitionReport(JsonRecord):
     index_pairs: list = field(metadata=NOT_SERIALIZED)
 
 
-def _snap_marginal(marginal: np.ndarray, zero_tol: float) -> np.ndarray:
-    """Pin sub-threshold coordinates to exact zero and renormalize."""
-    snapped = np.where(marginal > zero_tol, marginal, 0.0)
-    total = snapped.sum()
-    if total <= 0:
+def _snap(state: np.ndarray, marginal: np.ndarray) -> np.ndarray:
+    """Zero the mass of every representative whose marginal is at or below
+    DEFAULT_ZERO_TOL and renormalize along the last axis: a marginal, or
+    each row of an encoder."""
+    snapped = np.where(marginal > DEFAULT_ZERO_TOL, state, 0.0)
+    total = snapped.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise rdmod.NumericalError("warm start lost all probability mass")
     return snapped / total
-
-
-def _snap_encoder(encoder: np.ndarray, marginal: np.ndarray, zero_tol: float) -> np.ndarray:
-    """Zero out encoder columns of representatives below the mass threshold."""
-    snapped = np.where(marginal[None, :] > zero_tol, encoder, 0.0)
-    sums = snapped.sum(axis=1, keepdims=True)
-    if np.any(sums <= 0):
-        raise rdmod.NumericalError("warm start zeroed a whole encoder row")
-    return snapped / sums
 
 
 def _record(problem, beta, sol, config) -> SweepRecord:
@@ -169,78 +157,51 @@ def _record(problem, beta, sol, config) -> SweepRecord:
     )
 
 
-def _solve_in_order(problem, config: SweepConfig, rng) -> list:
-    """Solve at each grid point in grid order, starting each solve as the
-    policy says; the annealing policies start from the previous solution."""
-    is_rd = isinstance(problem, RdProblem)
-    policy = config.init
-    solutions = []
-    sol = None
-    for beta in config.beta_grid:
-        if policy == "dirichlet":
-            init = rng.dirichlet(np.ones(problem.m), size=problem.n)
-        elif policy == "uniform" or sol is None:
-            # A reverse bottleneck sweep starts beyond every expected
-            # transition, where the refined near-deterministic encoder is the
-            # right opening state; every other sweep starts uniform.
-            if is_rd:
-                init = rdmod.uniform_init(problem)
-            elif policy == "reverse":
-                init = ibmod.identity_encoder_init(problem)
-            else:
-                init = ibmod.uniform_encoder_init(problem)
-        elif policy == "reverse":
-            # Pinning sub-threshold mass to zero is what makes a reverse
-            # sweep track the shrinking support. A forward sweep must NOT
-            # pin: the tiny leftover masses are the seeds from which
-            # representatives regrow past their transitions.
-            init = (
-                _snap_marginal(sol.marginal, DEFAULT_ZERO_TOL)
-                if is_rd
-                else _snap_encoder(sol.encoder, sol.marginal, DEFAULT_ZERO_TOL)
-            )
-        else:
-            init = sol.marginal if is_rd else sol.encoder
-        if is_rd:
-            sol = rdmod.solve(problem, beta, init=init, config=config.solver)
-        else:
-            sol = ibmod.ib_solve(problem, beta, init_encoder=init, config=config.solver)
-        solutions.append(sol)
-    return solutions
+def _solve(problem, beta, start, solver: SolverConfig):
+    """One solve of either kind from start: a marginal or an encoder."""
+    if isinstance(problem, RdProblem):
+        return rdmod.solve(problem, beta, init=start, config=solver)
+    return ibmod.ib_solve(problem, beta, init_encoder=start, config=solver)
 
 
 def sweep(problem, config: SweepConfig) -> list[SweepRecord]:
     """Solve at every grid point under the configured policy.
 
     Works for both problem kinds: a rate-distortion solve starts from a
-    marginal, a bottleneck solve from an encoder. Reverse annealing pins
-    sub-threshold coordinates to exact zero at each warm start, so the
-    support shrinks cleanly along the descent. Forward annealing carries the
-    previous state unpinned; note that once a coordinate's mass has decayed
-    far below the simplex scale the warm-started iteration keeps tracking
-    the restricted (metastable) solution branch well past that coordinate's
-    transition, so a forward sweep is not a reliable way to grow support.
-    Records come back sorted by ascending beta whatever the execution order;
-    non-convergence at a point flags that record and the sweep continues.
-    Rate-distortion points under the uniform and dirichlet policies do not
-    depend on each other, so they run as the lanes of one rd.solve_batch
-    call, with the same results as solving them one at a time.
+    marginal, a bottleneck solve from an encoder. The cold policies start
+    every point from the uniform default or from a Dirichlet draw, drawn in
+    grid order; their rate-distortion points run as the lanes of one
+    rd.solve_batch call, with the same results as solving them one at a
+    time. Reverse annealing opens beyond every expected transition, from
+    the uniform marginal or the near-deterministic identity encoder, and
+    pins sub-threshold coordinates to exact zero at each warm start, so the
+    support shrinks cleanly along the descent. Records come back sorted by
+    ascending beta whatever the execution order; non-convergence at a point
+    flags that record and the sweep continues.
     """
     if not isinstance(problem, (RdProblem, IbProblem)):
         raise TypeError(f"cannot sweep a {type(problem).__name__}")
-    grid = config.beta_grid
-    rng = np.random.default_rng(config.seed)
-    if isinstance(problem, RdProblem) and config.init in ("uniform", "dirichlet"):
-        # Dirichlet starts are drawn in grid order, as the one-at-a-time
-        # loop draws them.
-        inits = (
-            [rng.dirichlet(np.ones(problem.m)) for _ in grid]
-            if config.init == "dirichlet"
-            else None
-        )
-        solutions = rdmod.solve_batch(problem, grid, inits, config.solver)
+    grid, solver = config.beta_grid, config.solver
+    is_rd = isinstance(problem, RdProblem)
+    if config.init == "reverse":
+        start = rdmod.uniform_init(problem) if is_rd else ibmod.identity_encoder_init(problem)
+        solutions = []
+        for beta in grid:
+            if solutions:
+                last = solutions[-1]
+                start = _snap(last.marginal if is_rd else last.encoder, last.marginal)
+            solutions.append(_solve(problem, beta, start, solver))
     else:
-        solutions = _solve_in_order(problem, config, rng)
+        rng = np.random.default_rng(config.seed)
+        starts = [
+            None if config.init == "uniform"
+            else rng.dirichlet(np.ones(problem.m), size=None if is_rd else problem.n)
+            for _ in grid
+        ]
+        if is_rd:
+            solutions = rdmod.solve_batch(problem, grid, starts, solver)
+        else:
+            solutions = [_solve(problem, beta, s, solver) for beta, s in zip(grid, starts)]
     records = [_record(problem, beta, sol, config) for beta, sol in zip(grid, solutions)]
     records.sort(key=lambda r: r.beta)
     return records

@@ -166,7 +166,9 @@ def ib_update_reference(problem: IbProblem, encoder, beta: float) -> tuple:
         decoder = decoder / safe[:, None]
         np.copyto(decoder, problem.py, where=dead[:, None])
         kl = np.where(pos, pygx * (logp - np.log(decoder)), 0.0)
-        logits = np.log(safe) - kl.sum(axis=-1) * beta
+        dist = kl.sum(axis=-1)
+        # 0 * inf = 0: at beta 0 every row's logits are the log marginal.
+        logits = np.log(safe) - (dist * beta if beta else np.zeros_like(dist))
         np.copyto(logits, -np.inf, where=dead)
         new = np.exp(logits - logits.max(axis=1, keepdims=True))
         new = new / new.sum(axis=1, keepdims=True)

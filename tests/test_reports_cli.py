@@ -314,7 +314,7 @@ class TestCli:
         out = run_cli(
             "sweep", "--builtin", "binary_hamming", "--beta-min", "0.5",
             "--beta-max", "3", "--beta-steps", "6", "--linear-grid",
-            "--init", "forward", "--out", str(tmp_path / "lin"),
+            "--init", "uniform", "--out", str(tmp_path / "lin"),
             "--formats", "csv",
         )
         assert out.returncode == 0, out.stderr
@@ -414,6 +414,13 @@ class TestCli:
         assert "no transitions detected" in out.stderr
         assert [p.name for p in (tmp_path / "tan").iterdir()] == ["ib"]
 
+    def test_sweep_forward_policy_is_usage_error(self, tmp_path):
+        out = run_cli("sweep", "--builtin", "fig1_like", "--beta-min", "1",
+                      "--beta-max", "2", "--init", "forward",
+                      "--out", str(tmp_path / "fwd"))
+        assert out.returncode == 1
+        assert "forward" in out.stderr
+
     def test_sweep_nan_merge_tol_is_usage_error(self, tmp_path):
         out = run_cli("sweep", "--builtin", "fig2", "--beta-min", "1.5",
                       "--beta-max", "60", "--beta-steps", "6", "--init", "reverse",
@@ -449,31 +456,40 @@ class TestCli:
         assert "bottleneck" in out.stderr
 
 
-# Every command and its options. A new option is a new knob to document and
-# test; this list makes it visible in review.
+# Every command and its options, with the values of each choice option. A new
+# option or value is a new knob to document and test; this list makes it
+# visible in review.
 CLI_SURFACE = {
     "builtin": ["--name", "--out"],
     "rate-study": ["--anchor-beta", "--beta", "--builtin", "--epsilons",
                    "--max-iters", "--out", "--problem"],
-    "solve": ["--beta", "--builtin", "--epsilon", "--max-iters", "--norm",
+    "solve": ["--beta", "--builtin", "--epsilon", "--max-iters", "--norm=l1|linf",
               "--problem"],
-    "spectrum": ["--beta", "--builtin", "--epsilon", "--max-iters", "--norm",
+    "spectrum": ["--beta", "--builtin", "--epsilon", "--max-iters", "--norm=l1|linf",
                  "--problem", "--zero-tol"],
     "study": ["--out"],
     "sweep": ["--beta-max", "--beta-min", "--beta-steps", "--builtin", "--epsilon",
-              "--formats", "--init", "--log-grid/--linear-grid", "--max-iters",
-              "--merge-tol", "--norm", "--out", "--problem", "--seed",
-              "--support-tol"],
+              "--formats", "--init=uniform|dirichlet|reverse",
+              "--log-grid/--linear-grid", "--max-iters", "--merge-tol",
+              "--norm=l1|linf", "--out", "--problem", "--seed", "--support-tol"],
     "tangent": ["--beta-max", "--beta-min", "--beta-steps", "--builtin",
                 "--epsilon", "--log-grid/--linear-grid", "--max-iters",
-                "--merge-tol", "--norm", "--out", "--problem", "--support-tol"],
+                "--merge-tol", "--norm=l1|linf", "--out", "--problem",
+                "--support-tol"],
 }
+
+
+def _option_surface(option: click.Option) -> str:
+    text = "/".join(option.opts + option.secondary_opts)
+    if isinstance(option.type, click.Choice):
+        text += "=" + "|".join(option.type.choices)
+    return text
 
 
 def test_cli_surface_is_pinned():
     surface = {
         name: sorted(
-            "/".join(param.opts + param.secondary_opts)
+            _option_surface(param)
             for param in command.params
             if isinstance(param, click.Option)
         )

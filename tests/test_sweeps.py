@@ -9,10 +9,11 @@ from rdspectral import (
     SweepConfig,
     binary_hamming,
     bottleneck_four_symbol,
-    builtin_problem,
     detect_transitions,
+    ib_solve,
     planar_four_point,
     rate_study,
+    solve,
     sweep,
 )
 from rdspectral.probability import DEFAULT_ZERO_TOL
@@ -34,18 +35,15 @@ class TestSweepConfigValidation:
             SweepConfig(beta_grid=[1.0, 2.0], init="reverse")
         SweepConfig(beta_grid=[2.0, 1.0], init="reverse")
 
-    def test_forward_needs_ascending(self):
-        with pytest.raises(ValueError, match="ascending"):
-            SweepConfig(beta_grid=[2.0, 1.0], init="forward")
-
     @pytest.mark.parametrize("grid", [[np.inf, 1.0], [1.0, np.nan], [-1.0, 1.0]])
     def test_rejects_non_finite_or_negative_beta(self, grid):
         with pytest.raises(ValueError, match="finite and non-negative"):
             SweepConfig(beta_grid=grid)
 
     def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="init"):
-            SweepConfig(beta_grid=[1.0, 2.0], init="warm")
+        for init in ("warm", "forward"):
+            with pytest.raises(ValueError, match="init"):
+                SweepConfig(beta_grid=[1.0, 2.0], init=init)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 1.0])
     def test_rejects_bad_support_tol(self, tol):
@@ -70,7 +68,6 @@ POLICY_RECORDS = {
     "rd-uniform": [(5768, 1), (1510, 2), (518, 2), (663, 2), (98, 3), (24, 4)],
     "rd-dirichlet": [(5990, 1), (1457, 2), (437, 2), (663, 2), (94, 3), (27, 4)],
     "rd-reverse": [(3, 1), (661, 1), (146, 2), (656, 2), (94, 3), (24, 4)],
-    "rd-forward": [(5768, 1), (2709, 2), (204, 2), (37, 2), (10, 2), (4, 2)],
     "ib-uniform": [
         (14, 4, 1), (30, 4, 1), (40, 4, 2),
         (25, 4, 2), (164, 4, 3), (12, 4, 3),
@@ -82,10 +79,6 @@ POLICY_RECORDS = {
     "ib-reverse": [
         (1, 4, 1), (31, 4, 1), (37, 4, 2),
         (60, 4, 2), (81, 4, 4), (6, 4, 4),
-    ],
-    "ib-forward": [
-        (14, 4, 1), (1, 4, 1), (1, 4, 1),
-        (1, 4, 1), (208, 4, 3), (11, 4, 3),
     ],
 }
 
@@ -114,17 +107,33 @@ def test_every_policy_keeps_its_iteration_counts(key):
     assert got == POLICY_RECORDS[key]
 
 
-def test_forward_stall_shows_in_the_duality_gap():
-    """A forward sweep stalls on a two-representative branch that every
-    record calls converged; Blahut's gap tells it from the optimum, which a
-    uniform start reaches at every point."""
-    problem = builtin_problem("fig1_like")
-    grid = np.geomspace(0.3, 30.0, 6)
-    solver = SolverConfig(epsilon=1e-9)
-    forward = sweep(problem, SweepConfig(beta_grid=grid, init="forward", solver=solver))
-    uniform = sweep(problem, SweepConfig(beta_grid=grid, init="uniform", solver=solver))
-    assert forward[-1].converged and forward[-1].solution.gap > 1.0
-    assert all(abs(r.solution.gap) < 1e-8 for r in uniform)
+@pytest.mark.parametrize("policy", ["uniform", "dirichlet"])
+@pytest.mark.parametrize("kind", ["rd", "ib"])
+def test_cold_sweep_is_standalone_solves(kind, policy):
+    """Each point of a cold sweep is the standalone solve from the same start:
+    the uniform default, or a Dirichlet draw made in grid order. The grid
+    descends, so grid order is not the order of the returned records."""
+    if kind == "rd":
+        problem, grid = planar_four_point(), np.geomspace(30.0, 0.3, 6)
+        solver = SolverConfig(epsilon=1e-9)
+    else:
+        problem, grid = bottleneck_four_symbol(), np.geomspace(60.0, 1.5, 6)
+        solver = SolverConfig(epsilon=1e-7)
+    records = sweep(problem, SweepConfig(beta_grid=grid, init=policy, solver=solver, seed=5))
+    rng = np.random.default_rng(5)
+    for beta, record in zip(grid, records[::-1]):
+        start = None
+        if policy == "dirichlet":
+            start = rng.dirichlet(np.ones(problem.m), size=None if kind == "rd" else problem.n)
+        if kind == "rd":
+            want = solve(problem, beta, init=start, config=solver)
+            got, state = record.marginal, want.marginal
+        else:
+            want = ib_solve(problem, beta, init_encoder=start, config=solver)
+            got, state = record.solution.encoder, want.encoder
+        assert record.beta == beta
+        assert record.iterations == want.iterations
+        assert got.tobytes() == state.tobytes()
 
 
 class TestRdSweep:
@@ -185,21 +194,6 @@ class TestRdSweep:
         for ra, rb in zip(a, b):
             assert ra.iterations == rb.iterations
             np.testing.assert_array_equal(ra.marginal, rb.marginal)
-
-    def test_forward_annealing_runs_and_converges(self):
-        """Forward sweeps are mechanically sound; they may legitimately track
-        a metastable restricted branch past a transition, so nothing is
-        asserted about support growth."""
-        problem = planar_four_point()
-        records = sweep(problem, SweepConfig(
-            beta_grid=np.geomspace(0.5, 30.0, 25),
-            init="forward",
-            solver=SolverConfig(epsilon=1e-10),
-            support_tol=1e-5,
-        ))
-        assert all(r.converged for r in records)
-        assert [r.beta for r in records] == sorted(r.beta for r in records)
-        assert all(1 <= r.support_size <= 4 for r in records)
 
 
 class TestIbSweep:
