@@ -83,11 +83,24 @@ def kl_divergence(p, q) -> float:
 def weighted_divergence(weights, rows, target) -> float:
     """sum_i weights[i] * KL(rows[i] || target) over the positive weights,
     clipped at 0: roundoff can leave a tiny negative residue where every
-    row is the target."""
+    row is the target.
+
+    Each row's divergence is kl_divergence's masked sum, bit for bit; the
+    target's log and zero mask are taken once for all rows.
+    """
+    with np.errstate(divide="ignore"):
+        log_target = np.log(target)
+    dead = target <= 0
     total = 0.0
     for i in range(weights.size):
         if weights[i] > 0:
-            total += weights[i] * kl_divergence(rows[i], target)
+            mask = rows[i] > 0
+            if dead[mask].any():
+                kl = float("inf")
+            else:
+                r = rows[i][mask]
+                kl = float(np.sum(r * (np.log(r) - log_target[mask])))
+            total += weights[i] * kl
     return max(total, 0.0)
 
 

@@ -7,7 +7,7 @@ given trade-off parameter beta are exactly the fixed points of that map.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -197,16 +197,33 @@ class RdSolution(JsonRecord):
     normalized Boltzmann factors at the marginal: it is non-negative up to
     roundoff and zero exactly when the marginal is optimal at beta, so a
     converged solve on a metastable branch shows a positive gap.
+
+    The encoder is a function of (problem, beta, marginal), so a solution
+    keeps only those: encoder is derived on every read, by the arithmetic
+    the solve scored rate and distortion with, and is not cached. A
+    solution holds O(m) floats however large its problem, and its marginal
+    is read-only, so every read derives the same encoder.
     """
 
     beta: float
     marginal: np.ndarray
-    encoder: np.ndarray
+    encoder: np.ndarray = field(init=False, repr=False, compare=False)
     rate: float
     distortion: float
     iterations: int
     converged: bool
     gap: float
+    problem: RdProblem = field(repr=False, compare=False, metadata=NOT_SERIALIZED)
+
+
+def _derived_encoder(solution: RdSolution) -> np.ndarray:
+    """The Boltzmann encoder at a solution's marginal: the one _solution
+    scored its rate and distortion with, bit for bit."""
+    p = solution.marginal
+    return _encoder_from_factors(p, boltzmann_factors(solution.problem, p, solution.beta))
+
+
+RdSolution.encoder = property(_derived_encoder)
 
 
 def _check_beta(beta: float) -> None:
@@ -556,13 +573,13 @@ def _solution(problem: RdProblem, beta, p: np.ndarray, iterations: int,
     encoder = _encoder_from_factors(p, a)
     return RdSolution(
         beta=float(beta),
-        marginal=p,
-        encoder=encoder,
+        marginal=_read_only(p),
         rate=mutual_information(problem.px, encoder),
         distortion=expected_distortion(problem, encoder),
         iterations=iterations,
         converged=converged,
         gap=_duality_gap(problem, p, a, exponents, z),
+        problem=problem,
     )
 
 

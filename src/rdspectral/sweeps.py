@@ -34,7 +34,8 @@ class SweepConfig:
     the solver epsilon is loose, because a successive-iterate stopping rule
     leaves dying coordinates stranded at masses of order
     epsilon / (1 - decay rate). merge_tol, finite and positive, clusters
-    decoder rows for bottleneck cardinality counts.
+    decoder rows for bottleneck cardinality counts. seed, a non-negative
+    integer, seeds the Dirichlet starts, so every sweep can be run again.
     """
 
     beta_grid: np.ndarray
@@ -57,6 +58,9 @@ class SweepConfig:
             raise ValueError(f"init must be one of {INIT_POLICIES}")
         if self.init == "reverse" and diffs[0] > 0:
             raise ValueError("reverse annealing requires a descending beta grid")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError("seed must be a non-negative integer")
         if not 0 < self.merge_tol < np.inf:
             raise ValueError("merge_tol must be finite and positive")
         _check_tolerance(self.support_tol, "support_tol")
@@ -71,8 +75,9 @@ class SweepRecord(JsonRecord):
     fields are NaN for bottleneck sweeps (the fixed-point Jacobian theory is
     a rate-distortion object; bottleneck transitions are analyzed through
     tangent problems instead). measured_rate is iterations per unit of
-    -log epsilon. solution keeps the full solver output; neither it nor
-    the eigenvalues are serialized.
+    -log epsilon. solution is the solver's output; an RdSolution derives
+    its encoder on access, so a rate-distortion record holds O(m) floats.
+    Neither it nor the eigenvalues are serialized.
     """
 
     beta: float

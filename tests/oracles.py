@@ -52,10 +52,14 @@ def binary_hamming_rate(p: float, beta: float) -> float:
 
 
 def encoder_from_marginal(problem: RdProblem, marginal, beta: float) -> np.ndarray:
-    """Boltzmann encoder rows p(xhat | x) induced by a reproduction marginal."""
+    """Boltzmann encoder rows p(xhat | x) induced by a reproduction marginal,
+    op by op as a solve computes the encoder it scores: marginal times the
+    normalized Boltzmann factors, sub-normal entries flushed, and exact
+    zeros in dead columns even where their factor overflowed."""
     marginal = np.asarray(marginal, dtype=float)
-    enc = marginal[None, :] * boltzmann_factors(problem, marginal, beta)
-    return np.where(enc < TINY_MASS, 0.0, enc)
+    with np.errstate(invalid="ignore"):
+        enc = marginal[None, :] * boltzmann_factors(problem, marginal, beta)
+    return np.where((enc < TINY_MASS) | (marginal <= 0), 0.0, enc)
 
 
 def residual(problem: RdProblem, marginal, beta: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from oracles import (
 from rdspectral import (
     NumericalError,
     RdProblem,
+    RdSolution,
     SolverConfig,
     ab_step,
     binary_hamming,
@@ -772,6 +773,67 @@ class TestBlockEdges:
         calls = poison_step(monkeypatch, 0)
         sol = solve(problem, 4.9, config=SolverConfig(max_iterations=budget))
         assert not sol.converged and sol.iterations == calls[0] == budget
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    """Same shape, strides and bytes in memory order."""
+    assert got.shape == want.shape
+    assert got.strides == want.strides
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), fortran=st.booleans())
+def test_encoder_is_derived_bit_for_bit(seed, fortran):
+    """A solution derives its encoder from (problem, beta, marginal) on each
+    read, with the oracle's bytes and strides: for solve and every
+    solve_batch lane, C- or F-ordered d, starts with exact zeros and betas
+    high enough for a dead column's factor to overflow."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    d = rng.uniform(0, 1, size=(n, m))
+    problem = RdProblem(px=rng.dirichlet(np.ones(n)),
+                        d=np.asfortranarray(d) if fortran else d)
+    betas = [1000.0 if rng.random() < 0.2 else rng.uniform(0.0, 30.0)
+             for _ in range(int(rng.integers(1, 6)))]
+    inits = [random_start(rng, m) for _ in betas]
+    config = SolverConfig(max_iterations=500)
+    lanes = solve_batch(problem, betas, inits, config)
+    for beta, init, lane in zip(betas, inits, lanes):
+        for sol in (lane, solve(problem, beta, init, config)):
+            first = sol.encoder
+            assert_same_array(first, encoder_from_marginal(problem, sol.marginal, beta))
+            assert_same_array(sol.encoder, first)
+
+
+class TestDerivedEncoder:
+    def test_overflowing_dead_column_reads_zero(self):
+        """From [1, 0] at beta 1000 the dead column's factor is exp(1000) on
+        the symbol it reproduces exactly; its encoder column is still 0."""
+        problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0], [1.0, 0.0]])
+        sol = solve(problem, 1000.0, init=[1.0, 0.0])
+        assert sol.encoder.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+        assert_same_array(sol.encoder, encoder_from_marginal(problem, sol.marginal, 1000.0))
+
+    def test_solution_keeps_no_encoder(self):
+        problem = random_problem(np.random.default_rng(3), 5, 4)
+        sol = solve(problem, 4.0)
+        assert sol.problem is problem
+        assert "encoder" not in vars(sol)
+        assert sol.encoder is not sol.encoder
+        with pytest.raises(ValueError, match="read-only"):
+            sol.marginal[0] = 1.0
+        assert "encoder" not in repr(sol) and "problem" not in repr(sol)
+
+    def test_json_fields_keep_their_order(self):
+        assert rdmod.json_fields(RdSolution) == (
+            "beta", "marginal", "encoder", "rate", "distortion", "iterations",
+            "converged", "gap",
+        )
+
+    def test_json_form_carries_the_encoder(self):
+        sol = solve(binary_hamming(), 2.0)
+        assert sol.to_json_dict()["encoder"] == sol.encoder.tolist()
 
 
 class TestDualityGap:

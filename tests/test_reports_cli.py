@@ -421,6 +421,14 @@ class TestCli:
         assert out.returncode == 1
         assert "forward" in out.stderr
 
+    def test_sweep_negative_seed_is_usage_error(self, tmp_path):
+        out = run_cli("sweep", "--builtin", "fig1_like", "--beta-min", "1",
+                      "--beta-max", "2", "--init", "dirichlet", "--seed", "-1",
+                      "--out", str(tmp_path / "neg"))
+        assert out.returncode == 1
+        assert "seed must be a non-negative integer" in out.stderr
+        assert not (tmp_path / "neg").exists()
+
     def test_sweep_nan_merge_tol_is_usage_error(self, tmp_path):
         out = run_cli("sweep", "--builtin", "fig2", "--beta-min", "1.5",
                       "--beta-max", "60", "--beta-steps", "6", "--init", "reverse",

@@ -45,6 +45,14 @@ class TestSweepConfigValidation:
             with pytest.raises(ValueError, match="init"):
                 SweepConfig(beta_grid=[1.0, 2.0], init=init)
 
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3"])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SweepConfig(beta_grid=[1.0, 2.0], init="dirichlet", seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        assert SweepConfig(beta_grid=[1.0, 2.0], seed=np.int64(3)).seed == 3
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 1.0])
     def test_rejects_bad_support_tol(self, tol):
         with pytest.raises(ValueError, match="support_tol"):
@@ -185,6 +193,22 @@ class TestRdSweep:
         assert report.kind == "support"
         sizes = [r.support_size for r in records]
         assert sorted(set(sizes)) == [1, 2, 3, 4]
+
+    def test_records_hold_no_n_by_m_array(self):
+        """A reverse sweep's records keep O(m) floats each: no array of n * m
+        or more elements in a record's fields or its solution's, whose
+        problem is the sweep's own, shared by every record."""
+        rng = np.random.default_rng(5)
+        n = m = 64
+        problem = RdProblem(px=rng.dirichlet(np.ones(n)), d=rng.uniform(0, 1, (n, m)))
+        config = SweepConfig(beta_grid=np.geomspace(40.0, 5.0, 4), init="reverse",
+                             solver=SolverConfig(epsilon=1e-6))
+        for record in sweep(problem, config):
+            assert record.solution.problem is problem
+            held = list(vars(record).values()) + list(vars(record.solution).values())
+            sizes = [v.size for v in held if isinstance(v, np.ndarray)]
+            assert sizes and max(sizes) < n * m
+            assert record.solution.encoder.shape == (n, m)
 
     def test_dirichlet_policy_is_seeded(self):
         problem = binary_hamming(0.7)
