@@ -15,7 +15,6 @@ import numpy as np
 
 from .probability import (
     DEFAULT_ZERO_TOL,
-    TINY_MASS,
     NumericalError,
     as_channel,
     as_distribution,
@@ -30,6 +29,7 @@ from .rd import (
     _aligned_rows,
     _check_beta,
     _check_tolerance,
+    _flush,
     _read_only,
     _run_blocks,
 )
@@ -38,10 +38,9 @@ DEFAULT_MERGE_TOL = 1e-6
 # The map's scalar operands as 0-d arrays, which ufuncs take without
 # converting a Python float on every call.
 _ZERO = _read_only(np.zeros(()))
-_TINY_MASS = _read_only(np.array(TINY_MASS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IbProblem(JsonRecord):
     """Joint source-relevance distribution with a capped representation size.
 
@@ -131,7 +130,7 @@ class IbProblem(JsonRecord):
         return cls(pxy=pxy, m=obj.get("m", 0))
 
 
-@dataclass
+@dataclass(eq=False)
 class IbSolution(JsonRecord):
     """State of a bottleneck solve: encoder, marginal, decoder and scores."""
 
@@ -177,7 +176,6 @@ class _IbBuffers:
         self.norms = np.empty(n)
         self.encoder = np.empty_like(encoder)
         self.weighted = np.empty_like(encoder)
-        self.flush = np.empty_like(encoder, dtype=bool)
 
 
 def _decoder_stage(problem: IbProblem, buf: _IbBuffers):
@@ -239,7 +237,9 @@ def _ib_map(problem: IbProblem, beta: float, buf: _IbBuffers):
     decoder (buf.dec), the relevance distortion, the logits log(marginal) -
     beta * dist, their row maxima, exp of the shifted logits, the row masses
     (buf.norms; a row that lost all mass leaves NaN there and in the new
-    encoder), their quotient and the flush of masses below TINY_MASS. A dead
+    encoder) and their quotient. The step does not flush masses below
+    TINY_MASS: ib_step flushes its result (rd._flush), and the block loop
+    flushes only the rows that hold one (rd._run_block). A dead
     representative's logits need no fill: log 0 = -inf, and its distortion
     is KL(p(y|x) || py), which is finite, so they stay -inf at every beta.
     At beta 0 the map takes 0 * inf = 0 and skips the relevance distortion,
@@ -258,11 +258,11 @@ def _ib_map(problem: IbProblem, beta: float, buf: _IbBuffers):
             return zeros
 
     px_dot = problem.px.dot
-    marginal, log_marginal, flush = buf.marginal, buf.log_marginal, buf.flush
+    marginal, log_marginal = buf.marginal, buf.log_marginal
     row_max, norms = buf.row_max, buf.norms
     row_max_column, norms_column = row_max[:, None], norms[:, None]
     log, exp, subtract, multiply = np.log, np.exp, np.subtract, np.multiply
-    divide, less, copyto = np.divide, np.less, np.copyto
+    divide = np.divide
     max_reduce, add_reduce = np.maximum.reduce, np.add.reduce
     beta = np.array(beta, dtype=float)
 
@@ -274,9 +274,7 @@ def _ib_map(problem: IbProblem, beta: float, buf: _IbBuffers):
         max_reduce(logits, axis=1, out=row_max)
         new = exp(subtract(logits, row_max_column, out=logits), out=logits)
         add_reduce(new, axis=1, out=norms)
-        divide(new, norms_column, out=new)
-        copyto(new, _ZERO, where=less(new, _TINY_MASS, out=flush))
-        return new
+        return divide(new, norms_column, out=new)
 
     return step
 
@@ -352,13 +350,15 @@ def ib_step(problem: IbProblem, encoder, beta: float):
     Returns (new_encoder, new_marginal, decoder_used). The encoder update is
     done in shifted log space, so large beta never overflows and exact zero
     marginal mass is preserved. The encoder is checked as ib_solve checks
-    its init encoder, but not renormalized.
+    its init encoder, but not renormalized. Masses below TINY_MASS are
+    flushed from the new encoder, as the block loop of ib_solve flushes a
+    row.
     """
     _check_beta(beta)
     encoder = _checked_encoder(problem, encoder, "encoder")
     buf = _IbBuffers(problem, problem.m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        new_encoder = _ib_map(problem, beta, buf)(encoder, buf.encoder)
+        new_encoder = _flush(_ib_map(problem, beta, buf)(encoder, buf.encoder))
     _check_marginal(buf.marginal)
     _check_row_mass(buf)
     return new_encoder, problem.px.dot(new_encoder), buf.dec

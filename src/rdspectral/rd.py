@@ -72,12 +72,39 @@ def _json_value(value):
     return value
 
 
+def _same_value(a, b) -> bool:
+    """a == b as one bool: arrays are equal when they have one shape and
+    equal entries, lists and tuples when their items are, and NaN equals
+    NaN, so two records of the same result compare equal."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and np.array_equal(a, b, equal_nan=True))
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_value, a, b))
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return bool(a == b)
+
+
 class JsonRecord:
     """Mixin for a dataclass whose JSON form is its fields in declaration
-    order, less those declared with NOT_SERIALIZED metadata."""
+    order, less those declared with NOT_SERIALIZED metadata.
+
+    Records compare equal field by field over the fields declared with
+    compare=True (_same_value). The generated __eq__ compares field tuples,
+    and an array comparison inside them has no truth value, so the
+    dataclasses declare eq=False and use this one. Records hold arrays and
+    are not hashable.
+    """
 
     def to_json_dict(self) -> dict:
         return {name: _json_value(getattr(self, name)) for name in json_fields(type(self))}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same_value(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -85,7 +112,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RdProblem(JsonRecord):
     """A source distribution together with a finite distortion matrix.
 
@@ -189,7 +216,7 @@ def _check_tolerance(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and lie in [0, 1)")
 
 
-@dataclass
+@dataclass(eq=False)
 class RdSolution(JsonRecord):
     """Converged (or budget-exhausted) state of a single solve.
 
@@ -303,10 +330,10 @@ class _BaBuffers:
     """Work arrays of the BA map for one shape of weights and marginals, and
     the history of a block of steps.
 
-    Written in place on every step: the partition function z, px / z and
-    the flush mask. Step b writes outs[b], whose rows start on cache lines;
-    iterates[0] holds the block's start. A stack's outputs are shaped as
-    np.matmul shapes its own, (lanes, 1, m), like its partition functions,
+    Written in place on every step: the partition function z and px / z.
+    Step b writes outs[b], whose rows start on cache lines; iterates[0]
+    holds the block's start. A stack's outputs are shaped as np.matmul
+    shapes its own, (lanes, 1, m), like its partition functions,
     (lanes, n, 1), so its products take the path they took when numpy
     allocated them; iterates views them as (lanes, m). diff and delta
     receive |new - old| and the per-lane distances of a whole block. Every
@@ -325,39 +352,99 @@ class _BaBuffers:
             self.outs = _aligned_rows(steps + 1, (lanes, 1, m))
             self.iterates = self.outs[:, :, 0, :]
         self.r = _aligned_empty(self.z.shape)
-        self.flush = np.empty(p.shape, dtype=bool)
         self.diff = np.empty((steps,) + p.shape)
         self.delta = _aligned_empty((steps, lanes))
 
 
-def _ba_update(expw: np.ndarray, px: np.ndarray, p: np.ndarray,
-               buf: _BaBuffers, out: np.ndarray) -> np.ndarray:
-    """One alternating step on shifted weights: the marginal induced by the
-    Boltzmann encoder built from p, with sub-normal masses flushed to zero.
+def _ba_map(expw: np.ndarray, px: np.ndarray, buf: _BaBuffers):
+    """The BA map on shifted weights, bound once to them, to px and to buf:
+    step(p, b) writes the marginal induced by the Boltzmann encoder built
+    from p to buf.iterates[b] and returns that row. It does not flush
+    sub-normal masses; its callers do (_flush, _run_block).
 
-    p is one marginal over an (n, m) expw, or a (lanes, m) stack over a
-    (lanes, n, m) stack; out is one of buf.outs, and the result is written
-    there. buf.z keeps the partition function the step divided by: a
-    vanishing one shows up as NaN in the result, which the caller diagnoses
-    from buf.z. One lane's products go through ndarray.dot, which calls the
-    BLAS matrix-vector product that @ calls, without the matmul dispatch; a
-    stack's go through np.matmul, which reproduces each lane's product bit
-    for bit. einsum or a broadcast multiply-and-sum would round differently
-    and could move a stopping iteration.
+    expw is one (n, m) weight matrix, or a (lanes, n, m) stack whose step
+    reads p, which must then be buf.iterates[b - 1], through a
+    (lanes, m, 1) view made here. buf.z keeps the partition function the
+    step divided by: a vanishing one shows up as NaN in the result, which
+    the caller diagnoses from buf.z. One lane's products go through
+    ndarray.dot, which calls the BLAS matrix-vector product that @ calls,
+    without the matmul dispatch; a stack's go through np.matmul, which
+    reproduces each lane's product bit for bit. einsum or a broadcast
+    multiply-and-sum would round differently and could move a stopping
+    iteration.
     """
-    z, r = buf.z, buf.r
-    if p.ndim == 1:
-        expw.dot(p, out=z)
-        np.divide(px, z, out=r)
-        new = r.dot(expw, out=out)
-    else:
-        np.matmul(expw, p[:, :, None], out=buf.z_out)
-        np.divide(px, z, out=r)
-        new = np.matmul(r[:, None, :], expw, out=out)[:, 0, :]
-    np.multiply(p, new, out=new)
-    np.less(new, TINY_MASS, out=buf.flush)
-    np.putmask(new, buf.flush, 0.0)
-    return new
+    z, r, outs, rows = buf.z, buf.r, list(buf.outs), list(buf.iterates)
+    divide, multiply = np.divide, np.multiply
+    if expw.ndim == 2:
+        z_dot, r_dot = expw.dot, r.dot
+
+        def step(p, b):
+            z_dot(p, out=z)
+            divide(px, z, out=r)
+            new = r_dot(expw, out=outs[b])
+            return multiply(p, new, out=new)
+
+        return step
+
+    matmul, z_out, r_row = np.matmul, buf.z_out, r[:, None, :]
+    columns = [row[:, :, None] for row in rows]
+
+    def step(p, b):
+        matmul(expw, columns[b - 1], out=z_out)
+        divide(px, z, out=r)
+        matmul(r_row, expw, out=outs[b])
+        new = rows[b]
+        return multiply(p, new, out=new)
+
+    return step
+
+
+def _flush(masses: np.ndarray) -> np.ndarray:
+    """Set the masses below TINY_MASS to exact zero, in place, and return
+    the array. Sub-normal masses would otherwise fabricate infinite
+    divergences out of roundoff underflow. Both maps' steps leave this to
+    their callers: ab_step and ib_step flush every step, and the block loop
+    flushes only the rows that need it (_run_block)."""
+    np.copyto(masses, 0.0, where=np.less(masses, TINY_MASS))
+    return masses
+
+
+def _run_block(step, start, rows: np.ndarray, steps: int, eager: bool) -> bool:
+    """Take a block's steps from start into rows[1..steps], each row what a
+    step that flushed its result would have written, and return whether the
+    block flushed a mass.
+
+    Sub-normal masses are rare, so the steps run unflushed, and afterwards
+    the rows are searched for an entry in (0, TINY_MASS): there is one when
+    more entries lie below TINY_MASS than are zero, as a NaN does neither.
+    The masses are non-negative, so the flush changes no other entry (a
+    start's -0.0 masses are made 0.0 before the first step). Every row
+    before the first such row is what flushing steps would have written,
+    since the flush did nothing there. That row is flushed in place and the
+    rest of the block runs again from it, flushing after each step, so a
+    block runs at most steps - 1 extra steps, and only when it flushes.
+
+    An eager block, which follows one that flushed, flushes after each step
+    but its last and looks at its last row alone. A bottleneck encoder entry
+    whose fixed point is sub-normal comes back every step; its blocks then
+    run eagerly, at the cost of a flush per step, instead of running again.
+    """
+    p, first = start, 1
+    if eager:
+        first = steps
+        for b in range(1, steps):
+            p = _flush(step(p, b))
+    for b in range(first, steps + 1):
+        p = step(p, b)
+    block = rows[first:steps + 1]
+    if np.count_nonzero(np.less(block, TINY_MASS)) + np.count_nonzero(block) <= block.size:
+        return False
+    hits = np.greater(block, 0.0) & np.less(block, TINY_MASS)
+    row = first + int(hits.any(axis=tuple(range(1, block.ndim))).argmax())
+    p = _flush(rows[row])
+    for b in range(row + 1, steps + 1):
+        p = _flush(step(p, b))
+    return True
 
 
 def _nonfinite_error(z: np.ndarray, k: int) -> NumericalError:
@@ -430,13 +517,14 @@ def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     """One alternating step: encoder from the marginal, then its new marginal.
 
     Maps the simplex to itself and preserves exact zeros coordinatewise. It
-    is the map solve iterates, with the same arithmetic.
+    is the map solve iterates, with the same arithmetic, and flushes its
+    result as the block loop flushes a row.
     """
     marginal = np.asarray(marginal, dtype=float)
     expw = _iteration_weights(problem, marginal, beta)
     buf = _BaBuffers(expw, marginal)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        new = _ba_update(expw, problem.px, marginal, buf, buf.outs[1])
+        new = _flush(_ba_map(expw, problem.px, buf)(marginal, 1))
     if (buf.z <= 0).any():
         raise NumericalError("partition function vanished")
     return new
@@ -453,10 +541,13 @@ def uniform_init(problem: RdProblem) -> np.ndarray:
 
 
 def _initial_marginal(problem: RdProblem, init) -> np.ndarray:
+    """The start of a solve. Adding 0.0 turns a -0.0 mass into 0.0, as the
+    flush after the first step did; the block loop only flushes positive
+    sub-normals, and a -0.0 would stay -0.0 through every step."""
     p = uniform_init(problem) if init is None else as_distribution(init, name="init")
     if p.shape[0] != problem.m:
         raise ValueError("init length does not match the representation alphabet")
-    return p
+    return p + 0.0
 
 
 def _run_blocks(step, start, rows, diff, delta, lanes: int, config: SolverConfig,
@@ -465,18 +556,22 @@ def _run_blocks(step, start, rows, diff, delta, lanes: int, config: SolverConfig
     the stopping rule once per block, until some lane stops or the budget
     runs out.
 
-    step(p, b) takes one step from p, writes it to rows[b] and returns it;
-    the first step reads start, whose values rows[0] holds, and step b + 1
-    reads what step b returned. _block_length sets each block's length, and
-    one subtract, abs and reduce into diff and delta (rows of distances,
-    one column per lane) give the block's distances; an l1 distance sums a
-    lane's difference in C order. A lane stops at its first row below
-    epsilon, or fails at its first non-finite row, which a vanishing
-    partition function, a row that lost all mass or any other non-finite
-    iterate makes NaN or inf; rows after that are never read, so a NaN
-    there changes nothing. The first failing step is run again from its
-    own start, so the map's buffers hold its state, and fail(lanes that
-    failed there, its iteration) raises.
+    step(p, b) takes one step from p, writes it to rows[b] and returns it,
+    without flushing sub-normal masses; the first step reads start, whose
+    values rows[0] holds, and step b + 1 reads what step b returned.
+    _block_length sets each block's length. _run_block takes a block's
+    steps, then flushes the first row that holds a sub-normal mass and runs
+    the rest of the block again from it, so every row is what a step that
+    flushed its result would have written, and counts, marginals and report
+    bytes are unchanged. Only then do one subtract, abs and reduce into
+    diff and delta (rows of distances, one column per lane) give the
+    block's distances; an l1 distance sums a lane's difference in C order.
+    A lane stops at its first row below epsilon, or fails at its first
+    non-finite row, which a vanishing partition function, a row that lost
+    all mass or any other non-finite iterate makes NaN or inf; rows after
+    that are never read, so a NaN there changes nothing. The first failing
+    step is run again from its own start, so the map's buffers hold its
+    state, and fail(lanes that failed there, its iteration) raises.
 
     Returns (k, stopped, ends): k is the number of steps taken, and rows[0]
     holds each lane's latest iterate, which is its stopping one for a lane
@@ -485,11 +580,10 @@ def _run_blocks(step, start, rows, diff, delta, lanes: int, config: SolverConfig
     them to its stopping iteration.
     """
     reduce, epsilon = _NORMS[config.norm].reduce, config.epsilon
+    eager = False
     while k < config.max_iterations:
         steps = _block_length(k, config.max_iterations)
-        p = start
-        for b in range(1, steps + 1):
-            p = step(p, b)
+        eager = _run_block(step, start, rows, steps, eager)
         d = np.subtract(rows[1:steps + 1], rows[:steps], out=diff[:steps])
         np.abs(d, out=d)
         dist = reduce(d.reshape(steps, lanes, -1), axis=-1, out=delta[:steps])
@@ -540,10 +634,7 @@ def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConf
             w, q = (expw, p) if lanes.size > 1 else (expw[0], p[0])
             buf = _BaBuffers(w, q, _BLOCK)
             buf.iterates[0] = q
-            outs = list(buf.outs)
-
-            def step(start, b):
-                return _ba_update(w, px, start, buf, outs[b])
+            step = _ba_map(w, px, buf)
 
             def fail(failed, iteration):
                 raise _nonfinite_error(buf.z.reshape(lanes.size, -1)[failed], iteration)

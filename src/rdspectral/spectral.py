@@ -54,7 +54,7 @@ class FixedPointJacobian:
     factors: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectralReport(JsonRecord):
     """Eigenvalue summary of a FixedPointJacobian.
 

@@ -67,7 +67,7 @@ class SweepConfig:
         object.__setattr__(self, "beta_grid", grid)
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepRecord(JsonRecord):
     """One grid point of a sweep.
 
@@ -96,7 +96,7 @@ class SweepRecord(JsonRecord):
     eigenvalues: np.ndarray | None = field(default=None, metadata=NOT_SERIALIZED)
 
 
-@dataclass
+@dataclass(eq=False)
 class TransitionReport(JsonRecord):
     """Grid intervals bracketing detected topological transitions.
 
@@ -246,7 +246,7 @@ def detect_transitions(records: list[SweepRecord]) -> TransitionReport:
     return TransitionReport(intervals=intervals, kind=kind, index_pairs=pairs)
 
 
-@dataclass
+@dataclass(eq=False)
 class RateStudyPoint(JsonRecord):
     """Measured-vs-predicted convergence rate at one stopping accuracy."""
 

@@ -98,6 +98,26 @@ def block_of(iteration: int, budget: int = 10**7) -> tuple:
         done = last
 
 
+def unreplayed_calls(iterations: int, converged: bool, budget: int) -> int:
+    """Map calls a single-lane solve makes when no block is run again: steps
+    to the end of the block that holds its stopping iteration, or its whole
+    budget."""
+    return block_of(iterations, budget)[1] if converged else budget
+
+
+def count_flushes(monkeypatch) -> list:
+    """Have rd._flush count the masses in (0, TINY_MASS) that it sets to
+    zero. Returns the one-item list that holds the count."""
+    flush, flushed = rdmod._flush, [0]
+
+    def counting(masses):
+        flushed[0] += int(np.count_nonzero((masses > 0) & (masses < TINY_MASS)))
+        return flush(masses)
+
+    monkeypatch.setattr(rdmod, "_flush", counting)
+    return flushed
+
+
 def stepped_solve(problem: RdProblem, marginal, beta: float, config) -> tuple:
     """(marginal, iterations, converged) from repeated ab_step calls under
     config's stopping rule, tested after every step."""

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_of, ib_functional, ib_update_reference, stepped_ib_solve
+from oracles import (
+    block_of,
+    count_flushes,
+    ib_functional,
+    ib_update_reference,
+    stepped_ib_solve,
+    unreplayed_calls,
+)
 from rdspectral import (
     IbProblem,
     NumericalError,
@@ -33,6 +40,7 @@ from rdspectral import (
     uniform_encoder_init,
 )
 from rdspectral import ib as ibmod
+from rdspectral import rd as rdmod
 
 EPS7 = SolverConfig(epsilon=1e-7)
 
@@ -583,6 +591,74 @@ def test_solve_is_repeated_steps_across_block_edges(seed, budget, norm):
     assert sol.converged == converged
 
 
+def count_ib_steps(monkeypatch) -> list:
+    """Count the bottleneck steps taken. Returns the one-item list that
+    holds the count."""
+    calls = [0]
+
+    def counting(step, encoder, out):
+        calls[0] += 1
+        return step(encoder, out)
+
+    wrap_ib_steps(monkeypatch, counting)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       budget=st.sampled_from([63, 64, 65, 129, 1100]),
+       norm=st.sampled_from(["l1", "linf"]))
+def test_sub_normal_masses_are_flushed_inside_blocks(seed, budget, norm):
+    """Starts hold masses of 1e-300 to 1e-290 in whole encoder columns, and
+    beta up to 300 drives such columns, and the far entries of live ones,
+    into the sub-normal range. ib_solve gives repeated ib_step's encoder,
+    marginal, count and flag bit for bit, and runs a block again only when
+    it flushes, at most 63 extra steps per flushed mass."""
+    rng = np.random.default_rng(seed)
+    n, ny, m = (int(v) for v in rng.integers(2, 6, 3))
+    problem = IbProblem(pxy=rng.dirichlet(np.ones(n * ny)).reshape(n, ny), m=m)
+    init = rng.dirichlet(np.ones(m), size=n)
+    init[np.arange(n), rng.integers(m, size=n)] += 0.5
+    tiny = rng.permutation(m)[:int(rng.integers(1, m))]
+    init[:, tiny] = 10.0 ** -rng.uniform(290.0, 300.0, tiny.size)
+    beta = float(rng.uniform(5.0, 300.0))
+    config = SolverConfig(epsilon=10.0 ** -rng.uniform(4.0, 320.0), norm=norm,
+                          max_iterations=budget)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_ib_steps(patch)
+        flushed = count_flushes(patch)
+        sol = ib_solve(problem, beta, init_encoder=init, config=config)
+    encoder, marginal, iterations, converged = stepped_ib_solve(problem, init, beta, config)
+    assert sol.encoder.tobytes(order="A") == encoder.tobytes(order="A")
+    assert sol.marginal.tobytes() == marginal.tobytes()
+    assert sol.iterations == iterations
+    assert sol.converged == converged
+    replays = calls[0] - unreplayed_calls(iterations, converged, budget)
+    assert 0 <= replays <= 63 * flushed[0]
+
+
+def test_a_sub_normal_fixed_point_entry_flushes_every_step():
+    """Symbols 0 and 1 share a cluster that symbol 2, with p(y=1|x) = 1e-7,
+    stays out of; at beta 110 their encoder entries for symbol 2's
+    representative sit in the sub-normal range, so every step makes them
+    again and flushes them. The blocks after the first flush run eagerly
+    and none runs again; the solve is repeated ib_step, bit for bit."""
+    pyx = np.array([[0.547, 0.453], [0.453, 0.547], [1.0 - 1e-7, 1e-7]])
+    problem = IbProblem(pxy=pyx * np.array([0.4, 0.4, 0.2])[:, None], m=3)
+    config = SolverConfig(epsilon=1e-12)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_ib_steps(patch)
+        flushed = count_flushes(patch)
+        sol = ib_solve(problem, 110.0, config=config)
+    encoder, marginal, iterations, converged = stepped_ib_solve(
+        problem, uniform_encoder_init(problem), 110.0, config)
+    assert sol.encoder.tobytes() == encoder.tobytes() and encoder[0, 2] == 0.0
+    assert sol.marginal.tobytes() == marginal.tobytes()
+    assert (sol.iterations, sol.converged) == (iterations, converged) == (764, True)
+    assert flushed[0] > iterations
+    assert calls[0] == unreplayed_calls(iterations, converged, config.max_iterations)
+
+
 def _same_array(got, want) -> bool:
     return (got.shape == want.shape and got.strides == want.strides
             and got.tobytes(order="A") == want.tobytes(order="A"))
@@ -598,7 +674,9 @@ def test_bound_map_is_the_reference_bit_for_bit(seed, pxy_order, encoder_order, 
                                                beta_kind):
     """The map ib_solve and ib_step step through divides the decoder by the
     marginal itself and leaves dead logits at log 0 = -inf; the reference
-    divides by a zero-safe copy and fills them. Encoder, marginal and
+    divides by a zero-safe copy and fills them. The map leaves sub-normal
+    masses to its callers, so its encoder is compared after the flush that
+    ib_step and the block loop apply. Encoder, marginal and
     decoder agree bit for bit, strides included, on C- and F-ordered pxy,
     pxy with zeros (the blanked relevance terms), encoders with dead
     columns in either layout, and beta 0, random and 1e3. From 16 source
@@ -629,7 +707,7 @@ def test_bound_map_is_the_reference_bit_for_bit(seed, pxy_order, encoder_order, 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         new = ibmod._ib_map(problem, beta, buf)(encoder, buf.encoder)
     assert new is buf.encoder
-    assert _same_array(new, want_encoder)
+    assert _same_array(rdmod._flush(new), want_encoder)
     assert _same_array(buf.marginal, want_marginal)
     assert _same_array(buf.dec, want_decoder)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from oracles import (
     block_of,
     binary_hamming_distortion,
     binary_hamming_rate,
+    count_flushes,
     encoder_from_marginal,
     lagrangian,
     residual,
     stepped_solve,
+    unreplayed_calls,
 )
 from rdspectral import (
     NumericalError,
@@ -30,6 +33,7 @@ from rdspectral import (
     solve_batch,
 )
 from rdspectral import rd as rdmod
+from rdspectral.probability import TINY_MASS
 from rdspectral.problems import builtin_problem, dump_problem, load_problem
 
 
@@ -625,14 +629,14 @@ class TestLeanLoop:
         """Every step, before and after lanes leave the stack, reads weights
         and writes buffers that start on a cache line."""
         offsets = set()
-        update = rdmod._ba_update
 
-        def recording(expw, px, p, buf, out):
-            for a in (expw, buf.z_out, buf.r, buf.delta, out):
+        def recording(step, p, b, expw, buf):
+            new = step(p, b)
+            for a in (expw, buf.z_out, buf.r, buf.delta, new):
                 offsets.add(a.ctypes.data % rdmod._CACHE_LINE)
-            return update(expw, px, p, buf, out)
+            return new
 
-        monkeypatch.setattr(rdmod, "_ba_update", recording)
+        wrap_ba_steps(monkeypatch, recording)
         problem = builtin_problem("fig1_like")
         solve_batch(problem, [30.0, 2.0, 50.0], config=SolverConfig(epsilon=1e-6))
         assert offsets == {0}
@@ -699,20 +703,129 @@ def test_solves_are_repeated_steps_across_block_edges(seed, budget, norm):
             assert sol.converged == converged
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       budget=st.sampled_from([63, 64, 65, 129, 1100]),
+       norm=st.sampled_from(["l1", "linf"]))
+def test_sub_normal_masses_are_flushed_inside_blocks(seed, budget, norm):
+    """Starts hold masses of 1e-300 to 1e-290 on representatives whose
+    distortion column is a live column's plus a margin, so near the fixed
+    point each step shrinks them by exp(-beta * margin). Margins are drawn
+    to make them sub-normal at random steps within the budget, so they are
+    flushed inside blocks of up to 64 steps; an epsilon down to 1e-320 lets
+    a solve run on until they are gone. solve and every solve_batch lane
+    give repeated ab_step's marginal, count and flag bit for bit, and a
+    solve runs a block again only when it flushes, at most 63 extra steps
+    per flushed mass."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+    d = rng.uniform(0.0, 1.0, (n, m))
+    tiny = rng.permutation(m)[:int(rng.integers(1, m))]
+    live = rng.choice(np.setdiff1d(np.arange(m), tiny), tiny.size)
+    beta = rng.uniform(2.0, 30.0)
+    masses = 10.0 ** -rng.uniform(290.0, 300.0, tiny.size)
+    flush_steps = rng.uniform(1.0, budget, tiny.size)
+    d[:, tiny] = d[:, live] + np.log(masses / TINY_MASS) / (beta * flush_steps)
+    problem = RdProblem(px=rng.dirichlet(np.ones(n)), d=d)
+    betas = [beta, *beta * rng.uniform(0.5, 2.0, int(rng.integers(0, 4)))]
+    inits = []
+    for _ in betas:
+        q = random_start(rng, m)
+        q[live] += 0.1
+        q[tiny] = masses
+        q[q.argmax()] += 1.0 - q.sum()
+        inits.append(q)
+    config = SolverConfig(epsilon=10.0 ** -rng.uniform(4.0, 320.0), norm=norm,
+                          max_iterations=budget)
+    lanes = solve_batch(problem, betas, inits, config)
+    for beta, init, lane in zip(betas, inits, lanes):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_ba_steps(patch)
+            flushed = count_flushes(patch)
+            alone = solve(problem, beta, init, config)
+        marginal, iterations, converged = stepped_solve(problem, init, beta, config)
+        for sol in (lane, alone):
+            assert sol.marginal.tobytes() == marginal.tobytes()
+            assert sol.iterations == iterations
+            assert sol.converged == converged
+        replays = calls[0] - unreplayed_calls(iterations, converged, budget)
+        assert 0 <= replays <= 63 * flushed[0]
+
+
+def test_a_block_runs_again_from_its_first_sub_normal_row():
+    """Representative 1 starts at 1e-295 and shrinks by about e^-0.05 per
+    step, so it turns sub-normal at step 583, inside the block of steps 565
+    to 599. An epsilon below any normal distance keeps the solve running
+    until the step after the flush. The solve takes the steps of repeated ab_step, bit
+    for bit, and runs the rest of that block again once."""
+    problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 0.01], [0.2, 0.21]])
+    init = [1.0 - 1e-295, 1e-295]
+    config = SolverConfig(epsilon=1e-320)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_ba_steps(patch)
+        flushed = count_flushes(patch)
+        sol = solve(problem, 5.0, init, config)
+    marginal, iterations, converged = stepped_solve(problem, init, 5.0, config)
+    assert sol.marginal.tobytes() == marginal.tobytes() and marginal[1] == 0.0
+    assert (sol.iterations, sol.converged) == (iterations, True)
+    assert iterations == 584 and block_of(iterations) == (565, 599)
+    assert flushed[0] == 1 and calls[0] == 599 + (599 - 583)
+
+
+def test_negative_zero_start_mass_reads_zero():
+    """The first step's flush turned a -0.0 start mass into 0.0. The block
+    loop flushes only positive sub-normals, so a solve makes the start's
+    -0.0 masses 0.0 first; a -0.0 would otherwise stay through every step."""
+    problem = builtin_problem("fig1_like")
+    init = np.array([0.5, -0.0, 0.25, 0.25])
+    config = SolverConfig(epsilon=1e-9)
+    marginal = stepped_solve(problem, init, 10.0, config)[0]
+    assert marginal[1] == 0.0 and not np.signbit(marginal[1])
+    for sol in (solve(problem, 10.0, init, config),
+                solve_batch(problem, [10.0, 5.0], [init, init], config)[0]):
+        assert sol.marginal.tobytes() == marginal.tobytes()
+
+
+def wrap_ba_steps(monkeypatch, wrapper) -> None:
+    """Have every BA map that a solve or ab_step binds step through
+    wrapper(step, p, b, expw, buf), where expw and buf are the map's
+    weights and buffers."""
+    bind = rdmod._ba_map
+
+    def bound(expw, px, buf):
+        step = bind(expw, px, buf)
+        return lambda p, b: wrapper(step, p, b, expw, buf)
+
+    monkeypatch.setattr(rdmod, "_ba_map", bound)
+
+
+def count_ba_steps(monkeypatch) -> list:
+    """Count the BA steps taken. Returns the one-item list that holds the
+    count."""
+    calls = [0]
+
+    def counting(step, p, b, expw, buf):
+        calls[0] += 1
+        return step(p, b)
+
+    wrap_ba_steps(monkeypatch, counting)
+    return calls
+
+
 def poison_step(monkeypatch, call: int, lane=None) -> list:
     """Make the call-th BA step (counted from 1) write NaN into its output,
     or only into one lane's row of a stack. Returns the one-item list that
     counts the steps taken."""
-    update, calls = rdmod._ba_update, [0]
+    calls = [0]
 
-    def poisoned(expw, px, p, buf, out):
-        new = update(expw, px, p, buf, out)
+    def poisoned(step, p, b, expw, buf):
+        new = step(p, b)
         calls[0] += 1
         if calls[0] == call:
-            (out if lane is None else out[lane]).fill(np.nan)
+            (new if lane is None else new[lane]).fill(np.nan)
         return new
 
-    monkeypatch.setattr(rdmod, "_ba_update", poisoned)
+    wrap_ba_steps(monkeypatch, poisoned)
     return calls
 
 
@@ -834,6 +947,24 @@ class TestDerivedEncoder:
     def test_json_form_carries_the_encoder(self):
         sol = solve(binary_hamming(), 2.0)
         assert sol.to_json_dict()["encoder"] == sol.encoder.tolist()
+
+
+class TestRecordEquality:
+    def test_equal_solves_compare_equal(self):
+        """The generated __eq__ raised ValueError here: it compared field
+        tuples holding arrays, whose comparison has no truth value."""
+        a, b = solve(binary_hamming(), 2.0), solve(binary_hamming(), 2.0)
+        assert a is not b and a == b and not a != b
+        assert binary_hamming() == binary_hamming()
+
+    def test_a_changed_field_compares_unequal(self):
+        a = solve(binary_hamming(), 2.0)
+        assert a != solve(binary_hamming(), 3.0)
+        assert a != replace(a, marginal=np.array([0.25, 0.75]))
+        assert a != replace(a, marginal=a.marginal[:1].copy())
+        assert a != replace(a, iterations=a.iterations + 1)
+        assert binary_hamming() != binary_hamming(0.7)
+        assert a != a.problem and a.problem != a
 
 
 class TestDualityGap:

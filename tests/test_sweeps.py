@@ -241,6 +241,18 @@ class TestIbSweep:
             assert np.isnan(r.lambda0)
             assert r.distortion_or_info >= -1e-12
 
+    def test_records_compare_by_value(self):
+        """Two sweeps give equal records although their spectral fields are
+        NaN; one changed grid point makes them unequal."""
+        problem = bottleneck_four_symbol()
+        config = SweepConfig(beta_grid=[8.0, 4.0, 2.0], init="reverse")
+        records = sweep(problem, config)
+        again = sweep(problem, config)
+        assert np.isnan(records[0].lambda0) and records == again
+        assert detect_transitions(records) == detect_transitions(again)
+        assert records != sweep(problem, SweepConfig(beta_grid=[8.0, 4.0, 2.5],
+                                                     init="reverse"))
+
 
 class TestDetectTransitions:
     def _record(self, beta, support_size, converged=True, card=None):
