@@ -146,17 +146,19 @@ class IbSolution(JsonRecord):
 
 class _IbBuffers:
     """Work arrays of the bottleneck map for one problem and decoder count,
-    written in place on every step.
+    written in place on every step, and the history of a block of steps.
 
     The relevance sums, the row masses and px @ encoder round according to
     their operands' memory layout, and the map's expressions give those
     operands a layout that follows the problem's arrays (a column-permuted
     pxy makes them Fortran-ordered). So the buffers copy the layouts of the
-    same expressions evaluated once on stand-in values; encoder has the
-    layout of the map's output.
+    same expressions evaluated once on stand-in values. rows holds the
+    history, steps + 1 encoders with the layout of the map's output, each
+    starting on a cache line: step b writes rows[b], and rows[0] holds the
+    block's start.
     """
 
-    def __init__(self, problem: IbProblem, m: int):
+    def __init__(self, problem: IbProblem, m: int, steps: int = 1):
         n, ny = problem.n, problem.ny
         pygx, logp, pos = problem._kl_terms
         with np.errstate(invalid="ignore"):
@@ -174,8 +176,8 @@ class _IbBuffers:
         self.dist = np.empty_like(dist)
         self.row_max = np.empty(n)
         self.norms = np.empty(n)
-        self.encoder = np.empty_like(encoder)
         self.weighted = np.empty_like(encoder)
+        self.rows = _aligned_rows(steps + 1, encoder.shape, self.weighted.strides)
 
 
 def _decoder_stage(problem: IbProblem, buf: _IbBuffers):
@@ -230,8 +232,8 @@ def _relevance_stage(problem: IbProblem, buf: _IbBuffers):
 
 def _ib_map(problem: IbProblem, beta: float, buf: _IbBuffers):
     """The bottleneck map at one beta, bound once to the problem's arrays and
-    to buf: step(encoder, out) writes the new encoder to out, which has the
-    layout of buf.encoder, and returns it.
+    to buf: step(encoder, b) writes the new encoder to buf.rows[b] and
+    returns that row, as the BA map's step(p, b) does (rd._ba_map).
 
     A step takes the marginal px @ encoder (kept in buf.marginal), the
     decoder (buf.dec), the relevance distortion, the logits log(marginal) -
@@ -257,7 +259,7 @@ def _ib_map(problem: IbProblem, beta: float, buf: _IbBuffers):
         def relevance(decoder):
             return zeros
 
-    px_dot = problem.px.dot
+    px_dot, rows = problem.px.dot, list(buf.rows)
     marginal, log_marginal = buf.marginal, buf.log_marginal
     row_max, norms = buf.row_max, buf.norms
     row_max_column, norms_column = row_max[:, None], norms[:, None]
@@ -266,11 +268,11 @@ def _ib_map(problem: IbProblem, beta: float, buf: _IbBuffers):
     max_reduce, add_reduce = np.maximum.reduce, np.add.reduce
     beta = np.array(beta, dtype=float)
 
-    def step(encoder, out):
+    def step(encoder, b):
         px_dot(encoder, out=marginal)
         dist = relevance(decode(encoder))
         logits = subtract(log(marginal, out=log_marginal), multiply(dist, beta, out=dist),
-                          out=out)
+                          out=rows[b])
         max_reduce(logits, axis=1, out=row_max)
         new = exp(subtract(logits, row_max_column, out=logits), out=logits)
         add_reduce(new, axis=1, out=norms)
@@ -358,7 +360,7 @@ def ib_step(problem: IbProblem, encoder, beta: float):
     encoder = _checked_encoder(problem, encoder, "encoder")
     buf = _IbBuffers(problem, problem.m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        new_encoder = _flush(_ib_map(problem, beta, buf)(encoder, buf.encoder))
+        new_encoder = _flush(_ib_map(problem, beta, buf)(encoder, 1))
     _check_marginal(buf.marginal)
     _check_row_mass(buf)
     return new_encoder, problem.px.dot(new_encoder), buf.dec
@@ -401,6 +403,8 @@ def ib_solve(
 ) -> IbSolution:
     """Iterate the bottleneck step until successive encoders are epsilon-close.
 
+    The bound map steps through rd._run_blocks into its buffers' history
+    rows; the first step reads the caller's encoder as it is.
     The returned decoder is recomputed from the final encoder, so the
     decoder equation holds exactly for the stored triple. Non-convergence
     within the budget returns the encoder after max_iterations applications
@@ -413,16 +417,8 @@ def ib_solve(
     enc = _checked_encoder(problem, enc, "init encoder").copy()
     enc = enc / enc.sum(axis=1, keepdims=True)
 
-    buf = _IbBuffers(problem, problem.m)
-    # Step b writes rows[b], which takes the layout of the map's output;
-    # the first step reads the caller's encoder as it is.
-    rows = _aligned_rows(_BLOCK + 1, enc.shape, buf.encoder.strides)
-    rows[0] = enc
-    outs = list(rows)
-    bound = _ib_map(problem, beta, buf)
-
-    def step(encoder, b):
-        return bound(encoder, outs[b])
+    buf = _IbBuffers(problem, problem.m, _BLOCK)
+    buf.rows[0] = enc
 
     def fail(_, iteration):
         _check_row_mass(buf)
@@ -430,12 +426,11 @@ def ib_solve(
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         iterations, stopped, ends = _run_blocks(
-            step, enc, rows, np.empty((_BLOCK,) + enc.shape), np.empty((_BLOCK, 1)), 1,
-            config, 0, fail)
+            _ib_map(problem, beta, buf), enc, buf.rows, 1, config, 0, fail)
         if stopped is not None:
             iterations = ends[0]
-        marginal = problem.px.dot(rows[0])
-        enc = rows[0].copy(order="K")
+        marginal = problem.px.dot(buf.rows[0])
+        enc = buf.rows[0].copy(order="K")
         _check_marginal(marginal)
         # The final decoder reuses the solve's buffers.
         np.copyto(buf.marginal, marginal)

@@ -93,8 +93,9 @@ class JsonRecord:
     Records compare equal field by field over the fields declared with
     compare=True (_same_value). The generated __eq__ compares field tuples,
     and an array comparison inside them has no truth value, so the
-    dataclasses declare eq=False and use this one. Records hold arrays and
-    are not hashable.
+    dataclasses declare eq=False and use this one; SweepConfig and
+    FixedPointJacobian, which are not records, borrow it. Records hold
+    arrays and are not hashable.
     """
 
     def to_json_dict(self) -> dict:
@@ -330,50 +331,39 @@ class _BaBuffers:
     """Work arrays of the BA map for one shape of weights and marginals, and
     the history of a block of steps.
 
-    Written in place on every step: the partition function z and px / z.
-    Step b writes outs[b], whose rows start on cache lines; iterates[0]
-    holds the block's start. A stack's outputs are shaped as np.matmul
-    shapes its own, (lanes, 1, m), like its partition functions,
-    (lanes, n, 1), so its products take the path they took when numpy
-    allocated them; iterates views them as (lanes, m). diff and delta
-    receive |new - old| and the per-lane distances of a whole block. Every
-    array the products touch starts on a cache line.
+    Written in place on every step: the partition function z and px / z,
+    shaped (n,) for one lane and (lanes, n) for a stack. rows holds the
+    history, one row per step shaped like the iterate, (m,) or
+    (lanes, m): step b writes rows[b], and rows[0] holds the block's
+    start. Every array the products touch starts on a cache line.
     """
 
     def __init__(self, expw: np.ndarray, p: np.ndarray, steps: int = 1):
-        n, m = expw.shape[-2:]
-        lanes = 1 if p.ndim == 1 else p.shape[0]
-        if p.ndim == 1:
-            self.z_out = self.z = _aligned_empty((n,))
-            self.outs = self.iterates = _aligned_rows(steps + 1, (m,))
-        else:
-            self.z_out = _aligned_empty((lanes, n, 1))
-            self.z = self.z_out[:, :, 0]
-            self.outs = _aligned_rows(steps + 1, (lanes, 1, m))
-            self.iterates = self.outs[:, :, 0, :]
+        self.z = _aligned_empty(expw.shape[:-1])
         self.r = _aligned_empty(self.z.shape)
-        self.diff = np.empty((steps,) + p.shape)
-        self.delta = _aligned_empty((steps, lanes))
+        self.rows = _aligned_rows(steps + 1, p.shape)
 
 
 def _ba_map(expw: np.ndarray, px: np.ndarray, buf: _BaBuffers):
     """The BA map on shifted weights, bound once to them, to px and to buf:
     step(p, b) writes the marginal induced by the Boltzmann encoder built
-    from p to buf.iterates[b] and returns that row. It does not flush
+    from p to buf.rows[b] and returns that row. It does not flush
     sub-normal masses; its callers do (_flush, _run_block).
 
     expw is one (n, m) weight matrix, or a (lanes, n, m) stack whose step
-    reads p, which must then be buf.iterates[b - 1], through a
-    (lanes, m, 1) view made here. buf.z keeps the partition function the
-    step divided by: a vanishing one shows up as NaN in the result, which
-    the caller diagnoses from buf.z. One lane's products go through
+    reads p, which must then be buf.rows[b - 1]. np.matmul takes a stack's
+    operands as (lanes, m, 1) columns of the rows, a (lanes, n, 1) column
+    of z, a (lanes, 1, n) row of px / z and a (lanes, 1, m) row out, views
+    all made here, once. buf.z keeps the partition function the step
+    divided by: a vanishing one shows up as NaN in the result, which the
+    caller diagnoses from buf.z. One lane's products go through
     ndarray.dot, which calls the BLAS matrix-vector product that @ calls,
     without the matmul dispatch; a stack's go through np.matmul, which
     reproduces each lane's product bit for bit. einsum or a broadcast
     multiply-and-sum would round differently and could move a stopping
     iteration.
     """
-    z, r, outs, rows = buf.z, buf.r, list(buf.outs), list(buf.iterates)
+    z, r, rows = buf.z, buf.r, list(buf.rows)
     divide, multiply = np.divide, np.multiply
     if expw.ndim == 2:
         z_dot, r_dot = expw.dot, r.dot
@@ -381,16 +371,17 @@ def _ba_map(expw: np.ndarray, px: np.ndarray, buf: _BaBuffers):
         def step(p, b):
             z_dot(p, out=z)
             divide(px, z, out=r)
-            new = r_dot(expw, out=outs[b])
+            new = r_dot(expw, out=rows[b])
             return multiply(p, new, out=new)
 
         return step
 
-    matmul, z_out, r_row = np.matmul, buf.z_out, r[:, None, :]
+    matmul, z_column, r_row = np.matmul, z[:, :, None], r[:, None, :]
     columns = [row[:, :, None] for row in rows]
+    outs = [row[:, None, :] for row in rows]
 
     def step(p, b):
-        matmul(expw, columns[b - 1], out=z_out)
+        matmul(expw, columns[b - 1], out=z_column)
         divide(px, z, out=r)
         matmul(r_row, expw, out=outs[b])
         new = rows[b]
@@ -550,21 +541,21 @@ def _initial_marginal(problem: RdProblem, init) -> np.ndarray:
     return p + 0.0
 
 
-def _run_blocks(step, start, rows, diff, delta, lanes: int, config: SolverConfig,
-                k: int, fail):
+def _run_blocks(step, start, rows, lanes: int, config: SolverConfig, k: int, fail):
     """Run the alternating iteration from step k in blocks of steps, testing
     the stopping rule once per block, until some lane stops or the budget
     runs out.
 
-    step(p, b) takes one step from p, writes it to rows[b] and returns it,
+    rows is the history that the map's buffers own, and step(p, b), as both
+    maps step, takes one step from p, writes it to rows[b] and returns it,
     without flushing sub-normal masses; the first step reads start, whose
     values rows[0] holds, and step b + 1 reads what step b returned.
     _block_length sets each block's length. _run_block takes a block's
     steps, then flushes the first row that holds a sub-normal mass and runs
     the rest of the block again from it, so every row is what a step that
     flushed its result would have written, and counts, marginals and report
-    bytes are unchanged. Only then do one subtract, abs and reduce into
-    diff and delta (rows of distances, one column per lane) give the
+    bytes are unchanged. Only then do one subtract, abs and reduce into the
+    loop's diff and delta (rows of distances, one column per lane) give the
     block's distances; an l1 distance sums a lane's difference in C order.
     A lane stops at its first row below epsilon, or fails at its first
     non-finite row, which a vanishing partition function, a row that lost
@@ -580,6 +571,7 @@ def _run_blocks(step, start, rows, diff, delta, lanes: int, config: SolverConfig
     them to its stopping iteration.
     """
     reduce, epsilon = _NORMS[config.norm].reduce, config.epsilon
+    diff, delta = np.empty(rows[1:].shape), np.empty((len(rows) - 1, lanes))
     eager = False
     while k < config.max_iterations:
         steps = _block_length(k, config.max_iterations)
@@ -633,15 +625,15 @@ def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConf
         while True:
             w, q = (expw, p) if lanes.size > 1 else (expw[0], p[0])
             buf = _BaBuffers(w, q, _BLOCK)
-            buf.iterates[0] = q
+            buf.rows[0] = q
             step = _ba_map(w, px, buf)
 
             def fail(failed, iteration):
                 raise _nonfinite_error(buf.z.reshape(lanes.size, -1)[failed], iteration)
 
-            k, stopped, ends = _run_blocks(step, buf.iterates[0], buf.iterates, buf.diff,
-                                           buf.delta, lanes.size, config, k, fail)
-            latest = buf.iterates[0].reshape(lanes.size, -1)
+            k, stopped, ends = _run_blocks(step, buf.rows[0], buf.rows, lanes.size, config,
+                                           k, fail)
+            latest = buf.rows[0].reshape(lanes.size, -1)
             if stopped is None:
                 break
             for i, end in ends.items():

@@ -32,7 +32,7 @@ from .rd import (
 NEGATIVE_EIGENVALUE_TOL = -1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class FixedPointJacobian:
     """Transposed residual Jacobian evaluated at (marginal, beta).
 
@@ -52,6 +52,8 @@ class FixedPointJacobian:
     problem: RdProblem
     residual_linf: float
     factors: np.ndarray
+
+    __eq__ = JsonRecord.__eq__
 
 
 @dataclass(eq=False)

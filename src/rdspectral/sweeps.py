@@ -23,7 +23,7 @@ from .spectral import eigen_spectrum, jacobian, predicted_iterations
 INIT_POLICIES = ("uniform", "dirichlet", "reverse")
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepConfig:
     """Grid, policy and solver settings for one sweep.
 
@@ -36,6 +36,7 @@ class SweepConfig:
     epsilon / (1 - decay rate). merge_tol, finite and positive, clusters
     decoder rows for bottleneck cardinality counts. seed, a non-negative
     integer, seeds the Dirichlet starts, so every sweep can be run again.
+    solver must be a SolverConfig.
     """
 
     beta_grid: np.ndarray
@@ -44,6 +45,8 @@ class SweepConfig:
     seed: int = 0
     merge_tol: float = ibmod.DEFAULT_MERGE_TOL
     support_tol: float = DEFAULT_ZERO_TOL
+
+    __eq__ = JsonRecord.__eq__
 
     def __post_init__(self):
         grid = np.asarray(self.beta_grid, dtype=float)
@@ -58,6 +61,8 @@ class SweepConfig:
             raise ValueError(f"init must be one of {INIT_POLICIES}")
         if self.init == "reverse" and diffs[0] > 0:
             raise ValueError("reverse annealing requires a descending beta grid")
+        if not isinstance(self.solver, SolverConfig):
+            raise ValueError("solver must be a SolverConfig")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ValueError("seed must be a non-negative integer")

@@ -554,6 +554,27 @@ class TestLeanLoop:
         assert _bytes_digest(sol.encoder) == encoder_digest
         assert _bytes_digest(sol.marginal) == marginal_digest
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_history_rows_stay_cache_aligned(self, monkeypatch, order):
+        """Every history row an ib_solve step writes, all 64 of a full
+        block, starts on a cache line and has the strides of ib_step's
+        output, on a C- and on an F-ordered pxy."""
+        problem = bottleneck_four_symbol() if order == "C" else self._column_permuted()
+        assert problem.pxy.flags[f"{order}_CONTIGUOUS"]
+        init = identity_encoder_init(problem)
+        strides = ib_step(problem, init, 25.0)[0].strides
+        assert strides == ((8 * problem.m, 8) if order == "C" else (8, 8 * problem.n))
+        written = set()
+
+        def recording(step, encoder, b):
+            new = step(encoder, b)
+            written.add((b, new.ctypes.data % rdmod._CACHE_LINE, new.strides))
+            return new
+
+        wrap_ib_steps(monkeypatch, recording)
+        assert ib_solve(problem, 25.0, init_encoder=init, config=EPS7).iterations > 1000
+        assert written == {(b, 0, strides) for b in range(1, rdmod._BLOCK + 1)}
+
     def test_row_that_loses_all_mass_keeps_its_message(self):
         """With one representative, beta * KL(p(y|x=1) || p(y)) = 1e308 * log 10
         overflows, so row 1 of the encoder update is exp(-inf - -inf) = NaN."""
@@ -596,9 +617,9 @@ def count_ib_steps(monkeypatch) -> list:
     holds the count."""
     calls = [0]
 
-    def counting(step, encoder, out):
+    def counting(step, encoder, b):
         calls[0] += 1
-        return step(encoder, out)
+        return step(encoder, b)
 
     wrap_ib_steps(monkeypatch, counting)
     return calls
@@ -705,8 +726,8 @@ def test_bound_map_is_the_reference_bit_for_bit(seed, pxy_order, encoder_order, 
     want_encoder, want_marginal, want_decoder = ib_update_reference(problem, encoder, beta)
     buf = ibmod._IbBuffers(problem, m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        new = ibmod._ib_map(problem, beta, buf)(encoder, buf.encoder)
-    assert new is buf.encoder
+        new = ibmod._ib_map(problem, beta, buf)(encoder, 1)
+    assert np.shares_memory(new, buf.rows[1])
     assert _same_array(rdmod._flush(new), want_encoder)
     assert _same_array(buf.marginal, want_marginal)
     assert _same_array(buf.dec, want_decoder)
@@ -721,12 +742,12 @@ def test_bound_map_is_the_reference_bit_for_bit(seed, pxy_order, encoder_order, 
 
 def wrap_ib_steps(monkeypatch, wrapper) -> None:
     """Have every bottleneck map that ib_solve binds step through
-    wrapper(step, encoder, out)."""
+    wrapper(step, encoder, b)."""
     bind = ibmod._ib_map
 
     def bound(*args):
         step = bind(*args)
-        return lambda encoder, out: wrapper(step, encoder, out)
+        return lambda encoder, b: wrapper(step, encoder, b)
 
     monkeypatch.setattr(ibmod, "_ib_map", bound)
 
@@ -736,8 +757,8 @@ def poison_ib_step(monkeypatch, call: int) -> None:
     encoder it returns."""
     calls = [0]
 
-    def poisoned(step, encoder, out):
-        new = step(encoder, out)
+    def poisoned(step, encoder, b):
+        new = step(encoder, b)
         calls[0] += 1
         if calls[0] == call:
             new.fill(np.nan)
@@ -781,9 +802,9 @@ class TestBlockEdges:
         assert problem.pxy.flags.f_contiguous and not problem.pxy.flags.c_contiguous
         seen = []
 
-        def recording(step, encoder, out):
+        def recording(step, encoder, b):
             seen.append(encoder)
-            return step(encoder, out)
+            return step(encoder, b)
 
         wrap_ib_steps(monkeypatch, recording)
         poison_ib_step(monkeypatch, 1)

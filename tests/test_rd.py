@@ -632,7 +632,7 @@ class TestLeanLoop:
 
         def recording(step, p, b, expw, buf):
             new = step(p, b)
-            for a in (expw, buf.z_out, buf.r, buf.delta, new):
+            for a in (expw, buf.z, buf.r, new):
                 offsets.add(a.ctypes.data % rdmod._CACHE_LINE)
             return new
 

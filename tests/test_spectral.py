@@ -1,6 +1,7 @@
 """Unit tests for the fixed-point Jacobian and its spectrum."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,6 +235,24 @@ class TestEigenSpectrum:
             np.testing.assert_allclose(
                 np.sort(dense.real), report.eigenvalues, atol=1e-7
             )
+
+
+class TestJacobianEquality:
+    def test_equal_jacobians_compare_equal(self):
+        """The generated __eq__ raised ValueError here: it compared field
+        tuples holding arrays, whose comparison has no truth value."""
+        a = jacobian(binary_hamming(), [0.5, 0.5], 2.0)
+        b = jacobian(binary_hamming(), [0.5, 0.5], 2.0)
+        assert a is not b and a == b and not a != b
+
+    def test_a_changed_field_compares_unequal(self):
+        a = jacobian(binary_hamming(), [0.5, 0.5], 2.0)
+        assert a != jacobian(binary_hamming(), [0.5, 0.5], 3.0)
+        assert a != replace(a, marginal=np.array([0.25, 0.75]))
+        assert a != replace(a, factors=a.factors[:1].copy())
+        assert a != jacobian(RdProblem(px=[0.5, 0.5], d=[[0.0, 2.0], [2.0, 0.0]]),
+                             [0.5, 0.5], 2.0)
+        assert a != a.problem
 
 
 class TestPredictedIterations:

@@ -67,6 +67,26 @@ class TestSweepConfigValidation:
     def test_support_tol_defaults_to_the_pinning_threshold(self):
         assert SweepConfig(beta_grid=[1.0, 2.0]).support_tol == DEFAULT_ZERO_TOL
 
+    @pytest.mark.parametrize("solver", [None, {"epsilon": 1e-9}, "linf"])
+    def test_rejects_solver_that_is_not_a_solver_config(self, solver):
+        """sweep used to fail on it later, with AttributeError on
+        solver.epsilon."""
+        with pytest.raises(ValueError, match="^solver must be a SolverConfig$"):
+            SweepConfig(beta_grid=[1.0, 2.0], solver=solver)
+
+    def test_equal_configs_compare_equal(self):
+        """The generated __eq__ raised ValueError here: beta_grid is an
+        array, and an array comparison has no truth value."""
+        a, b = SweepConfig(beta_grid=[2.0, 1.0]), SweepConfig(beta_grid=[2.0, 1.0])
+        assert a is not b and a == b and not a != b
+
+    def test_a_changed_field_compares_unequal(self):
+        a = SweepConfig(beta_grid=[2.0, 1.0])
+        assert a != SweepConfig(beta_grid=[3.0, 1.0])
+        assert a != SweepConfig(beta_grid=[2.0, 1.5, 1.0])
+        assert a != SweepConfig(beta_grid=[2.0, 1.0], solver=SolverConfig(epsilon=1e-7))
+        assert a != SweepConfig(beta_grid=[2.0, 1.0], init="reverse")
+
 
 # Per-record (iterations, support_size[, effective_cardinality]) of one short
 # sweep per problem kind and policy, in ascending beta. Iteration counts are
