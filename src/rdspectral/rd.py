@@ -400,10 +400,9 @@ def _flush(masses: np.ndarray) -> np.ndarray:
     return masses
 
 
-def _run_block(step, start, rows: np.ndarray, steps: int, eager: bool) -> bool:
+def _run_block(step, start, rows: np.ndarray, steps: int) -> None:
     """Take a block's steps from start into rows[1..steps], each row what a
-    step that flushed its result would have written, and return whether the
-    block flushed a mass.
+    step that flushed its result would have written.
 
     Sub-normal masses are rare, so the steps run unflushed, and afterwards
     the rows are searched for an entry in (0, TINY_MASS): there is one when
@@ -414,28 +413,18 @@ def _run_block(step, start, rows: np.ndarray, steps: int, eager: bool) -> bool:
     since the flush did nothing there. That row is flushed in place and the
     rest of the block runs again from it, flushing after each step, so a
     block runs at most steps - 1 extra steps, and only when it flushes.
-
-    An eager block, which follows one that flushed, flushes after each step
-    but its last and looks at its last row alone. A bottleneck encoder entry
-    whose fixed point is sub-normal comes back every step; its blocks then
-    run eagerly, at the cost of a flush per step, instead of running again.
     """
-    p, first = start, 1
-    if eager:
-        first = steps
-        for b in range(1, steps):
-            p = _flush(step(p, b))
-    for b in range(first, steps + 1):
+    p = start
+    for b in range(1, steps + 1):
         p = step(p, b)
-    block = rows[first:steps + 1]
+    block = rows[1:steps + 1]
     if np.count_nonzero(np.less(block, TINY_MASS)) + np.count_nonzero(block) <= block.size:
-        return False
+        return
     hits = np.greater(block, 0.0) & np.less(block, TINY_MASS)
-    row = first + int(hits.any(axis=tuple(range(1, block.ndim))).argmax())
+    row = 1 + int(hits.any(axis=tuple(range(1, block.ndim))).argmax())
     p = _flush(rows[row])
     for b in range(row + 1, steps + 1):
         p = _flush(step(p, b))
-    return True
 
 
 def _nonfinite_error(z: np.ndarray, k: int) -> NumericalError:
@@ -508,8 +497,12 @@ def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     """One alternating step: encoder from the marginal, then its new marginal.
 
     Maps the simplex to itself and preserves exact zeros coordinatewise. It
-    is the map solve iterates, with the same arithmetic, and flushes its
-    result as the block loop flushes a row.
+    flushes its result as the block loop flushes a row, and is the step a
+    solve takes, with the same arithmetic, while every row's
+    minimum-distortion representative is alive: it shifts each row over
+    the support of the marginal it is given, and a solve keeps the weights
+    of its start, so the two round differently once such a representative
+    is flushed.
     """
     marginal = np.asarray(marginal, dtype=float)
     expw = _iteration_weights(problem, marginal, beta)
@@ -572,10 +565,9 @@ def _run_blocks(step, start, rows, lanes: int, config: SolverConfig, k: int, fai
     """
     reduce, epsilon = _NORMS[config.norm].reduce, config.epsilon
     diff, delta = np.empty(rows[1:].shape), np.empty((len(rows) - 1, lanes))
-    eager = False
     while k < config.max_iterations:
         steps = _block_length(k, config.max_iterations)
-        eager = _run_block(step, start, rows, steps, eager)
+        _run_block(step, start, rows, steps)
         d = np.subtract(rows[1:steps + 1], rows[:steps], out=diff[:steps])
         np.abs(d, out=d)
         dist = reduce(d.reshape(steps, lanes, -1), axis=-1, out=delta[:steps])

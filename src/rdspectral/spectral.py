@@ -139,14 +139,8 @@ def eigen_spectrum(
     """
     _check_tolerance(zero_tol, "zero_tol")
     marginal = jac.marginal
-    m = marginal.shape[0]
-    sup = marginal > zero_tol
-    n_dead = int(m - sup.sum())
-    if sup.any():
-        gram = _support_gram(jac.problem, marginal, jac.factors, zero_tol)
-        block = np.linalg.eigvalsh(gram)
-    else:
-        block = np.empty(0)
+    block = np.linalg.eigvalsh(_support_gram(jac.problem, marginal, jac.factors, zero_tol))
+    n_dead = marginal.shape[0] - block.size
     if block.size and block.min() < NEGATIVE_EIGENVALUE_TOL:
         raise NumericalError(
             f"eigenvalue {block.min():.3g} below {NEGATIVE_EIGENVALUE_TOL}; "

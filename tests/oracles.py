@@ -119,11 +119,20 @@ def count_flushes(monkeypatch) -> list:
 
 
 def stepped_solve(problem: RdProblem, marginal, beta: float, config) -> tuple:
-    """(marginal, iterations, converged) from repeated ab_step calls under
-    config's stopping rule, tested after every step."""
+    """(marginal, iterations, converged) from repeated steps of the BA map
+    under config's stopping rule, with a flush and a stopping test after
+    every step.
+
+    The map keeps the weights of the start, rows shifted over its support,
+    as a solve does. ab_step shifts each row over the support of the
+    marginal it is given, which rounds differently once a representative
+    that is some row's minimum has been flushed."""
     q = np.asarray(marginal, dtype=float)
+    expw = rdmod._iteration_weights(problem, q, beta)
+    step = rdmod._ba_map(expw, problem.px, rdmod._BaBuffers(expw, q))
     for k in range(1, config.max_iterations + 1):
-        new = ab_step(problem, q, beta)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = rdmod._flush(step(q, 1)).copy()
         delta = _distance(new, q, config.norm)
         q = new
         if delta < config.epsilon:

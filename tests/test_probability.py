@@ -23,6 +23,37 @@ class TestValidation:
             ch = as_channel(np.array([[0.5, 0.51], [0.2, 0.8]]))
         np.testing.assert_allclose(ch.sum(axis=1), 1.0)
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            ([[0.5, 0.5]], "must be a non-empty 1-d vector"),
+            ([], "must be a non-empty 1-d vector"),
+            ([np.nan, 1.0], "contains non-finite entries"),
+            ([-0.5, 1.5], "has negative entries"),
+            ([0.0, 0.0], "is identically zero"),
+        ],
+    )
+    def test_distribution_rejections(self, p, message):
+        with pytest.raises(ValueError, match=f"^p {message}$"):
+            as_distribution(p)
+
+    @pytest.mark.parametrize(
+        "channel, message",
+        [
+            ([0.5, 0.5], "must be a non-empty 2-d matrix"),
+            ([[np.inf, 1.0]], "contains non-finite entries"),
+            ([[-0.5, 1.5]], "has negative entries"),
+            ([[0.0, 0.0], [1.0, 0.0]], "has an all-zero row"),
+        ],
+    )
+    def test_channel_rejections(self, channel, message):
+        with pytest.raises(ValueError, match=f"^channel {message}$"):
+            as_channel(channel)
+
+    def test_mutual_information_rejects_row_count(self):
+        with pytest.raises(ValueError, match="^channel must have one row per input symbol$"):
+            mutual_information([0.5, 0.5], [[1.0, 0.0]])
+
 
 class TestEntropy:
     def test_degenerate_is_zero(self):

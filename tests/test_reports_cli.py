@@ -96,6 +96,11 @@ class TestCsv:
 
 
 class TestEmitReports:
+    def test_rejects_no_records(self, tmp_path):
+        with pytest.raises(ValueError, match="^no records to report$"):
+            emit_reports([], detect_transitions([]), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_empty_formats_writes_nothing(self, rd_sweep_results, tmp_path):
         records, transitions = rd_sweep_results
         manifest = emit_reports(records, transitions, tmp_path / "out", formats=())

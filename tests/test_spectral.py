@@ -187,6 +187,15 @@ class TestEigenSpectrum:
         assert report.lambda_max == 0.0
         assert report.predicted_rate == 0.0
 
+    def test_empty_support_is_all_kernel(self):
+        """A zero_tol above every mass leaves no support: the spectrum is the
+        dead block's zeros alone, and the point reads as critical."""
+        report = eigen_spectrum(jacobian(binary_hamming(), [0.5, 0.5], 1.0), zero_tol=0.9)
+        assert report.eigenvalues.tolist() == [0.0, 0.0]
+        assert report.kernel_dim == 2
+        assert np.isnan(report.lambda0) and np.isnan(report.lambda_max)
+        assert report.predicted_rate == np.inf and report.at_criticality
+
     def test_exact_zero_coordinate_gives_kernel_dimension(self):
         """A dead representative contributes an exact zero eigenvalue, and the
         dense nonsymmetric eigensolver sees the same spectrum."""

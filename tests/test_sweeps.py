@@ -165,6 +165,10 @@ def test_cold_sweep_is_standalone_solves(kind, policy):
 
 
 class TestRdSweep:
+    def test_rejects_a_problem_of_neither_kind(self):
+        with pytest.raises(TypeError, match="^cannot sweep a object$"):
+            sweep(object(), SweepConfig(beta_grid=[2.0, 1.0]))
+
     def test_symmetric_hamming_has_no_transitions(self):
         problem = binary_hamming()
         config = SweepConfig(
@@ -323,8 +327,19 @@ class TestDetectTransitions:
         with pytest.raises(ValueError, match="ascending"):
             detect_transitions(records)
 
+    def test_no_records_give_an_empty_report(self):
+        report = detect_transitions([])
+        assert (report.intervals, report.index_pairs, report.kind) == ([], [], "support")
+
 
 class TestRateStudy:
+    @pytest.mark.parametrize("epsilons", [[], [1.5]])
+    def test_rejects_epsilons(self, epsilons):
+        with pytest.raises(
+            ValueError, match=r"^epsilons must be a non-empty list of values in \(0, 1\)$"
+        ):
+            rate_study(binary_hamming(0.8), 2.5, epsilons)
+
     def test_measured_tracks_predicted(self):
         problem = binary_hamming(0.8)
         points = rate_study(
