@@ -18,6 +18,7 @@ from .probability import (
     NumericalError,
     as_channel,
     as_distribution,
+    as_masses,
     mutual_information,
     weighted_divergence,
 )
@@ -28,6 +29,7 @@ from .rd import (
     SolverConfig,
     _aligned_rows,
     _check_beta,
+    _check_positive,
     _check_tolerance,
     _flush,
     _read_only,
@@ -57,11 +59,7 @@ class IbProblem(JsonRecord):
     m: int = 0
 
     def __post_init__(self):
-        pxy = np.array(self.pxy, dtype=float)
-        if pxy.ndim != 2 or pxy.size == 0:
-            raise ValueError("pxy must be a non-empty 2-d matrix")
-        if not np.all(np.isfinite(pxy)) or np.any(pxy < 0):
-            raise ValueError("pxy entries must be finite and non-negative")
+        pxy = as_masses(np.array(self.pxy, dtype=float), "pxy", 2)
         total = pxy.sum()
         if total <= 0:
             raise ValueError("pxy is identically zero")
@@ -117,11 +115,10 @@ class IbProblem(JsonRecord):
     @classmethod
     def from_json_dict(cls, obj: dict) -> "IbProblem":
         if "pxy" in obj:
-            pxy = np.asarray(obj["pxy"], dtype=float)
+            pxy = obj["pxy"]
         elif "px" in obj and "py_given_x" in obj:
-            px = as_distribution(np.asarray(obj["px"], dtype=float), name="px")
-            rows = as_channel(np.asarray(obj["py_given_x"], dtype=float),
-                              name="py_given_x")
+            px = as_distribution(obj["px"], name="px")
+            rows = as_channel(obj["py_given_x"], name="py_given_x")
             pxy = px[:, None] * rows
         else:
             raise ValueError(
@@ -300,37 +297,24 @@ def _checked_encoder(problem: IbProblem, encoder, name: str) -> np.ndarray:
     encoder = np.asarray(encoder, dtype=float)
     if encoder.shape != (problem.n, problem.m):
         raise ValueError(f"{name} shape does not match the problem")
-    if not np.all(np.isfinite(encoder)):
-        raise ValueError(f"{name} entries must be finite")
-    if np.any(encoder < 0):
-        raise ValueError(f"{name} has negative entries")
+    as_masses(encoder, name, 2)
     if np.any(encoder.sum(axis=1) <= 0):
         raise ValueError(f"{name} has an all-zero row")
     return encoder
 
 
-def ib_decoder(problem: IbProblem, encoder, marginal=None) -> np.ndarray:
+def ib_decoder(problem: IbProblem, encoder) -> np.ndarray:
     """Decoder rows p(y | xhat) implied by an encoder via Bayes' rule.
 
     Rows of representatives with zero marginal mass are set to the global
     p(y): the vanishing-compression limit. That keeps the relevance
     distortion finite without contaminating anything that carries mass.
-    A given marginal must have one finite, non-negative entry per
-    representative and some mass.
+    An encoder whose marginal px @ encoder underflows to all zeros is rejected.
     """
     encoder = _checked_encoder(problem, encoder, "encoder")
-    if marginal is None:
-        marginal = problem.px @ encoder
-    marginal = np.asarray(marginal, dtype=float)
-    if marginal.shape != (problem.m,):
-        raise ValueError("marginal shape does not match the problem")
-    if not np.all(np.isfinite(marginal)):
-        raise ValueError("marginal entries must be finite")
-    if np.any(marginal < 0):
-        raise ValueError("marginal has negative entries")
-    _check_marginal(marginal)
     buf = _IbBuffers(problem, problem.m)
-    np.copyto(buf.marginal, marginal)
+    buf.marginal[...] = problem.px @ encoder
+    _check_marginal(buf.marginal)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _decoder_stage(problem, buf)(encoder)
 
@@ -341,7 +325,9 @@ def ib_distortion(problem: IbProblem, decoder) -> np.ndarray:
     Entries are +inf where a decoder row lacks mass that p(y|x) has;
     infinities propagate by design.
     """
-    decoder = np.asarray(decoder, dtype=float)
+    decoder = as_masses(decoder, "decoder", 2)
+    if decoder.shape[1] != problem.ny:
+        raise ValueError("decoder rows do not match the relevance alphabet")
     with np.errstate(divide="ignore", invalid="ignore"):
         return _relevance_stage(problem, _IbBuffers(problem, decoder.shape[0]))(decoder)
 
@@ -457,11 +443,9 @@ def decoder_classes(
     Rows within merge_tol (sup norm) of an existing class representative are
     merged into it; classes are seeded in decreasing order of marginal mass,
     so each returned row is the decoder of its class's dominant
-    representative. A NaN merge_tol would merge nothing, so it is rejected
-    along with non-positive and infinite ones.
+    representative. merge_tol must be finite and positive.
     """
-    if not 0 < merge_tol < np.inf:
-        raise ValueError("merge_tol must be finite and positive")
+    _check_positive(merge_tol, "merge_tol")
     _check_tolerance(zero_tol, "zero_tol")
     reps: list[np.ndarray] = []
     order = np.argsort(-solution.marginal, kind="stable")
@@ -505,10 +489,10 @@ def tangent_rd(
         raise ValueError("tangent construction needs converged flanking solutions")
     if not sol_minus.beta < sol_plus.beta:
         raise ValueError("flanking solutions must satisfy beta_minus < beta_plus")
-    if dedup_tol is None:
-        dedup_tol = merge_tol
     reps_minus = decoder_classes(sol_minus, merge_tol=merge_tol, zero_tol=zero_tol)
     reps_plus = decoder_classes(sol_plus, merge_tol=merge_tol, zero_tol=zero_tol)
+    dedup_tol = merge_tol if dedup_tol is None else dedup_tol
+    _check_positive(dedup_tol, "dedup_tol")
     columns = list(reps_minus)
     for row in reps_plus:
         if not any(np.abs(row - kept).max() <= dedup_tol for kept in columns):

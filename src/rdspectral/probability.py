@@ -29,15 +29,22 @@ class NumericalError(RuntimeError):
     """A solver produced NaN/Inf or an otherwise impossible numeric state."""
 
 
+def as_masses(a, name: str, ndim: int) -> np.ndarray:
+    """a as a float array of ndim (1 or 2) dimensions, rejected unless it has
+    entries, all finite and non-negative. It neither copies nor renormalizes."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != ndim or a.size == 0:
+        raise ValueError(f"{name} must be a non-empty {ndim}-d {('vector', 'matrix')[ndim - 1]}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
+    if np.any(a < 0):
+        raise ValueError(f"{name} has negative entries")
+    return a
+
+
 def as_distribution(p, name: str = "p") -> np.ndarray:
     """Validate a probability vector, renormalizing with a warning if needed."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if np.any(p < 0):
-        raise ValueError(f"{name} has negative entries")
+    p = as_masses(p, name, 1)
     total = p.sum()
     if total <= 0:
         raise ValueError(f"{name} is identically zero")
@@ -49,13 +56,7 @@ def as_distribution(p, name: str = "p") -> np.ndarray:
 
 def as_channel(rows, name: str = "channel") -> np.ndarray:
     """Validate a row-stochastic matrix (one conditional distribution per row)."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.size == 0:
-        raise ValueError(f"{name} must be a non-empty 2-d matrix")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if np.any(rows < 0):
-        raise ValueError(f"{name} has negative entries")
+    rows = as_masses(rows, name, 2)
     sums = rows.sum(axis=1)
     if np.any(sums <= 0):
         raise ValueError(f"{name} has an all-zero row")

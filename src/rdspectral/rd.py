@@ -16,6 +16,7 @@ from .probability import (
     TINY_MASS,
     NumericalError,
     as_distribution,
+    as_masses,
     mutual_information,
 )
 
@@ -136,10 +137,7 @@ class RdProblem(JsonRecord):
             raise ValueError("d must be a matrix with one row per source symbol")
         if d.shape[1] == 0:
             raise ValueError("d needs at least one column (representative)")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("distortion entries must be finite")
-        if np.any(d < 0):
-            raise ValueError("distortion entries must be non-negative")
+        as_masses(d, "d", 2)
         pair = _duplicate_columns(d)
         if pair is not None:
             raise ValueError(
@@ -160,8 +158,7 @@ class RdProblem(JsonRecord):
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RdProblem":
         try:
-            return cls(px=np.asarray(obj["px"], dtype=float),
-                       d=np.asarray(obj["d"], dtype=float))
+            return cls(px=obj["px"], d=obj["d"])
         except KeyError as exc:
             raise ValueError(f"missing field {exc} in rate-distortion problem") from exc
 
@@ -217,6 +214,12 @@ def _check_tolerance(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and lie in [0, 1)")
 
 
+def _check_positive(value, name: str) -> None:
+    """Reject a merge tolerance that is NaN, infinite or not positive."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive")
+
+
 @dataclass(eq=False)
 class RdSolution(JsonRecord):
     """Converged (or budget-exhausted) state of a single solve.
@@ -260,19 +263,28 @@ def _check_beta(beta: float) -> None:
         raise ValueError("beta must be finite and non-negative")
 
 
+def _checked_marginal(problem: RdProblem, marginal, beta: float) -> np.ndarray:
+    """Check beta, and return the marginal as a float vector of masses with
+    support, one per representative."""
+    _check_beta(beta)
+    marginal = as_masses(marginal, "marginal", 1)
+    if marginal.shape[0] != problem.m:
+        raise ValueError("marginal length does not match the representation alphabet")
+    if not (marginal > 0).any():
+        raise ValueError("marginal has no support")
+    return marginal
+
+
 def _shifted_exponents(problem: RdProblem, marginal: np.ndarray, beta: float):
     """Exponents -beta (d(x, xhat) - shift(x)) and the dead-column mask.
 
     Each row is shifted by its smallest d over the support of the marginal,
     so the partition function keeps at least one O(1) term at any beta and
-    never underflows to zero.
+    never underflows to zero. Callers have checked beta and the support.
     """
-    _check_beta(beta)
     dead = marginal <= 0
     masked = np.where(dead[None, :], np.inf, problem.d)
     shift = masked.min(axis=1, keepdims=True)
-    if not np.all(np.isfinite(shift)):
-        raise ValueError("marginal has no support")
     return -beta * (problem.d - shift), dead
 
 
@@ -448,7 +460,7 @@ def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     Every column is kept, so a dead column's factor overflows to inf once
     beta times its distortion advantage over the support exceeds about 709.
     """
-    return _boltzmann(problem, np.asarray(marginal, dtype=float), beta)[0]
+    return _boltzmann(problem, _checked_marginal(problem, marginal, beta), beta)[0]
 
 
 def _boltzmann(problem: RdProblem, marginal: np.ndarray, beta: float):
@@ -504,7 +516,7 @@ def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     of its start, so the two round differently once such a representative
     is flushed.
     """
-    marginal = np.asarray(marginal, dtype=float)
+    marginal = _checked_marginal(problem, marginal, beta)
     expw = _iteration_weights(problem, marginal, beta)
     buf = _BaBuffers(expw, marginal)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -515,8 +527,10 @@ def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
 
 
 def expected_distortion(problem: RdProblem, encoder) -> float:
-    """Average distortion sum_{x,xhat} px(x) p(xhat|x) d(x,xhat)."""
+    """Average distortion sum_{x,xhat} px(x) p(xhat|x) d(x,xhat), encoder shaped like d."""
     encoder = np.asarray(encoder, dtype=float)
+    if encoder.shape != problem.d.shape:
+        raise ValueError("encoder shape does not match the problem")
     return float(problem.px @ (encoder * problem.d).sum(axis=1))
 
 

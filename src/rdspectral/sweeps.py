@@ -17,7 +17,8 @@ from . import ib as ibmod
 from . import rd as rdmod
 from .ib import IbProblem
 from .probability import DEFAULT_ZERO_TOL
-from .rd import NOT_SERIALIZED, JsonRecord, RdProblem, SolverConfig, _check_tolerance
+from .rd import (NOT_SERIALIZED, JsonRecord, RdProblem, SolverConfig, _check_positive,
+                 _check_tolerance)
 from .spectral import eigen_spectrum, jacobian, predicted_iterations
 
 INIT_POLICIES = ("uniform", "dirichlet", "reverse")
@@ -66,8 +67,7 @@ class SweepConfig:
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ValueError("seed must be a non-negative integer")
-        if not 0 < self.merge_tol < np.inf:
-            raise ValueError("merge_tol must be finite and positive")
+        _check_positive(self.merge_tol, "merge_tol")
         _check_tolerance(self.support_tol, "support_tol")
         object.__setattr__(self, "beta_grid", grid)
 

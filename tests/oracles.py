@@ -172,7 +172,7 @@ def ib_functional(problem: IbProblem, encoder, beta: float) -> float:
     """The bottleneck objective I(X;Xhat) - beta I(Xhat;Y) for an encoder."""
     encoder = np.asarray(encoder, dtype=float)
     marginal = problem.px @ encoder
-    dec = ib_decoder(problem, encoder, marginal)
+    dec = ib_decoder(problem, encoder)
     return mutual_information(problem.px, encoder) - beta * relevant_information(
         problem, marginal, dec
     )

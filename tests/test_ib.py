@@ -90,7 +90,7 @@ class TestIbProblemValidation:
         "pxy, m, message",
         [
             ([0.5, 0.5], 0, "pxy must be a non-empty 2-d matrix"),
-            ([[np.nan, 0.5], [0.2, 0.3]], 0, "pxy entries must be finite and non-negative"),
+            ([[np.nan, 0.5], [0.2, 0.3]], 0, "pxy contains non-finite entries"),
             ([[0.0, 0.0], [0.0, 0.0]], 0, "pxy is identically zero"),
             ([[0.5, 0.0], [0.0, 0.5]], -1, "representation alphabet must be non-empty"),
         ],
@@ -155,27 +155,15 @@ class TestDecoder:
 
 
 class TestDecoderMarginalRejection:
-    """A given marginal must match the problem: a wrong length used to raise
-    numpy's broadcast error, and a NaN one returned py for every row."""
+    """Every encoder row can have mass while px @ encoder underflows to
+    zero: 5e-324 times a source mass below one rounds to 0."""
 
-    @pytest.mark.parametrize(
-        "marginal, match",
-        [
-            (np.full(3, 1 / 3), "^marginal shape does not match the problem$"),
-            (np.full(5, 0.2), "^marginal shape does not match the problem$"),
-            (np.full((4, 1), 0.25), "^marginal shape does not match the problem$"),
-            ([0.25, np.nan, 0.25, 0.25], "^marginal entries must be finite$"),
-            ([0.25, np.inf, 0.25, 0.25], "^marginal entries must be finite$"),
-            ([0.5, -0.25, 0.5, 0.25], "^marginal has negative entries$"),
-            (np.zeros(4), "^encoder induces an all-zero marginal$"),
-        ],
-    )
-    def test_rejects(self, marginal, match):
-        problem = bottleneck_four_symbol()
+    def test_underflowing_marginal_is_rejected(self):
+        problem = IbProblem(pxy=[[.2, .05], [.05, .2], [.125, .125], [.1, .15]], m=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=match):
-                ib_decoder(problem, np.eye(4), marginal)
+            with pytest.raises(ValueError, match="^encoder induces an all-zero marginal$"):
+                ib_decoder(problem, np.full((4, 1), 5e-324))
 
 
 class TestIbDistortion:
@@ -253,9 +241,9 @@ class TestStepEncoderRejection:
         [
             ([2.0, -1.0, 0.0, 0.0], "^encoder has negative entries$"),
             ([0.0, 0.0, 0.0, 0.0], "^encoder has an all-zero row$"),
-            ([np.nan, 0.5, 0.5, 0.0], "^encoder entries must be finite$"),
-            ([np.inf, 0.5, 0.5, 0.0], "^encoder entries must be finite$"),
-            ([-np.inf, 0.5, 0.5, 0.0], "^encoder entries must be finite$"),
+            ([np.nan, 0.5, 0.5, 0.0], "^encoder contains non-finite entries$"),
+            ([np.inf, 0.5, 0.5, 0.0], "^encoder contains non-finite entries$"),
+            ([-np.inf, 0.5, 0.5, 0.0], "^encoder contains non-finite entries$"),
         ],
     )
     def test_rejects(self, row, match):
@@ -324,7 +312,7 @@ class TestIbSolve:
     def test_decoder_consistency_invariant(self):
         problem = bottleneck_four_symbol()
         sol = ib_solve(problem, 12.0, config=EPS7)
-        recomputed = ib_decoder(problem, sol.encoder, sol.marginal)
+        recomputed = ib_decoder(problem, sol.encoder)
         assert np.max(np.abs(recomputed - sol.decoder)) < 1e-9
 
     def test_marginal_consistency_invariant(self):
@@ -491,7 +479,7 @@ class TestLeanLoop:
             assert budgeted.encoder.tobytes() == enc.tobytes(), f"iterate {k}"
         assert sol.encoder.tobytes() == enc.tobytes()
         assert sol.marginal.tobytes() == marginal.tobytes()
-        assert sol.decoder.tobytes() == ib_decoder(problem, enc, marginal).tobytes()
+        assert sol.decoder.tobytes() == ib_decoder(problem, enc).tobytes()
         if start == "snapped":
             assert np.all(sol.encoder[:, np.all(init == 0.0, axis=0)] == 0.0)
 
@@ -931,6 +919,14 @@ class TestTangentRd:
         sol = solve(tangent, lo.beta, config=SolverConfig(epsilon=1e-12))
         assert sol.marginal[n_lo:].max() < 1e-4
         assert sol.marginal[:n_lo].min() > 1e-3
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_rejects_dedup_tol_that_is_not_finite_and_positive(self, quiet_flanks, tol):
+        """A NaN or negative dedup_tol used to keep every plus-side class and
+        an infinite one to drop them all."""
+        problem, lo, hi = quiet_flanks
+        with pytest.raises(ValueError, match="^dedup_tol must be finite and positive$"):
+            tangent_rd(problem, lo, hi, merge_tol=1e-4, dedup_tol=tol)
 
     def test_rejects_unordered_flanks(self, quiet_flanks):
         problem, lo, hi = quiet_flanks

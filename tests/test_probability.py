@@ -1,10 +1,29 @@
-"""Unit tests for the information-measure toolkit."""
+"""Unit tests for the information-measure toolkit and the array checks at
+every public entry."""
+
+import re
 
 import numpy as np
 import pytest
 
 from oracles import entropy
-from rdspectral import kl_divergence, mutual_information
+from rdspectral import (
+    IbProblem,
+    RdProblem,
+    ab_step,
+    binary_hamming,
+    boltzmann_factors,
+    bottleneck_four_symbol,
+    expected_distortion,
+    ib_decoder,
+    ib_distortion,
+    ib_solve,
+    ib_step,
+    jacobian,
+    kl_divergence,
+    mutual_information,
+    solve,
+)
 from rdspectral.probability import as_channel, as_distribution
 
 
@@ -53,6 +72,83 @@ class TestValidation:
     def test_mutual_information_rejects_row_count(self):
         with pytest.raises(ValueError, match="^channel must have one row per input symbol$"):
             mutual_information([0.5, 0.5], [[1.0, 0.0]])
+
+
+RD = binary_hamming()
+IB = bottleneck_four_symbol()
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
+MARGINAL_LENGTH = "marginal length does not match the representation alphabet"
+MARGINAL_SHAPES = [([1.0], MARGINAL_LENGTH), ([0.5, 0.25, 0.25], MARGINAL_LENGTH),
+                   ([[0.5, 0.5]], "marginal must be a non-empty 1-d vector")]
+
+# Every public function that takes a mass array, fed a bad one through one
+# argument: the call, the argument's name in messages, a valid value, wrong
+# shapes with their messages, and whether NaN and negative entries are
+# rejected. expected_distortion checks only the shape, since every solve
+# scores its own encoder with it.
+ARRAY_ENTRIES = {
+    "as_distribution": (as_distribution, "p", [0.5, 0.5],
+                        [([[0.5, 0.5]], "p must be a non-empty 1-d vector")], True),
+    "as_channel": (as_channel, "channel", [[1.0, 0.0]],
+                   [([0.5, 0.5], "channel must be a non-empty 2-d matrix")], True),
+    "RdProblem-px": (lambda a: RdProblem(px=a, d=SWAP), "px", [0.5, 0.5],
+                     [([[0.5, 0.5]], "px must be a non-empty 1-d vector")], True),
+    "RdProblem-d": (lambda a: RdProblem(px=[0.5, 0.5], d=a), "d", SWAP,
+                    [([0.0, 1.0], "d must be a matrix with one row per source symbol")], True),
+    "IbProblem": (lambda a: IbProblem(pxy=a), "pxy", [[0.4, 0.1], [0.1, 0.4]],
+                  [([0.5, 0.5], "pxy must be a non-empty 2-d matrix")], True),
+    "solve-init": (lambda a: solve(RD, 1.0, init=a), "init", [0.5, 0.5],
+                   [([1.0], "init length does not match the representation alphabet")], True),
+    "ab_step": (lambda a: ab_step(RD, a, 1.0), "marginal", [0.5, 0.5], MARGINAL_SHAPES, True),
+    "boltzmann_factors": (lambda a: boltzmann_factors(RD, a, 1.0), "marginal", [0.5, 0.5],
+                          MARGINAL_SHAPES, True),
+    "jacobian": (lambda a: jacobian(RD, a, 1.0), "marginal", [0.5, 0.5], MARGINAL_SHAPES, True),
+    "expected_distortion": (lambda a: expected_distortion(RD, a), "encoder", SWAP,
+                            [([[1.0]], "encoder shape does not match the problem")], False),
+    "ib_solve": (lambda a: ib_solve(IB, 1.0, init_encoder=a), "init encoder", np.eye(4),
+                 [(np.eye(3), "init encoder shape does not match the problem")], True),
+    "ib_step": (lambda a: ib_step(IB, a, 1.0), "encoder", np.eye(4),
+                [(np.eye(4)[:, :3], "encoder shape does not match the problem")], True),
+    "ib_decoder": (lambda a: ib_decoder(IB, a), "encoder", np.eye(4),
+                   [(np.ones(4), "encoder shape does not match the problem")], True),
+    "ib_distortion": (lambda a: ib_distortion(IB, a), "decoder", [[0.5, 0.5]],
+                      [([0.5, 0.5], "decoder must be a non-empty 2-d matrix"),
+                       ([[0.5, 0.5, 0.0]], "decoder rows do not match the relevance alphabet")],
+                      True),
+}
+
+
+def _with_first(valid, value):
+    bad = np.array(valid, dtype=float)
+    bad.flat[0] = value
+    return bad
+
+
+def _boundary_cases():
+    for label, (call, name, valid, shapes, checks_values) in ARRAY_ENTRIES.items():
+        for i, (bad, message) in enumerate(shapes):
+            yield pytest.param(call, bad, message, id=f"{label}-shape{i}")
+        if checks_values:
+            yield pytest.param(call, _with_first(valid, np.nan),
+                               f"{name} contains non-finite entries", id=f"{label}-nan")
+            yield pytest.param(call, _with_first(valid, -0.25),
+                               f"{name} has negative entries", id=f"{label}-negative")
+
+
+@pytest.mark.parametrize("call, bad, message", _boundary_cases())
+def test_public_entries_reject_bad_arrays(call, bad, message):
+    """Each bad array raises a ValueError that names its argument; before
+    one check ran at every entry, some of these returned a result, warned
+    or failed inside numpy."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_every_valid_entry_value_passes():
+    """The valid values the bad arrays are made from pass their checks, so
+    each rejection above comes from the one entry it corrupts."""
+    for call, _, valid, _, _ in ARRAY_ENTRIES.values():
+        call(valid)
 
 
 class TestEntropy:

@@ -58,7 +58,7 @@ def random_start(rng, m):
 
 class TestRdProblemValidation:
     def test_rejects_negative_distortion(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^d has negative entries$"):
             RdProblem(px=[0.5, 0.5], d=[[0.0, -1.0], [1.0, 0.0]])
 
     def test_rejects_infinite_distortion(self):

@@ -1,6 +1,7 @@
 """Tests for report emission (CSV/JSON/SVG) and the command-line interface."""
 
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -531,6 +532,45 @@ PACKAGE_SURFACE = [
     "tangent_rd", "uniform_encoder_init", "uniform_init", "write_sweep_csv",
     "write_sweep_json",
 ]
+# The parameters, with their defaults, of every function the package
+# exports: a parameter added or removed is a knob, so it shows here too.
+FUNCTION_PARAMETERS = [
+    "ab_step(problem, marginal, beta)",
+    "as_channel(rows, name='channel')",
+    "as_distribution(p, name='p')",
+    "binary_hamming(p=0.5)",
+    "boltzmann_factors(problem, marginal, beta)",
+    "bottleneck_four_symbol()",
+    "builtin_problem(name)",
+    "decoder_classes(solution, merge_tol=1e-06, zero_tol=1e-10)",
+    "detect_transitions(records)",
+    "dump_problem(problem, path)",
+    "effective_cardinality(solution, merge_tol=1e-06, zero_tol=1e-10)",
+    "eigen_spectrum(jac, zero_tol=1e-10)",
+    "emit_reports(records, transitions, out_dir, formats=('csv', 'json', 'svg'))",
+    "expected_distortion(problem, encoder)",
+    "ib_decoder(problem, encoder)",
+    "ib_distortion(problem, decoder)",
+    "ib_solve(problem, beta, init_encoder=None, config=None)",
+    "ib_step(problem, encoder, beta)",
+    "identity_encoder_init(problem)",
+    "jacobian(problem, marginal, beta, fixed_point_tol=1e-06)",
+    "kl_divergence(p, q)",
+    "load_problem(path)",
+    "mutual_information(px, channel)",
+    "planar_four_point()",
+    "predicted_iterations(report, epsilon)",
+    "rate_study(problem, beta, epsilons, anchor_beta=None, config=None)",
+    "relevant_information(problem, marginal, decoder)",
+    "solve(problem, beta, init=None, config=None)",
+    "solve_batch(problem, betas, inits=None, config=None)",
+    "sweep(problem, config)",
+    "tangent_rd(problem, sol_minus, sol_plus, merge_tol=1e-06, dedup_tol=None, zero_tol=1e-10)",
+    "uniform_encoder_init(problem)",
+    "uniform_init(problem)",
+    "write_sweep_csv(records, path)",
+    "write_sweep_json(records, path)",
+]
 CONFIG_FIELDS = {
     "SolverConfig": ["epsilon", "norm", "max_iterations"],
     "SweepConfig": ["beta_grid", "init", "solver", "seed", "merge_tol",
@@ -549,3 +589,18 @@ def test_package_surface_is_pinned():
         name: [f.name for f in dataclasses.fields(getattr(rdspectral, name))]
         for name in CONFIG_FIELDS
     } == CONFIG_FIELDS
+
+
+def _parameters(function) -> str:
+    """function's parameters as its signature prints them, less annotations."""
+    signature = inspect.signature(function)
+    return str(signature.replace(
+        parameters=[p.replace(annotation=p.empty) for p in signature.parameters.values()],
+        return_annotation=signature.empty))
+
+
+def test_function_parameters_are_pinned():
+    assert [
+        name + _parameters(value) for name, value in sorted(vars(rdspectral).items())
+        if not name.startswith("_") and inspect.isfunction(value)
+    ] == FUNCTION_PARAMETERS
