@@ -19,7 +19,6 @@ from .probability import (
     as_channel,
     as_distribution,
     as_masses,
-    mutual_information,
     weighted_divergence,
 )
 from .rd import (
@@ -110,7 +109,7 @@ class IbProblem(JsonRecord):
 
     def relevant_information_ceiling(self) -> float:
         """I(X;Y), the most relevance any representation can retain."""
-        return mutual_information(self.px, self.py_given_x)
+        return weighted_divergence(self.px, self.py_given_x, self.px @ self.py_given_x)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "IbProblem":
@@ -354,8 +353,12 @@ def ib_step(problem: IbProblem, encoder, beta: float):
 
 def relevant_information(problem: IbProblem, marginal, decoder) -> float:
     """I(Xhat; Y) of a representation given its marginal and decoder rows."""
-    marginal = np.asarray(marginal, dtype=float)
-    decoder = np.asarray(decoder, dtype=float)
+    marginal = as_masses(marginal, "marginal", 1)
+    decoder = as_masses(decoder, "decoder", 2)
+    if decoder.shape[0] != marginal.shape[0]:
+        raise ValueError("decoder must have one row per marginal entry")
+    if decoder.shape[1] != problem.ny:
+        raise ValueError("decoder rows do not match the relevance alphabet")
     return weighted_divergence(marginal, decoder, problem.py)
 
 
@@ -426,11 +429,21 @@ def ib_solve(
         encoder=enc,
         marginal=marginal,
         decoder=dec,
-        rate=mutual_information(problem.px, enc),
-        relevant_info=relevant_information(problem, marginal, dec),
+        rate=weighted_divergence(problem.px, enc, problem.px @ enc),
+        relevant_info=weighted_divergence(marginal, dec, problem.py),
         iterations=iterations,
         converged=stopped is not None,
     )
+
+
+def _distinct_rows(rows, tol: float, kept=()) -> list[np.ndarray]:
+    """kept, then copies of the rows, in order, that lie further than tol
+    in sup norm from every row kept before them."""
+    kept = list(kept)
+    for row in rows:
+        if not any(np.abs(row - k).max() <= tol for k in kept):
+            kept.append(row.copy())
+    return kept
 
 
 def decoder_classes(
@@ -447,15 +460,9 @@ def decoder_classes(
     """
     _check_positive(merge_tol, "merge_tol")
     _check_tolerance(zero_tol, "zero_tol")
-    reps: list[np.ndarray] = []
     order = np.argsort(-solution.marginal, kind="stable")
-    for i in order:
-        if solution.marginal[i] <= zero_tol:
-            continue
-        row = solution.decoder[i]
-        if not any(np.abs(row - rep).max() <= merge_tol for rep in reps):
-            reps.append(row.copy())
-    return reps
+    return _distinct_rows((solution.decoder[i] for i in order
+                           if not solution.marginal[i] <= zero_tol), merge_tol)
 
 
 def effective_cardinality(
@@ -493,11 +500,7 @@ def tangent_rd(
     reps_plus = decoder_classes(sol_plus, merge_tol=merge_tol, zero_tol=zero_tol)
     dedup_tol = merge_tol if dedup_tol is None else dedup_tol
     _check_positive(dedup_tol, "dedup_tol")
-    columns = list(reps_minus)
-    for row in reps_plus:
-        if not any(np.abs(row - kept).max() <= dedup_tol for kept in columns):
-            columns.append(row)
-    d = ib_distortion(problem, np.stack(columns))
+    d = ib_distortion(problem, np.stack(_distinct_rows(reps_plus, dedup_tol, reps_minus)))
     if not np.all(np.isfinite(d)):
         raise ValueError(
             "tangent distortion has infinite entries; a flanking decoder row "

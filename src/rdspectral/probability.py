@@ -71,8 +71,8 @@ def kl_divergence(p, q) -> float:
 
     Returns +inf when the support of p is not contained in the support of q.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = as_masses(p, "p", 1)
+    q = as_masses(q, "q", 1)
     if p.shape != q.shape:
         raise ValueError("p and q must have the same length")
     mask = p > 0
@@ -87,7 +87,9 @@ def weighted_divergence(weights, rows, target) -> float:
     row is the target.
 
     Each row's divergence is kl_divergence's masked sum, bit for bit; the
-    target's log and zero mask are taken once for all rows.
+    target's log and zero mask are taken once for all rows. It checks no
+    entries: solves score their own arrays with it, and the public names
+    check theirs.
     """
     with np.errstate(divide="ignore"):
         log_target = np.log(target)
@@ -111,8 +113,8 @@ def mutual_information(px, channel) -> float:
     channel[i] is the conditional output distribution given input i. Computed
     as the px-average of KL(channel row || output marginal); never negative.
     """
-    px = np.asarray(px, dtype=float)
-    channel = np.asarray(channel, dtype=float)
-    if channel.ndim != 2 or channel.shape[0] != px.shape[0]:
+    px = as_masses(px, "px", 1)
+    channel = as_masses(channel, "channel", 2)
+    if channel.shape[0] != px.shape[0]:
         raise ValueError("channel must have one row per input symbol")
     return weighted_divergence(px, channel, px @ channel)

@@ -17,7 +17,7 @@ from .probability import (
     NumericalError,
     as_distribution,
     as_masses,
-    mutual_information,
+    weighted_divergence,
 )
 
 DEFAULT_EPSILON = 1e-9
@@ -281,11 +281,14 @@ def _shifted_exponents(problem: RdProblem, marginal: np.ndarray, beta: float):
     Each row is shifted by its smallest d over the support of the marginal,
     so the partition function keeps at least one O(1) term at any beta and
     never underflows to zero. Callers have checked beta and the support.
+    The exponents are the one n x m array made here: the shift is a masked
+    reduction, and the scaling is done in place.
     """
     dead = marginal <= 0
-    masked = np.where(dead[None, :], np.inf, problem.d)
-    shift = masked.min(axis=1, keepdims=True)
-    return -beta * (problem.d - shift), dead
+    shift = np.minimum.reduce(problem.d, axis=1, where=~dead, initial=np.inf, keepdims=True)
+    exponents = np.subtract(problem.d, shift)
+    exponents *= -beta
+    return exponents, dead
 
 
 def _iteration_weights(problem: RdProblem, marginal: np.ndarray, beta: float):
@@ -297,7 +300,7 @@ def _iteration_weights(problem: RdProblem, marginal: np.ndarray, beta: float):
     """
     exponents, dead = _shifted_exponents(problem, marginal, beta)
     exponents[:, dead] = -np.inf
-    return np.exp(exponents)
+    return np.exp(exponents, out=exponents)
 
 
 def _aligned_empty(shape, strides=None) -> np.ndarray:
@@ -465,16 +468,24 @@ def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
 
 def _boltzmann(problem: RdProblem, marginal: np.ndarray, beta: float):
     """boltzmann_factors, with the shifted exponents and the partition
-    function Z they were divided by."""
+    function Z they were divided by: two n x m arrays, the factors divided
+    in place.
+
+    Only a dead column's weight can overflow. A finite weight times a dead
+    column's exact-zero mass adds an exact zero, so Z from all the weights
+    has the bits of Z from the live ones; where an overflowed weight makes
+    it inf or NaN, Z is taken again with the dead columns masked out.
+    """
     exponents, dead = _shifted_exponents(problem, marginal, beta)
-    # Only a dead column's weight can overflow, and Z leaves it out: it
-    # adds an exact zero there, and leaving it out keeps Z finite.
-    with np.errstate(over="ignore"):
-        expw = np.exp(exponents)
-    z = np.where(dead, 0.0, expw) @ marginal
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.exp(exponents)
+        z = a @ marginal
+    if not np.isfinite(z).all():
+        z = np.where(dead, 0.0, a) @ marginal
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise NumericalError("partition function underflowed or overflowed")
-    return expw / z[:, None], exponents, z
+    a /= z[:, None]
+    return a, exponents, z
 
 
 def _duality_gap(problem: RdProblem, marginal: np.ndarray, a: np.ndarray,
@@ -483,26 +494,33 @@ def _duality_gap(problem: RdProblem, marginal: np.ndarray, a: np.ndarray,
 
     A dead column whose factor overflowed sums to inf, or to NaN against a
     massless symbol; only such columns are summed again, in log space
-    against the same support shift, so every finite sum keeps its bits.
+    against the same support shift and in one copy of their exponents, so
+    every finite sum keeps its bits.
     """
     with np.errstate(invalid="ignore"):
         sums = problem.px @ a
     lost = (marginal <= 0) & ~np.isfinite(sums)
     if not lost.any():
         return float(np.log(sums.max()))
+    terms = exponents[:, lost]
     with np.errstate(divide="ignore"):
-        terms = np.log(problem.px)[:, None] + exponents[:, lost] - np.log(z)[:, None]
+        terms += np.log(problem.px)[:, None]
+    terms -= np.log(z)[:, None]
     top = terms.max(axis=0)
-    logs = top + np.log(np.exp(terms - top).sum(axis=0))
+    terms -= top
+    logs = top + np.log(np.exp(terms, out=terms).sum(axis=0))
     return float(max(np.log(sums[~lost].max()), logs.max()))
 
 
 def _encoder_from_factors(marginal: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """marginal * a with sub-normal entries flushed, and exact zeros in dead
-    columns even where their factor has overflowed."""
+    """marginal * a, written over the factors a and returned, with sub-normal
+    entries flushed, and exact zeros in dead columns even where their factor
+    has overflowed."""
     with np.errstate(invalid="ignore"):
-        enc = marginal[None, :] * a
-    return np.where((enc < TINY_MASS) | (marginal <= 0), 0.0, enc)
+        np.multiply(marginal[None, :], a, out=a)
+    np.copyto(a, 0.0, where=np.less(a, TINY_MASS))
+    a[:, marginal <= 0] = 0.0
+    return a
 
 
 def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
@@ -610,6 +628,23 @@ def _run_blocks(step, start, rows, lanes: int, config: SolverConfig, k: int, fai
     return k, None, None
 
 
+def _weight_stack(problem: RdProblem, betas, starts) -> np.ndarray:
+    """Each lane's BA weights, written one lane at a time into one
+    cache-aligned (lanes, n, m) stack.
+
+    Each lane is laid out as np.stack lays out the weights, since layout
+    decides the products' bits: in F order when d's columns lie further
+    apart than its rows and neither axis has length 1, else in C order.
+    """
+    n, m = problem.d.shape
+    fortran = n > 1 and m > 1 and problem.d.strides[1] > problem.d.strides[0]
+    stack = _aligned_empty((len(betas), n, m),
+                           (8 * n * m,) + ((8, 8 * n) if fortran else (8 * m, 8)))
+    for lane, p, beta in zip(stack, starts, betas):
+        lane[...] = _iteration_weights(problem, p, beta)
+    return stack
+
+
 def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConfig):
     """Run the alternating iteration on a stack of independent lanes.
 
@@ -658,16 +693,22 @@ def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConf
 
 def _solution(problem: RdProblem, beta, p: np.ndarray, iterations: int,
               converged: bool) -> RdSolution:
+    """The solution at p, scored with two n x m arrays live: the gap is
+    taken from the factors and exponents, and the encoder is then written
+    over the factors, so the exponents are gone before rate and distortion
+    are scored."""
     a, exponents, z = _boltzmann(problem, p, beta)
+    gap = _duality_gap(problem, p, a, exponents, z)
+    del exponents
     encoder = _encoder_from_factors(p, a)
     return RdSolution(
         beta=float(beta),
         marginal=_read_only(p),
-        rate=mutual_information(problem.px, encoder),
+        rate=weighted_divergence(problem.px, encoder, problem.px @ encoder),
         distortion=expected_distortion(problem, encoder),
         iterations=iterations,
         converged=converged,
-        gap=_duality_gap(problem, p, a, exponents, z),
+        gap=gap,
         problem=problem,
     )
 
@@ -727,11 +768,10 @@ def solve_batch(
     solutions = []
     for lo in range(0, len(betas), chunk):
         chunk_betas, chunk_starts = betas[lo:lo + chunk], starts[lo:lo + chunk]
-        expw = _aligned_copy(np.stack([
-            _iteration_weights(problem, p, beta)
-            for p, beta in zip(chunk_starts, chunk_betas)
-        ]))
-        lanes = _iterate(expw, problem.px, np.stack(chunk_starts), config)
+        # The stack is passed on, not kept: it is freed when _iterate returns,
+        # before the lanes are scored.
+        lanes = _iterate(_weight_stack(problem, chunk_betas, chunk_starts), problem.px,
+                         np.stack(chunk_starts), config)
         solutions += [
             _solution(problem, beta, *lane) for beta, lane in zip(chunk_betas, zip(*lanes))
         ]

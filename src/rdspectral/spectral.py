@@ -120,10 +120,12 @@ def jacobian(
 
 def _support_gram(problem: RdProblem, marginal: np.ndarray, a, zero_tol) -> np.ndarray:
     """(C^(1/2) B)(C^(1/2) B)^T on the support, with C = diag(q) and
-    B[xhat, x] = sqrt(px(x)) a(x, xhat): symmetric and similar to A there."""
+    B[xhat, x] = sqrt(px(x)) a(x, xhat): symmetric and similar to A there.
+    The support's rows of a.T are copied once and scaled in place."""
     sup = marginal > zero_tol
-    b_sup = a.T[sup] * np.sqrt(problem.px)
-    scaled = np.sqrt(marginal[sup])[:, None] * b_sup
+    scaled = a.T[sup]
+    scaled *= np.sqrt(problem.px)
+    scaled *= np.sqrt(marginal[sup])[:, None]
     return scaled @ scaled.T
 
 

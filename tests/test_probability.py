@@ -22,6 +22,7 @@ from rdspectral import (
     jacobian,
     kl_divergence,
     mutual_information,
+    relevant_information,
     solve,
 )
 from rdspectral.probability import as_channel, as_distribution
@@ -77,12 +78,13 @@ class TestValidation:
 RD = binary_hamming()
 IB = bottleneck_four_symbol()
 SWAP = [[0.0, 1.0], [1.0, 0.0]]
+DECODER = [[0.9, 0.1], [0.2, 0.8]]
 MARGINAL_LENGTH = "marginal length does not match the representation alphabet"
 MARGINAL_SHAPES = [([1.0], MARGINAL_LENGTH), ([0.5, 0.25, 0.25], MARGINAL_LENGTH),
                    ([[0.5, 0.5]], "marginal must be a non-empty 1-d vector")]
 
-# Every public function that takes a mass array, fed a bad one through one
-# argument: the call, the argument's name in messages, a valid value, wrong
+# Every public function that takes a mass array, fed a bad one through each
+# such argument: the call, the argument's name in messages, a valid value, wrong
 # shapes with their messages, and whether NaN and negative entries are
 # rejected. expected_distortion checks only the shape, since every solve
 # scores its own encoder with it.
@@ -115,6 +117,24 @@ ARRAY_ENTRIES = {
                       [([0.5, 0.5], "decoder must be a non-empty 2-d matrix"),
                        ([[0.5, 0.5, 0.0]], "decoder rows do not match the relevance alphabet")],
                       True),
+    "kl_divergence-p": (lambda a: kl_divergence(a, [0.5, 0.5]), "p", [0.5, 0.5],
+                        [([[0.5, 0.5]], "p must be a non-empty 1-d vector"),
+                         ([1.0], "p and q must have the same length")], True),
+    "kl_divergence-q": (lambda a: kl_divergence([0.5, 0.5], a), "q", [0.5, 0.5],
+                        [([[0.5, 0.5]], "q must be a non-empty 1-d vector")], True),
+    "mutual_information-px": (lambda a: mutual_information(a, SWAP), "px", [0.5, 0.5],
+                              [([[0.5, 0.5]], "px must be a non-empty 1-d vector")], True),
+    "mutual_information-channel": (
+        lambda a: mutual_information([0.5, 0.5], a), "channel", SWAP,
+        [([0.5, 0.5], "channel must be a non-empty 2-d matrix")], True),
+    "relevant_information-marginal": (
+        lambda a: relevant_information(IB, a, DECODER), "marginal", [0.5, 0.5],
+        [([[0.5, 0.5]], "marginal must be a non-empty 1-d vector"),
+         ([1.0], "decoder must have one row per marginal entry")], True),
+    "relevant_information-decoder": (
+        lambda a: relevant_information(IB, [0.5, 0.5], a), "decoder", DECODER,
+        [([0.5, 0.5], "decoder must be a non-empty 2-d matrix"),
+         ([[0.5, 0.5, 0.0]] * 2, "decoder rows do not match the relevance alphabet")], True),
 }
 
 
