@@ -15,6 +15,7 @@ import numpy as np
 
 from .probability import (
     DEFAULT_ZERO_TOL,
+    SIMPLEX_ATOL,
     NumericalError,
     as_channel,
     as_distribution,
@@ -62,7 +63,7 @@ class IbProblem(JsonRecord):
         total = pxy.sum()
         if total <= 0:
             raise ValueError("pxy is identically zero")
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > SIMPLEX_ATOL:
             pxy = pxy / total
         px = pxy.sum(axis=1)
         if np.any(px <= 0):

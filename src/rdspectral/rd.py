@@ -319,13 +319,6 @@ def _aligned_empty(shape, strides=None) -> np.ndarray:
     return np.ndarray(shape, buffer=raw, offset=8 * start, strides=strides)
 
 
-def _aligned_copy(a: np.ndarray) -> np.ndarray:
-    """A copy of the dense float array a, with a's strides, on a cache line."""
-    out = _aligned_empty(a.shape, a.strides)
-    out[...] = a
-    return out
-
-
 def _aligned_rows(count: int, shape, strides=None) -> np.ndarray:
     """count float arrays of one dense shape, stacked along a new first axis.
 
@@ -649,13 +642,14 @@ def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConf
     """Run the alternating iteration on a stack of independent lanes.
 
     expw is (lanes, n, m) and p is (lanes, m). Each lane stops on its own
-    epsilon test (_run_blocks) and then leaves the stack, so later blocks
-    only touch the lanes still running; the last lane left runs on plain
-    2-D and 1-D arrays, which is how a single solve runs from the start.
+    epsilon test (_run_blocks) and leaves in place: the lanes still running
+    move forward in expw, and p keeps copies of their iterates, so later
+    blocks run on the stack's prefix and the history of the earlier ones is
+    freed. expw is the one weight array a chunk holds; the last lane runs on
+    expw[0] and p[0], which is how a single solve runs from the start.
     Returns each lane's final marginal, iteration count and convergence
     flag; a lane that exhausts the budget stops at max_iterations with
-    converged False. When lanes leave, the weights of those still running
-    are copied to a new cache-aligned stack.
+    converged False.
     """
     lanes = np.arange(p.shape[0])
     marginals = [None] * lanes.size
@@ -674,19 +668,23 @@ def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConf
 
             k, stopped, ends = _run_blocks(step, buf.rows[0], buf.rows, lanes.size, config,
                                            k, fail)
-            latest = buf.rows[0].reshape(lanes.size, -1)
+            p = buf.rows[0].reshape(lanes.size, -1)
             if stopped is None:
                 break
             for i, end in ends.items():
-                marginals[lanes[i]] = latest[i].copy()
+                marginals[lanes[i]] = p[i].copy()
                 iterations[lanes[i]] = end
                 converged[lanes[i]] = True
-            keep = ~stopped
-            lanes, p = lanes[keep], latest[keep]
+            keep = np.flatnonzero(~stopped)
+            lanes, p = lanes[keep], p[keep]
             if lanes.size == 0:
                 return marginals, iterations, converged
-            expw = _aligned_copy(expw[keep])
-    for lane, row in zip(lanes, latest.copy()):
+            # Slot i < j is free or already moved, so no lane is overwritten.
+            for i, j in enumerate(keep):
+                if i < j:
+                    expw[i] = expw[j]
+            expw = expw[:lanes.size]
+    for lane, row in zip(lanes, p.copy()):
         marginals[lane] = row
     return marginals, iterations, converged
 
@@ -747,8 +745,9 @@ def solve_batch(
     config). The lanes advance together as one stacked iteration and each
     leaves the stack when it stops, so a grid pays the Python overhead of
     one iteration loop instead of one per point. Lanes run in chunks whose
-    weight stack fits a fixed byte budget. A NumericalError in any lane is
-    raised from the batch.
+    weight stack fits a fixed byte budget; lanes leave it in place, so it is
+    the one weight array a chunk holds from start to finish. A
+    NumericalError in any lane is raised from the batch.
     """
     if config is None:
         config = SolverConfig()

@@ -92,9 +92,12 @@ def jacobian(
     defined on zero-mass columns (the conditional-probability form does
     not). Warns when the evaluation point is not a fixed point to within
     fixed_point_tol, measured by the residual q(xhat) (1 - sum_x px(x)
-    a(x, xhat)). A dead column's factor may overflow, as its mass keeps it
-    out of the spectrum; its residual is exactly 0.
+    a(x, xhat)). fixed_point_tol must be non-negative; inf turns the warning
+    off. A dead column's factor may overflow, as its mass keeps it out of
+    the spectrum; its residual is exactly 0.
     """
+    if not fixed_point_tol >= 0:
+        raise ValueError("fixed_point_tol must be non-negative (inf skips the check)")
     marginal = np.asarray(marginal, dtype=float)
     a = boltzmann_factors(problem, marginal, beta)
     live = marginal > 0

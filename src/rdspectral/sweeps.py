@@ -283,8 +283,9 @@ def rate_study(
     recorded as such. A reference solve that exhausts the budget raises
     ValueError, since its spectrum would not be the fixed point's.
     """
-    if beta <= 0:
-        raise ValueError("rate study needs beta > 0; the iteration is the identity at 0")
+    if not 0 < beta < np.inf:
+        raise ValueError(
+            "rate study needs a finite beta > 0; the iteration is the identity at 0")
     epsilons = [float(e) for e in epsilons]
     if not epsilons or any(not 0 < e < 1 for e in epsilons):
         raise ValueError("epsilons must be a non-empty list of values in (0, 1)")
@@ -292,8 +293,9 @@ def rate_study(
         config = SolverConfig(norm="l1")
     if anchor_beta is None:
         anchor_beta = 2.0 * beta
-    if anchor_beta <= beta:
-        raise ValueError("anchor_beta must exceed beta (a reverse-annealing start)")
+    if not beta < anchor_beta < np.inf:
+        raise ValueError(
+            "anchor_beta must be finite and exceed beta (a reverse-annealing start)")
 
     anchor_cfg = replace(config, epsilon=1e-13)
     anchor = rdmod.solve(problem, anchor_beta, config=anchor_cfg)

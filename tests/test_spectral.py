@@ -125,6 +125,14 @@ class TestJacobianForms:
         with pytest.warns(UserWarning, match="non-fixed"):
             jacobian(problem, np.array([0.5, 0.5]), 5.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-6, -float("inf")])
+    def test_rejects_nan_or_negative_fixed_point_tol(self, tol):
+        """A NaN tolerance would turn the warning off without a word: here the
+        residual is 0.32."""
+        message = r"^fixed_point_tol must be non-negative \(inf skips the check\)$"
+        with pytest.raises(ValueError, match=message):
+            jacobian(binary_hamming(0.8), [0.3, 0.7], 2.0, fixed_point_tol=tol)
+
 
 class TestFiniteDifferenceOracle:
     def test_beta_zero_matches_rank_one(self):

@@ -362,6 +362,11 @@ class TestRateStudy:
         with pytest.raises(ValueError, match="beta > 0"):
             rate_study(binary_hamming(), 0.0, [1e-9])
 
+    @pytest.mark.parametrize("beta", [float("inf"), float("nan")])
+    def test_rejects_a_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="^rate study needs a finite beta > 0"):
+            rate_study(binary_hamming(), beta, [1e-9])
+
     def test_rejects_unconverged_reference(self):
         message = r"beta=2\.0 did not converge .* within 50 iterations"
         with pytest.raises(ValueError, match=message):
@@ -371,6 +376,11 @@ class TestRateStudy:
     def test_rejects_bad_anchor(self):
         with pytest.raises(ValueError, match="anchor"):
             rate_study(binary_hamming(), 2.0, [1e-9], anchor_beta=1.0)
+
+    @pytest.mark.parametrize("anchor_beta", [float("inf"), float("nan")])
+    def test_rejects_a_non_finite_anchor(self, anchor_beta):
+        with pytest.raises(ValueError, match="^anchor_beta must be finite and exceed beta"):
+            rate_study(binary_hamming(), 2.0, [1e-9], anchor_beta=anchor_beta)
 
     def test_lambda_fields_are_consistent(self):
         problem = binary_hamming(0.8)
