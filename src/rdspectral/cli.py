@@ -47,10 +47,6 @@ def _load(problem_path, builtin):
         raise click.UsageError(f"cannot load {problem_path}: {exc}") from exc
 
 
-def _solver_config(epsilon, norm, max_iters) -> SolverConfig:
-    return SolverConfig(epsilon=epsilon, norm=norm, max_iterations=max_iters)
-
-
 def _beta_grid(beta_min, beta_max, beta_steps, log_grid, descending):
     if beta_min is None or beta_max is None:
         raise click.UsageError("--beta-min and --beta-max are required for sweeps")
@@ -143,7 +139,7 @@ def cli():
 def solve_cmd(problem_path, builtin, beta, epsilon, norm, max_iters):
     """Solve one problem at a single beta and print the solution as JSON."""
     problem = _load(problem_path, builtin)
-    config = _solver_config(epsilon, norm, max_iters)
+    config = SolverConfig(epsilon=epsilon, norm=norm, max_iterations=max_iters)
     if isinstance(problem, IbProblem):
         sol = ibmod.ib_solve(problem, beta, config=config)
     else:
@@ -168,7 +164,8 @@ def spectrum_cmd(problem_path, builtin, beta, epsilon, norm, max_iters, zero_tol
             "spectrum applies to rate-distortion problems; analyze a bottleneck "
             "through its tangent problem instead (see the tangent command)"
         )
-    sol = rdmod.solve(problem, beta, config=_solver_config(epsilon, norm, max_iters))
+    config = SolverConfig(epsilon=epsilon, norm=norm, max_iterations=max_iters)
+    sol = rdmod.solve(problem, beta, config=config)
     jac = jacobian(problem, sol.marginal, beta,
                    fixed_point_tol=float("inf") if not sol.converged else 1e-6)
     report = eigen_spectrum(jac, zero_tol=zero_tol)
@@ -193,7 +190,7 @@ def sweep_cmd(problem_path, builtin, epsilon, norm, max_iters, beta_min,
     """Sweep a rate-distortion or bottleneck problem over a beta grid and
     write its reports."""
     problem = _load(problem_path, builtin)
-    solver = _solver_config(epsilon, norm, max_iters)
+    solver = SolverConfig(epsilon=epsilon, norm=norm, max_iterations=max_iters)
     formats = _parse_formats(formats)
     grid = _beta_grid(beta_min, beta_max, beta_steps, log_grid,
                       descending=(init == "reverse"))
@@ -243,7 +240,7 @@ def tangent_cmd(problem_path, builtin, epsilon, norm, max_iters, beta_min,
     problem = _load(problem_path, builtin)
     if not isinstance(problem, IbProblem):
         raise click.UsageError("tangent needs a bottleneck problem")
-    solver = _solver_config(epsilon, norm, max_iters)
+    solver = SolverConfig(epsilon=epsilon, norm=norm, max_iterations=max_iters)
     grid = _beta_grid(beta_min, beta_max, beta_steps, log_grid, descending=True)
     config = _sweep_config(grid, "reverse", solver, merge_tol, support_tol)
     study = studies.analyze(problem, config)

@@ -180,7 +180,7 @@ def _duplicate_columns(d: np.ndarray):
                 return j, k
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Stopping rule for the alternating iteration.
 
@@ -188,7 +188,8 @@ class SolverConfig:
     drops below epsilon under the chosen norm ("l1" or "linf"); a solve that
     reaches max_iterations first stops there with converged False. Mass
     thresholds are not solver settings: a sweep counts support at its own
-    support_tol, and eigen_spectrum takes its zero_tol as an argument.
+    support_tol, and eigen_spectrum takes its zero_tol as an argument. The
+    fields cannot be assigned, so a config stays as it was checked.
     """
 
     epsilon: float = DEFAULT_EPSILON

@@ -76,28 +76,25 @@ def _beta_chart(title, ylabel, transitions, log_y=False) -> Chart:
     return chart
 
 
+def _lines(chart, betas, rows, label) -> None:
+    """Draw one line per column of rows, one row per beta; the j-th is
+    labelled label.format(j)."""
+    for j, column in enumerate(zip(*rows)):
+        chart.add_line(betas, column, label=label.format(j))
+
+
 def _marginal_panel(records, transitions) -> str:
     chart = _beta_chart("reproduction marginal vs beta", "mass", transitions)
-    m = len(records[0].marginal)
-    betas = [r.beta for r in records]
-    for j in range(m):
-        chart.add_line(betas, [r.marginal[j] for r in records], label=f"q[{j}]")
+    _lines(chart, [r.beta for r in records], [r.marginal for r in records], "q[{}]")
     return chart.render()
 
 
 def _eigenvalue_panel(records, transitions) -> str:
     chart = _beta_chart("eigenvalues of the fixed-point Jacobian vs beta", "eigenvalue",
                         transitions)
-    betas = []
-    spectra = []
-    for r in records:
-        if r.converged and r.eigenvalues is not None:
-            betas.append(r.beta)
-            spectra.append(r.eigenvalues)
-    if spectra:
-        m = len(spectra[0])
-        for j in range(m):
-            chart.add_line(betas, [s[j] for s in spectra], label=f"lambda[{j}]")
+    spectral = [r for r in records if r.converged and r.eigenvalues is not None]
+    _lines(chart, [r.beta for r in spectral], [r.eigenvalues for r in spectral],
+           "lambda[{}]")
     return chart.render()
 
 
@@ -114,31 +111,23 @@ def _rate_panel(records) -> str:
         xlabel="predicted iterations per -log eps",
         ylabel="measured iterations per -log eps",
     )
-    xs = []
-    ys = []
-    for r in records:
-        if r.converged and math.isfinite(r.predicted_rate) and r.predicted_rate > 0:
-            xs.append(r.predicted_rate)
-            ys.append(r.measured_rate)
-    chart.add_scatter(xs, ys)
+    rated = [r for r in records
+             if r.converged and math.isfinite(r.predicted_rate) and r.predicted_rate > 0]
+    chart.add_scatter([r.predicted_rate for r in rated], [r.measured_rate for r in rated])
     chart.add_identity_diagonal()
     return chart.render()
 
 
 def _decoder_panel(records, transitions) -> str:
+    """p(y=0 | representative) per live representative; a gap where it is dead."""
     chart = _beta_chart("decoder p(y=0 | representative) vs beta", "p(y=0 | xhat)",
                         transitions)
-    betas = [r.beta for r in records]
-    m = len(records[0].marginal)
-    for j in range(m):
-        ys = []
-        for r in records:
-            sol = r.solution
-            if sol is None or r.marginal[j] <= 1e-12:
-                ys.append(None)
-            else:
-                ys.append(float(sol.decoder[j][0]))
-        chart.add_line(betas, ys, label=f"xhat {j}")
+    rows = [
+        [None if r.solution is None or q <= 1e-12 else float(r.solution.decoder[j][0])
+         for j, q in enumerate(r.marginal)]
+        for r in records
+    ]
+    _lines(chart, [r.beta for r in records], rows, "xhat {}")
     return chart.render()
 
 

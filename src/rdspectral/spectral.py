@@ -24,6 +24,7 @@ from .rd import (
     JsonRecord,
     RdProblem,
     _check_tolerance,
+    _read_only,
     boltzmann_factors,
 )
 
@@ -94,11 +95,13 @@ def jacobian(
     fixed_point_tol, measured by the residual q(xhat) (1 - sum_x px(x)
     a(x, xhat)). fixed_point_tol must be non-negative; inf turns the warning
     off. A dead column's factor may overflow, as its mass keeps it out of
-    the spectrum; its residual is exactly 0.
+    the spectrum; its residual is exactly 0. The result keeps a read-only
+    copy of the marginal, so a later write to the caller's array leaves it
+    alone.
     """
     if not fixed_point_tol >= 0:
         raise ValueError("fixed_point_tol must be non-negative (inf skips the check)")
-    marginal = np.asarray(marginal, dtype=float)
+    marginal = _read_only(np.array(marginal, dtype=float))
     a = boltzmann_factors(problem, marginal, beta)
     live = marginal > 0
     if not (np.isfinite(a) | ~live).all():

@@ -11,18 +11,18 @@ import numpy as np
 
 from .ib import IbProblem, tangent_rd
 from .problems import bottleneck_four_symbol, planar_four_point
-from .rd import SolverConfig, _read_only
+from .rd import SolverConfig
 from .reports import emit_reports
 from .sweeps import SweepConfig, TransitionReport, detect_transitions, sweep
 
 # Support counts sit well above the mass these accuracies strand on dying coordinates.
 SUPPORT_TOL = 1e-5
 FIG1 = SweepConfig(
-    beta_grid=_read_only(np.geomspace(50.0, 0.2, 420)), init="reverse",
+    beta_grid=np.geomspace(50.0, 0.2, 420), init="reverse",
     solver=SolverConfig(epsilon=1e-9), support_tol=SUPPORT_TOL,
 )
 FIG2 = SweepConfig(
-    beta_grid=_read_only(np.geomspace(300.0, 1.0, 480)), init="reverse",
+    beta_grid=np.geomspace(300.0, 1.0, 480), init="reverse",
     solver=SolverConfig(epsilon=1e-7), merge_tol=1e-4, support_tol=SUPPORT_TOL,
 )
 # A plus-side decoder class this close to a minus-side one is the same representative.

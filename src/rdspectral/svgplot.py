@@ -11,10 +11,32 @@ _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
     "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
 )
+# The axis range of a panel with no plottable point, indexed by log scale.
+_EMPTY_SPAN = ((0.0, 1.0), (1.0, 10.0))
 
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
+
+
+def _fraction(v: float, lo: float, hi: float, log_scale: bool) -> float:
+    """Where v lies along an axis from lo (0) to hi (1), linear or log."""
+    if log_scale:
+        v, lo, hi = math.log10(v), math.log10(lo), math.log10(hi)
+    return (v - lo) / (hi - lo)
+
+
+def _text(x, y, anchor, size, body, attrs="") -> str:
+    """A sans-serif <text> element; attrs holds any further attributes, each
+    led by a space."""
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+            f'font-size="{size}"{attrs}>{body}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke, dash=None) -> str:
+    """A <line> element, dashed at unit width when dash is given."""
+    style = f' stroke-width="1" stroke-dasharray="{dash}"' if dash else ""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{style}/>'
 
 
 def _tick_label(v: float) -> str:
@@ -32,8 +54,9 @@ class Chart:
     """A single x-y panel accumulating series and markers before rendering."""
 
     width, height = 640, 420
+    margin = (54, 16, 34, 46)  # left, right, top, bottom
 
-    def __init__(self, title="", xlabel="", ylabel="", log_x=False, log_y=False):
+    def __init__(self, title, xlabel, ylabel, log_x=False, log_y=False):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
@@ -42,13 +65,12 @@ class Chart:
         self.series = []
         self.vlines = []
         self.diagonal = False
-        self.margin = (54, 16, 34, 46)  # left, right, top, bottom
 
     def add_line(self, xs, ys, label=""):
         self.series.append(("line", list(xs), list(ys), label))
 
-    def add_scatter(self, xs, ys, label=""):
-        self.series.append(("scatter", list(xs), list(ys), label))
+    def add_scatter(self, xs, ys):
+        self.series.append(("scatter", list(xs), list(ys), ""))
 
     def add_vline(self, x):
         self.vlines.append(x)
@@ -66,7 +88,7 @@ class Chart:
         pts = [(x, y) for _, xs, ys, _ in self.series for x, y in zip(xs, ys)
                if self._plottable(x, y)]
         if not pts:
-            return (0.0, 1.0, 0.0, 1.0)
+            return (*_EMPTY_SPAN[self.log_x], *_EMPTY_SPAN[self.log_y])
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         x0, x1 = min(xs), max(xs)
@@ -110,20 +132,13 @@ class Chart:
         x0, x1, y0, y1 = self._limits()
         plot_w = self.width - left - right
         plot_h = self.height - top - bottom
+        axis_y = top + plot_h
 
         def tx(x):
-            if self.log_x:
-                f = (math.log10(x) - math.log10(x0)) / (math.log10(x1) - math.log10(x0))
-            else:
-                f = (x - x0) / (x1 - x0)
-            return left + f * plot_w
+            return left + _fraction(x, x0, x1, self.log_x) * plot_w
 
         def ty(y):
-            if self.log_y:
-                f = (math.log10(y) - math.log10(y0)) / (math.log10(y1) - math.log10(y0))
-            else:
-                f = (y - y0) / (y1 - y0)
-            return top + (1 - f) * plot_h
+            return top + (1 - _fraction(y, y0, y1, self.log_y)) * plot_h
 
         def visible(x, y):
             return self._plottable(x, y) and x0 <= x <= x1 and y0 <= y <= y1
@@ -134,88 +149,47 @@ class Chart:
             f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
             f'<rect x="{left}" y="{top}" width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
             'fill="none" stroke="#333" stroke-width="1"/>',
+            _text(f"{self.width / 2:.1f}", top - 5, "middle", 13, self.title),
         ]
-        if self.title:
-            out.append(
-                f'<text x="{self.width / 2:.1f}" y="{top - 5}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="13">{self.title}</text>'
-            )
         for v in self._ticks(x0, x1, self.log_x):
-            if not (x0 <= v <= x1):
-                continue
-            px = tx(v)
-            out.append(
-                f'<line x1="{_fmt(px)}" y1="{top + plot_h:.1f}" x2="{_fmt(px)}" '
-                f'y2="{top + plot_h + 4:.1f}" stroke="#333"/>'
-            )
-            out.append(
-                f'<text x="{_fmt(px)}" y="{top + plot_h + 16:.1f}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="10">{_tick_label(v)}</text>'
-            )
+            if x0 <= v <= x1:
+                px = _fmt(tx(v))
+                out.append(_line(px, f"{axis_y:.1f}", px, f"{axis_y + 4:.1f}", "#333"))
+                out.append(_text(px, f"{axis_y + 16:.1f}", "middle", 10, _tick_label(v)))
         for v in self._ticks(y0, y1, self.log_y):
-            if not (y0 <= v <= y1):
-                continue
-            py = ty(v)
-            out.append(
-                f'<line x1="{left - 4}" y1="{_fmt(py)}" x2="{left}" y2="{_fmt(py)}" '
-                'stroke="#333"/>'
-            )
-            out.append(
-                f'<text x="{left - 7}" y="{py + 3.5:.1f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="10">{_tick_label(v)}</text>'
-            )
-        if self.xlabel:
-            out.append(
-                f'<text x="{left + plot_w / 2:.1f}" y="{self.height - 6}" '
-                'text-anchor="middle" font-family="sans-serif" font-size="12">'
-                f"{self.xlabel}</text>"
-            )
-        if self.ylabel:
-            cx, cy = 14, top + plot_h / 2
-            out.append(
-                f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="12" '
-                f'transform="rotate(-90 {cx} {cy:.1f})">{self.ylabel}</text>'
-            )
+            if y0 <= v <= y1:
+                py = ty(v)
+                out.append(_line(left - 4, _fmt(py), left, _fmt(py), "#333"))
+                out.append(_text(left - 7, f"{py + 3.5:.1f}", "end", 10, _tick_label(v)))
+        out.append(_text(f"{left + plot_w / 2:.1f}", self.height - 6, "middle", 12,
+                         self.xlabel))
+        cy = f"{top + plot_h / 2:.1f}"
+        out.append(_text(14, cy, "middle", 12, self.ylabel,
+                         f' transform="rotate(-90 14 {cy})"'))
         for x in self.vlines:
-            if not (x0 <= x <= x1) or (self.log_x and x <= 0):
-                continue
-            px = tx(x)
-            out.append(
-                f'<line x1="{_fmt(px)}" y1="{top}" x2="{_fmt(px)}" '
-                f'y2="{top + plot_h:.1f}" stroke="#555" stroke-width="1" '
-                'stroke-dasharray="5,4"/>'
-            )
+            if x0 <= x <= x1 and not (self.log_x and x <= 0):
+                px = _fmt(tx(x))
+                out.append(_line(px, top, px, f"{axis_y:.1f}", "#555", dash="5,4"))
         if self.diagonal:
-            out.append(
-                f'<line x1="{_fmt(tx(x0))}" y1="{_fmt(ty(y0))}" x2="{_fmt(tx(x1))}" '
-                f'y2="{_fmt(ty(y1))}" stroke="#999" stroke-width="1" '
-                'stroke-dasharray="3,3"/>'
-            )
+            out.append(_line(_fmt(tx(x0)), _fmt(ty(y0)), _fmt(tx(x1)), _fmt(ty(y1)),
+                             "#999", dash="3,3"))
 
         legend_y = top + 14
         for idx, (kind, xs, ys, label) in enumerate(self.series):
             color = _PALETTE[idx % len(_PALETTE)]
-            pts = [(tx(x), ty(y)) for x, y in zip(xs, ys) if visible(x, y)]
+            pts = [(_fmt(tx(x)), _fmt(ty(y))) for x, y in zip(xs, ys) if visible(x, y)]
             if kind == "line" and len(pts) >= 2:
-                path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
+                path = " ".join(f"{px},{py}" for px, py in pts)
                 out.append(
                     f'<polyline points="{path}" fill="none" stroke="{color}" '
                     'stroke-width="1.5"/>'
                 )
             else:
-                for px, py in pts:
-                    out.append(
-                        f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.2" '
-                        f'fill="{color}"/>'
-                    )
+                out.extend(f'<circle cx="{px}" cy="{py}" r="2.2" fill="{color}"/>'
+                           for px, py in pts)
             if label:
-                lx = left + plot_w - 6
-                out.append(
-                    f'<text x="{lx}" y="{legend_y:.1f}" text-anchor="end" '
-                    f'font-family="sans-serif" font-size="10" fill="{color}">'
-                    f"{label}</text>"
-                )
+                out.append(_text(left + plot_w - 6, f"{legend_y:.1f}", "end", 10, label,
+                                 f' fill="{color}"'))
                 legend_y += 13
         out.append("</svg>")
         return "\n".join(out) + "\n"

@@ -18,13 +18,13 @@ from . import rd as rdmod
 from .ib import IbProblem
 from .probability import DEFAULT_ZERO_TOL
 from .rd import (NOT_SERIALIZED, JsonRecord, RdProblem, SolverConfig, _check_positive,
-                 _check_tolerance)
+                 _check_tolerance, _read_only)
 from .spectral import eigen_spectrum, jacobian, predicted_iterations
 
 INIT_POLICIES = ("uniform", "dirichlet", "reverse")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SweepConfig:
     """Grid, policy and solver settings for one sweep.
 
@@ -37,7 +37,8 @@ class SweepConfig:
     epsilon / (1 - decay rate). merge_tol, finite and positive, clusters
     decoder rows for bottleneck cardinality counts. seed, a non-negative
     integer, seeds the Dirichlet starts, so every sweep can be run again.
-    solver must be a SolverConfig.
+    solver must be a SolverConfig. The config keeps a read-only copy of the
+    grid, and its fields cannot be assigned, so it stays as it was checked.
     """
 
     beta_grid: np.ndarray
@@ -50,7 +51,7 @@ class SweepConfig:
     __eq__ = JsonRecord.__eq__
 
     def __post_init__(self):
-        grid = np.asarray(self.beta_grid, dtype=float)
+        grid = _read_only(np.array(self.beta_grid, dtype=float))
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("beta grid needs at least two points")
         if not np.all((0 <= grid) & (grid < np.inf)):

@@ -3,7 +3,7 @@
 import hashlib
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -515,6 +515,15 @@ class TestSolverConfig:
 
     def test_accepts_numpy_integer_budget(self):
         assert SolverConfig(max_iterations=np.int64(7)).max_iterations == 7
+
+    def test_fields_cannot_be_assigned(self):
+        """An assigned field used to skip the checks: epsilon = 5.0 was
+        accepted, and solve then stopped after one iteration."""
+        config = SolverConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.epsilon = 5.0
+        assert config == SolverConfig()
+        assert solve(binary_hamming(0.8), 2.0, config=config).iterations > 1
 
 
 def assert_lanes_match_solve(problem, betas, inits=None, config=None):

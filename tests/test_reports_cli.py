@@ -1,6 +1,7 @@
 """Tests for report emission (CSV/JSON/SVG) and the command-line interface."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import subprocess
@@ -55,6 +56,22 @@ def ib_sweep_results():
     )
     records = sweep(problem, config)
     return records, detect_transitions(records)
+
+
+@pytest.fixture(scope="module")
+def unconverged_sweep_results():
+    """rd_sweep_results' sweep on a budget of one iteration: no record
+    converges, so the eigenvalue and rate panels have no point to plot."""
+    config = SweepConfig(
+        beta_grid=np.geomspace(25.0, 10.0, 12),
+        init="reverse",
+        solver=SolverConfig(epsilon=1e-10, max_iterations=1),
+        support_tol=1e-6,
+    )
+    records = sweep(planar_four_point(), config)
+    with pytest.warns(UserWarning, match="^excluding 12 unconverged record"):
+        transitions = detect_transitions(records)
+    return records, transitions
 
 
 class TestCsv:
@@ -175,6 +192,52 @@ class TestEmitReports:
         emit_reports(records, transitions, tmp_path / "out", formats=("svg",))
         text = (tmp_path / "out" / "iterations_vs_beta.svg").read_text()
         assert "<polyline" in text
+
+
+# SHA-256 of every file emit_reports writes for each sweep fixture. Between
+# them the panels draw every element kind: ticks and their labels, axis
+# labels, legends, polylines, scatter points, transition markers, the
+# identity diagonal, the decoder panel's gaps and empty panels.
+REPORT_DIGESTS = {
+    "rd": {
+        "eigenvalues_vs_beta.svg": "140527c0a81562c1e9a44b677d0933eccb5aedddd7baa630e4b7f69e420a0bdb",
+        "iterations_vs_beta.svg": "d3bc98d37b96750968824dae13dcfff415cf21f72eb76b0c795dcfbfd7145502",
+        "marginal_vs_beta.svg": "f28bc455e38c283d0c6ad2dd96f5fe2ae84590f34fa8bcd5c661215ab0b11235",
+        "rate_prediction.svg": "4351fdd0fb552562fd093fc6d73fae4b64c355dd5dcb256d286a08574731d7c8",
+        "sweep.csv": "27e8a715ebe4bf517fee6a69882fb79a4a4499cceeb0a94bcc54e89c000e019c",
+        "sweep.json": "f1b87726b588710575db7adfa96f518294548ea1b8b1ef91cd586c27be742eb7",
+        "transitions.json": "03ca2f4c0604cd945b8caa785ddbd5cd8af81e677960588d73f04e5678e3840d",
+    },
+    "ib": {
+        "decoder_vs_beta.svg": "ed6d59940f65af3e397004038fb59ba550c8af96cbbcd6eddc6e454c01d78132",
+        "iterations_vs_beta.svg": "60873dce3ea504b629a8107bb00886f16960faeb7008226d9c6e9557c7dfa8e6",
+        "marginal_vs_beta.svg": "6484c74f3bc7252ac0bf39364e02338053da97ef3eca193d9353c0352aa2b751",
+        "sweep.csv": "ccdc8883b9755f694b91fbedfd30da947eef60a09a088df70aaac9f9807ed33d",
+        "sweep.json": "823299e46af2e292aecdd0cd0165816efa30964f098140e320ccd17159db0053",
+        "transitions.json": "5bc6dc21c33b25518b2f86a4a14998b932ea20e208591caf4b8950f77fa5aac2",
+    },
+    "unconverged": {
+        "eigenvalues_vs_beta.svg": "ac9c4915bf9c1c9b084a08c5bc18b4ecea8dcb9aac9bba44f66f7f9616482fba",
+        "iterations_vs_beta.svg": "eedd44f2e8e909409546bd4fddf6502c447da5af15279bc688a74a1ca51ce007",
+        "marginal_vs_beta.svg": "df7a27942e6558eda6426e5b26882344478534474c6128cd90d89b20811955d4",
+        "rate_prediction.svg": "8904a4c4bfa5d643194180f3202681c7f85ea7094708ba496c7ef18967931c21",
+        "sweep.csv": "ed7c16390c5925563e9b0e852a8ae102854ef19425734c2154ab02b728e99a39",
+        "sweep.json": "864b11c17f8a76025aa0c1e151b355fb7b6730bb8d92bea91fdff28bfc74e1fa",
+        "transitions.json": "0a5b88597fe39ceb74459c28225f0a32d25be0f1f9ab94efcef3e5cb3c7af84d",
+    },
+}
+
+
+@pytest.mark.parametrize("sweep_name", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(sweep_name, request, tmp_path):
+    """A refactor of the report layer must keep every byte it writes. The
+    empty eigenvalue panel of the unconverged sweep used to raise a math
+    domain error: its empty log axis started at 0."""
+    records, transitions = request.getfixturevalue(f"{sweep_name}_sweep_results")
+    manifest = emit_reports(records, transitions, tmp_path)
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in manifest
+    } == REPORT_DIGESTS[sweep_name]
 
 
 def run_cli(*args):
@@ -515,8 +578,10 @@ def test_cli_surface_is_pinned():
 
 # Every name the package exports and every field of its two configs, pinned
 # for the same reason: each one is a public name or knob. Each has a caller
-# outside the tests but four: ab_step, ib_step, ib_decoder and kl_divergence,
-# the one-step maps and the divergence the tests check the loops against.
+# outside the tests but six. ab_step, ib_step and ib_decoder are the one-step
+# maps the tests check the loops against. kl_divergence, mutual_information
+# and relevant_information are the checked divergences whose unchecked kernel,
+# weighted_divergence, scores every solve.
 PACKAGE_SURFACE = [
     "BUILTIN_PROBLEMS", "CSV_HEADER", "FixedPointJacobian", "IbProblem",
     "IbSolution", "NumericalError", "RateStudyPoint", "RdProblem", "RdSolution",

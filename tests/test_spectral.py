@@ -254,6 +254,24 @@ class TestEigenSpectrum:
             )
 
 
+class TestJacobianMarginal:
+    def test_a_later_write_to_the_callers_array_changes_nothing(self):
+        """The Jacobian used to keep the caller's array, so a later write
+        changed what eigen_spectrum read while the factors stayed as they
+        were: planar's spectrum at beta = 3 went from [0, 4.7e-9, 0.281, 1]
+        to [0.0037, 0.0207, 0.381, 0.913]."""
+        problem = planar_four_point()
+        sol = solve(problem, 3.0, config=TIGHT)
+        q = sol.marginal.copy()
+        jac = jacobian(problem, q, 3.0)
+        before = eigen_spectrum(jac)
+        q[:] = 0.25
+        assert eigen_spectrum(jac) == before
+        np.testing.assert_array_equal(jac.marginal, sol.marginal)
+        with pytest.raises(ValueError, match="read-only"):
+            jac.marginal[0] = 0.25
+
+
 class TestJacobianEquality:
     def test_equal_jacobians_compare_equal(self):
         """The generated __eq__ raised ValueError here: it compared field

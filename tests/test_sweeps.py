@@ -1,5 +1,7 @@
 """Unit tests for the sweep engine, transition detection and rate studies."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,30 @@ class TestSweepConfigValidation:
         solver.epsilon."""
         with pytest.raises(ValueError, match="^solver must be a SolverConfig$"):
             SweepConfig(beta_grid=[1.0, 2.0], solver=solver)
+
+    def test_keeps_the_grid_it_checked(self):
+        """The config used to keep the caller's float grid itself: an
+        ascending grid written into it afterwards turned a reverse anneal
+        upward."""
+        grid = np.geomspace(4.0, 1.0, 5)
+        config = SweepConfig(beta_grid=grid, init="reverse")
+        grid[:] = [1.0, 2.0, 3.0, 4.0, 5.0]
+        fresh = SweepConfig(beta_grid=np.geomspace(4.0, 1.0, 5), init="reverse")
+        assert config == fresh
+        assert sweep(binary_hamming(0.8), config) == sweep(binary_hamming(0.8), fresh)
+        with pytest.raises(ValueError, match="read-only"):
+            config.beta_grid[0] = 1.0
+
+    @pytest.mark.parametrize("name, value", [
+        ("beta_grid", [1.0, 2.0]), ("init", "dirichlet"), ("seed", -1),
+        ("solver", None), ("merge_tol", np.nan), ("support_tol", 2.0),
+    ])
+    def test_fields_cannot_be_assigned(self, name, value):
+        """An assigned field used to skip every check."""
+        config = SweepConfig(beta_grid=[2.0, 1.0], init="reverse")
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, value)
+        assert config == SweepConfig(beta_grid=[2.0, 1.0], init="reverse")
 
     def test_equal_configs_compare_equal(self):
         """The generated __eq__ raised ValueError here: beta_grid is an
