@@ -26,7 +26,7 @@ from . import studies
 from .ib import IbProblem
 from .probability import DEFAULT_ZERO_TOL, NumericalError
 from .problems import BUILTIN_PROBLEMS, builtin_problem, dump_problem, load_problem
-from .rd import SolverConfig
+from .rd import SolverConfig, _check_tolerance
 from .reports import REPORT_FORMATS, emit_reports, write_rate_study_csv
 from .spectral import eigen_spectrum, jacobian
 from .sweeps import INIT_POLICIES, SweepConfig, detect_transitions, rate_study, sweep
@@ -158,6 +158,7 @@ def solve_cmd(problem_path, builtin, beta, epsilon, norm, max_iters):
               help="Mass at or below which a representative counts as dead.")
 def spectrum_cmd(problem_path, builtin, beta, epsilon, norm, max_iters, zero_tol):
     """Solve at one beta and print the fixed-point spectral report as JSON."""
+    _check_tolerance(zero_tol, "zero_tol")
     problem = _load(problem_path, builtin)
     if isinstance(problem, IbProblem):
         raise click.UsageError(

@@ -67,7 +67,8 @@ def as_channel(rows, name: str = "channel") -> np.ndarray:
 
 
 def kl_divergence(p, q) -> float:
-    """Relative entropy sum p log(p/q) in nats.
+    """Relative entropy sum p log(p/q) in nats: weighted_divergence of the
+    one row p, so clipped at 0.
 
     Returns +inf when the support of p is not contained in the support of q.
     """
@@ -75,10 +76,7 @@ def kl_divergence(p, q) -> float:
     q = as_masses(q, "q", 1)
     if p.shape != q.shape:
         raise ValueError("p and q must have the same length")
-    mask = p > 0
-    if np.any(q[mask] <= 0):
-        return float("inf")
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    return float(weighted_divergence(np.ones(1), p[None, :], q))
 
 
 def weighted_divergence(weights, rows, target) -> float:
@@ -86,10 +84,10 @@ def weighted_divergence(weights, rows, target) -> float:
     clipped at 0: roundoff can leave a tiny negative residue where every
     row is the target.
 
-    Each row's divergence is kl_divergence's masked sum, bit for bit; the
+    Each row's divergence is a sum masked to the row's support; the
     target's log and zero mask are taken once for all rows. It checks no
-    entries: solves score their own arrays with it, and the public names
-    check theirs.
+    entries: solves score their own arrays with it, and the public names,
+    kl_divergence among them, check theirs.
     """
     with np.errstate(divide="ignore"):
         log_target = np.log(target)

@@ -474,8 +474,8 @@ def _boltzmann(problem: RdProblem, marginal: np.ndarray, beta: float):
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.exp(exponents)
         z = a @ marginal
-    if not np.isfinite(z).all():
-        z = np.where(dead, 0.0, a) @ marginal
+        if not np.isfinite(z).all():
+            z = np.where(dead, 0.0, a) @ marginal
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise NumericalError("partition function underflowed or overflowed")
     a /= z[:, None]
@@ -526,15 +526,17 @@ def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     minimum-distortion representative is alive: it shifts each row over
     the support of the marginal it is given, and a solve keeps the weights
     of its start, so the two round differently once such a representative
-    is flushed.
+    is flushed. It raises NumericalError where a mass near either end of
+    the float range leaves the partition function or the result non-finite,
+    or the result with no mass.
     """
     marginal = _checked_marginal(problem, marginal, beta)
     expw = _iteration_weights(problem, marginal, beta)
     buf = _BaBuffers(expw, marginal)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         new = _flush(_ba_map(expw, problem.px, buf)(marginal, 1))
-    if (buf.z <= 0).any():
-        raise NumericalError("partition function vanished")
+    if not (np.isfinite(buf.z).all() and np.isfinite(new).all() and (new > 0).any()):
+        raise NumericalError("BA step left the float range: non-finite or massless result")
     return new
 
 

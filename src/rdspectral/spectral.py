@@ -61,13 +61,13 @@ class FixedPointJacobian:
 class SpectralReport(JsonRecord):
     """Eigenvalue summary of a FixedPointJacobian.
 
-    eigenvalues are sorted ascending; kernel_dim counts those below
-    zero_tol. lambda0 is the smallest eigenvalue above zero_tol, lambda_max
-    the matching contraction factor 1 - lambda0 of the iteration map, and
-    predicted_rate the asymptotic iterations needed per unit of -log eps.
-    at_criticality is set when a full-support point carries more kernel
-    directions than its dead representatives explain, where the rate
-    prediction degenerates to +inf. The last three fields are not serialized.
+    eigenvalues are sorted ascending. One cut at zero_tol sets the rest:
+    kernel_dim counts the dead representatives' exact zeros and the soft
+    modes, the supported block's eigenvalues at or below zero_tol; lambda0
+    is the block's next eigenvalue (NaN if none), lambda_max the contraction
+    factor 1 - lambda0 and predicted_rate the iterations per unit of -log
+    eps, +inf when at_criticality: a soft mode, or no eigenvalue above
+    zero_tol. at_criticality is the one field not serialized.
     """
 
     beta: float
@@ -76,9 +76,7 @@ class SpectralReport(JsonRecord):
     lambda0: float
     lambda_max: float
     predicted_rate: float
-    zero_tol: float = field(metadata=NOT_SERIALIZED)
     at_criticality: bool = field(metadata=NOT_SERIALIZED)
-    residual_linf: float = field(metadata=NOT_SERIALIZED)
 
 
 def jacobian(
@@ -142,42 +140,30 @@ def eigen_spectrum(
 
     Representatives at or below zero_tol contribute exact zero eigenvalues
     through the block structure of A; the supported block is diagonalized
-    with a symmetric eigensolver, which guarantees a real spectrum. zero_tol
+    with a symmetric eigensolver, which guarantees a real spectrum in
+    ascending order, and is cut once at zero_tol (SpectralReport). zero_tol
     must be a number in [0, 1).
     """
     _check_tolerance(zero_tol, "zero_tol")
-    marginal = jac.marginal
-    block = np.linalg.eigvalsh(_support_gram(jac.problem, marginal, jac.factors, zero_tol))
-    n_dead = marginal.shape[0] - block.size
+    block = np.linalg.eigvalsh(_support_gram(jac.problem, jac.marginal, jac.factors, zero_tol))
+    n_dead = jac.marginal.shape[0] - block.size
     if block.size and block.min() < NEGATIVE_EIGENVALUE_TOL:
         raise NumericalError(
             f"eigenvalue {block.min():.3g} below {NEGATIVE_EIGENVALUE_TOL}; "
             "the evaluation point is inconsistent with a fixed point"
         )
-    eigenvalues = np.sort(np.concatenate([np.zeros(n_dead), block]))
-
-    kernel_dim = int(np.sum(eigenvalues < zero_tol))
-    positive = eigenvalues[eigenvalues > zero_tol]
-    at_criticality = kernel_dim > n_dead
-    if positive.size == 0:
-        lambda0 = float("nan")
-        lambda_max = float("nan")
-        predicted_rate = float("inf")
-        at_criticality = True
-    else:
-        lambda0 = float(positive.min())
-        lambda_max = 1.0 - lambda0
-        predicted_rate = _iterations(1.0, lambda_max, at_criticality)
+    soft = int(np.count_nonzero(block <= zero_tol))
+    lambda0 = float(block[soft]) if soft < block.size else float("nan")
+    lambda_max = 1.0 - lambda0
+    at_criticality = soft > 0 or soft == block.size
     return SpectralReport(
         beta=jac.beta,
-        eigenvalues=eigenvalues,
-        kernel_dim=kernel_dim,
+        eigenvalues=np.sort(np.concatenate([np.zeros(n_dead), block])),
+        kernel_dim=n_dead + soft,
         lambda0=lambda0,
         lambda_max=lambda_max,
-        predicted_rate=predicted_rate,
-        zero_tol=zero_tol,
+        predicted_rate=_iterations(1.0, lambda_max, at_criticality),
         at_criticality=at_criticality,
-        residual_linf=jac.residual_linf,
     )
 
 

@@ -208,6 +208,12 @@ class TestKlDivergence:
     def test_support_violation_is_infinite(self):
         assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == float("inf")
 
+    def test_near_equal_pair_is_not_negative(self):
+        """Two distributions a rounding apart: the masked sum alone read
+        -6.66e-17, and weighted_divergence clips its residue at 0."""
+        assert kl_divergence([0.3, 0.3, 0.4],
+                             [0.3000000000000001, 0.2999999999999999, 0.4]) == 0.0
+
     def test_non_negative_and_zero_iff_equal(self):
         rng = np.random.default_rng(7)
         for _ in range(200):

@@ -33,6 +33,7 @@ from rdspectral import (
     eigen_spectrum,
     jacobian,
     mutual_information,
+    planar_four_point,
     solve,
     solve_batch,
 )
@@ -217,6 +218,14 @@ class TestAbStep:
             out = ab_step(problem, q, float(rng.uniform(0, 30)))
             assert np.all(out >= 0)
             np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("marginal", [[5e-324, 0.0, 0.0, 0.0], [1e308] * 4])
+    def test_raises_at_the_ends_of_the_float_range(self, marginal):
+        """A lone sub-normal mass gave [inf, nan, nan, nan], and masses whose
+        partition function overflows gave all zeros, though the map is
+        scale-invariant; both came back without an error."""
+        with pytest.raises(NumericalError, match="float range"):
+            ab_step(planar_four_point(), marginal, 1.0)
 
 
 # Tolerances of the invariance properties below, stated before measuring;
@@ -464,8 +473,6 @@ class TestSolve:
 
 class TestBuiltinProblems:
     def test_planar_distortion_normalization(self):
-        from rdspectral import planar_four_point
-
         problem = planar_four_point()
         assert problem.d.shape == (4, 4)
         np.testing.assert_array_equal(np.diag(problem.d), 0.0)
@@ -477,8 +484,6 @@ class TestBuiltinProblems:
     def test_planar_optimal_support_path(self):
         """Uniform-start solves follow the optimal branch, whose support is
         not nested: representative 3 lives only for beta in (0.445, 2.83)."""
-        from rdspectral import planar_four_point
-
         problem = planar_four_point()
         config = SolverConfig(epsilon=1e-13)
         expected = {0.3: [1], 1.5: [1, 3], 2.7: [0, 1, 3], 3.5: [0, 1],
@@ -1112,6 +1117,14 @@ def test_partition_function_masks_an_overflowed_dead_column(seed, fortran):
         assert not np.isfinite(expw @ q).all()
     want = np.where(mask, 0.0, expw) @ q
     assert rdmod._boltzmann(problem, q, 800.0)[2].tobytes() == want.tobytes()
+
+
+def test_overflowed_partition_function_raises_without_a_warning():
+    """Masses of 1e308 overflow Z both from every weight and with the dead
+    columns masked; the masked product ran outside np.errstate and warned
+    before the error."""
+    with pytest.raises(NumericalError, match="^partition function underflowed or overflowed$"):
+        boltzmann_factors(planar_four_point(), [1e308] * 4, 1.0)
 
 
 @pytest.mark.parametrize("fortran", [False, True])

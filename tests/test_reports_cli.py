@@ -27,7 +27,7 @@ from rdspectral import (
     studies,
     sweep,
 )
-from rdspectral.cli import cli
+from rdspectral.cli import cli, main as cli_main
 from rdspectral.reports import CSV_HEADER, RATE_STUDY_CSV_HEADER, write_sweep_csv
 
 
@@ -317,6 +317,19 @@ class TestCli:
                       "--zero-tol", tol)
         assert out.returncode == 1
         assert "zero_tol must be finite" in out.stderr
+
+    def test_spectrum_checks_zero_tol_before_it_solves(self, monkeypatch, capsys):
+        """A bad --zero-tol used to be reported after the solve, 14 s into
+        this one; it is now reported without solving."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("spectrum solved before checking --zero-tol")
+
+        monkeypatch.setattr(rdspectral.rd, "solve", no_solve)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["spectrum", "--builtin", "fig1_like", "--beta", "0.44977",
+                      "--epsilon", "1e-12", "--zero-tol", "1.5"])
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err == "error: zero_tol must be finite and lie in [0, 1)\n"
 
     def test_problem_without_representatives_is_usage_error(self, tmp_path):
         path = tmp_path / "p.json"

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     eigenvalues_nonsymmetric,
@@ -26,6 +28,7 @@ from rdspectral import (
     predicted_iterations,
     solve,
 )
+from rdspectral.probability import DEFAULT_ZERO_TOL
 
 TIGHT = SolverConfig(epsilon=1e-13)
 
@@ -176,8 +179,12 @@ class TestEigenSpectrum:
             eigen_spectrum(jac, zero_tol=tol)
 
     def test_accepts_zero_zero_tol(self):
-        jac = jacobian(binary_hamming(), np.array([0.5, 0.5]), 1.0)
-        assert eigen_spectrum(jac, zero_tol=0.0).zero_tol == 0.0
+        """At zero_tol = 0 the dead representatives' exact zeros are kernel
+        directions too: the kernel was counted as the eigenvalues below
+        zero_tol, which no zero is, and read 0 here."""
+        jac = jacobian(planar_four_point(), [0.5, 0.5, 0.0, 0.0], 1.0,
+                       fixed_point_tol=np.inf)
+        assert eigen_spectrum(jac, zero_tol=0.0).kernel_dim == 2
 
     def test_beta_zero_spectrum(self):
         rng = np.random.default_rng(2)
@@ -252,6 +259,30 @@ class TestEigenSpectrum:
             np.testing.assert_allclose(
                 np.sort(dense.real), report.eigenvalues, atol=1e-7
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kernel_holds_every_representative_at_or_below_zero_tol(seed):
+    """Solved to epsilon 1e-13 from a start with exact zeros, a point's
+    kernel has at least one direction per representative at or below
+    zero_tol, and no other unless the point is critical, at zero_tol 0 as
+    at the default. Draws that do not converge within the budget are
+    dropped."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 6))
+    problem = random_problem(rng, int(rng.integers(1, 6)), m)
+    start = rng.dirichlet(np.ones(m))
+    start[rng.permutation(m)[:int(rng.integers(1, m))]] = 0.0
+    sol = solve(problem, float(rng.uniform(0.0, 30.0)), start / start.sum(),
+                SolverConfig(epsilon=1e-13, max_iterations=20_000))
+    assume(sol.converged)
+    jac = jacobian(problem, sol.marginal, sol.beta)
+    for zero_tol in (0.0, DEFAULT_ZERO_TOL):
+        report = eigen_spectrum(jac, zero_tol=zero_tol)
+        below = int(np.count_nonzero(sol.marginal <= zero_tol))
+        assert report.kernel_dim >= below
+        assert report.kernel_dim == below or report.at_criticality
 
 
 class TestJacobianMarginal:
