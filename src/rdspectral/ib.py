@@ -430,7 +430,7 @@ def ib_solve(
         encoder=enc,
         marginal=marginal,
         decoder=dec,
-        rate=weighted_divergence(problem.px, enc, problem.px @ enc),
+        rate=weighted_divergence(problem.px, enc, marginal),
         relevant_info=weighted_divergence(marginal, dec, problem.py),
         iterations=iterations,
         converged=stopped is not None,

@@ -304,20 +304,18 @@ def _iteration_weights(problem: RdProblem, marginal: np.ndarray, beta: float):
     return np.exp(exponents, out=exponents)
 
 
-def _aligned_empty(shape, strides=None) -> np.ndarray:
-    """An uninitialized float array whose data starts on a cache line.
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialized C-ordered float array whose data starts on a cache
+    line.
 
-    strides default to C order; others must describe a dense layout, such
-    as a transpose's. malloc only promises 16-byte alignment, so where a
-    weight matrix starts depends on the heap's history. OpenBLAS's
-    matrix-vector products on a 256 x 256 matrix whose rows start part-way
-    into a cache line run about a fifth slower, and vary more from run to
-    run, than on an aligned one. Alignment changes no bit of their results;
-    layout does, so a copy keeps its source's strides.
+    malloc only promises 16-byte alignment, so where a weight matrix starts
+    depends on the heap's history. OpenBLAS's matrix-vector products on a
+    256 x 256 matrix whose rows start part-way into a cache line run about a
+    fifth slower, and vary more from run to run, than on an aligned one.
     """
     raw = np.empty(math.prod(shape) + _CACHE_LINE // 8)
     start = (-raw.ctypes.data % _CACHE_LINE) // 8
-    return np.ndarray(shape, buffer=raw, offset=8 * start, strides=strides)
+    return np.ndarray(shape, buffer=raw, offset=8 * start)
 
 
 def _aligned_rows(count: int, shape, strides=None) -> np.ndarray:
@@ -325,7 +323,9 @@ def _aligned_rows(count: int, shape, strides=None) -> np.ndarray:
 
     Each row starts on a cache line: the first axis steps over whole lines,
     padding a row whose bytes do not fill its last one. strides give a
-    row's layout and default to C order.
+    row's layout and default to C order; they must describe a dense
+    layout, such as a transpose's. Alignment changes no bit of the BLAS
+    products; layout does, so a row copied from an array takes its strides.
     """
     shape = tuple(shape)
     if strides is None:
@@ -626,16 +626,12 @@ def _run_blocks(step, start, rows, lanes: int, config: SolverConfig, k: int, fai
 
 def _weight_stack(problem: RdProblem, betas, starts) -> np.ndarray:
     """Each lane's BA weights, written one lane at a time into one
-    cache-aligned (lanes, n, m) stack.
+    (lanes, n, m) stack whose lanes each start on a cache line.
 
-    Each lane is laid out as np.stack lays out the weights, since layout
-    decides the products' bits: in F order when d's columns lie further
-    apart than its rows and neither axis has length 1, else in C order.
+    Each lane has d's strides, which are those of the weights
+    _iteration_weights computes from d: layout decides the products' bits.
     """
-    n, m = problem.d.shape
-    fortran = n > 1 and m > 1 and problem.d.strides[1] > problem.d.strides[0]
-    stack = _aligned_empty((len(betas), n, m),
-                           (8 * n * m,) + ((8, 8 * n) if fortran else (8 * m, 8)))
+    stack = _aligned_rows(len(betas), problem.d.shape, problem.d.strides)
     for lane, p, beta in zip(stack, starts, betas):
         lane[...] = _iteration_weights(problem, p, beta)
     return stack

@@ -168,13 +168,6 @@ def _record(problem, beta, sol, config) -> SweepRecord:
     )
 
 
-def _solve(problem, beta, start, solver: SolverConfig):
-    """One solve of either kind from start: a marginal or an encoder."""
-    if isinstance(problem, RdProblem):
-        return rdmod.solve(problem, beta, init=start, config=solver)
-    return ibmod.ib_solve(problem, beta, init_encoder=start, config=solver)
-
-
 def sweep(problem, config: SweepConfig) -> list[SweepRecord]:
     """Solve at every grid point under the configured policy.
 
@@ -194,6 +187,9 @@ def sweep(problem, config: SweepConfig) -> list[SweepRecord]:
         raise TypeError(f"cannot sweep a {type(problem).__name__}")
     grid, solver = config.beta_grid, config.solver
     is_rd = isinstance(problem, RdProblem)
+    # Both take (problem, beta, start, config); looked up per call, so a
+    # wrapper installed on either module is seen.
+    solve = rdmod.solve if is_rd else ibmod.ib_solve
     if config.init == "reverse":
         start = rdmod.uniform_init(problem) if is_rd else ibmod.identity_encoder_init(problem)
         solutions = []
@@ -201,7 +197,7 @@ def sweep(problem, config: SweepConfig) -> list[SweepRecord]:
             if solutions:
                 last = solutions[-1]
                 start = _snap(last.marginal if is_rd else last.encoder, last.marginal)
-            solutions.append(_solve(problem, beta, start, solver))
+            solutions.append(solve(problem, beta, start, solver))
     else:
         rng = np.random.default_rng(config.seed)
         starts = [
@@ -212,7 +208,7 @@ def sweep(problem, config: SweepConfig) -> list[SweepRecord]:
         if is_rd:
             solutions = rdmod.solve_batch(problem, grid, starts, solver)
         else:
-            solutions = [_solve(problem, beta, s, solver) for beta, s in zip(grid, starts)]
+            solutions = [solve(problem, beta, s, solver) for beta, s in zip(grid, starts)]
     records = [_record(problem, beta, sol, config) for beta, sol in zip(grid, solutions)]
     records.sort(key=lambda r: r.beta)
     return records

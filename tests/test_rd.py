@@ -148,6 +148,11 @@ class TestRdProblemValidation:
         with pytest.raises(ValueError, match="read-only"):
             problem.px[0] = 1.0
 
+    @pytest.mark.parametrize("bias", [0.0, 1.0, np.nan])
+    def test_binary_hamming_needs_an_inner_bias(self, bias):
+        with pytest.raises(ValueError, match=r"^source bias must lie in \(0, 1\)$"):
+            binary_hamming(bias)
+
     def test_json_roundtrip(self, tmp_path):
         problem = binary_hamming(0.7)
         dump_problem(problem, tmp_path / "p.json")
@@ -1128,11 +1133,13 @@ def test_overflowed_partition_function_raises_without_a_warning():
 
 
 @pytest.mark.parametrize("fortran", [False, True])
-@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (3, 4), (6, 6)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (3, 4), (6, 6), (3, 5)])
 def test_weight_stack_is_laid_out_as_np_stack(shape, fortran):
-    """The lanes' weights are written straight into the aligned stack, with
-    the strides and bytes of np.stack over the lanes, which decide the bits
-    of the BA products."""
+    """Each lane's weights are written straight into the stack, laid out as
+    np.stack lays out that lane: with d's strides and the bytes of
+    _iteration_weights, which decide the bits of the BA products. Every
+    lane starts on a cache line; no shape here has n * m a multiple of 8,
+    so a stack of unpadded lanes would start all but lane 0 off a line."""
     rng = np.random.default_rng(sum(shape))
     d = rng.uniform(0, 1, size=shape)
     problem = RdProblem(px=rng.dirichlet(np.ones(shape[0])),
@@ -1140,9 +1147,11 @@ def test_weight_stack_is_laid_out_as_np_stack(shape, fortran):
     betas = [2.0, 30.0, 0.0]
     starts = [random_start(rng, shape[1]) for _ in betas]
     stack = rdmod._weight_stack(problem, betas, starts)
-    want = np.stack([rdmod._iteration_weights(problem, p, b) for p, b in zip(starts, betas)])
-    assert_same_array(stack, want)
-    assert stack.ctypes.data % rdmod._CACHE_LINE == 0
+    assert len(stack) == len(betas)
+    for lane, p, beta in zip(stack, starts, betas):
+        assert lane.strides == problem.d.strides
+        assert_same_array(lane, rdmod._iteration_weights(problem, p, beta))
+        assert lane.ctypes.data % rdmod._CACHE_LINE == 0
 
 
 @pytest.mark.parametrize("fortran", [False, True])

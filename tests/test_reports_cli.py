@@ -15,6 +15,7 @@ import pytest
 
 import rdspectral
 from rdspectral import (
+    NumericalError,
     RateStudyPoint,
     SolverConfig,
     SweepConfig,
@@ -23,12 +24,14 @@ from rdspectral import (
     detect_transitions,
     dump_problem,
     emit_reports,
+    load_problem,
     planar_four_point,
     studies,
     sweep,
 )
 from rdspectral.cli import cli, main as cli_main
 from rdspectral.reports import CSV_HEADER, RATE_STUDY_CSV_HEADER, write_sweep_csv
+from rdspectral.svgplot import Chart
 
 
 @pytest.fixture(scope="module")
@@ -544,6 +547,97 @@ class TestCli:
                       "--beta-max", "2", "--beta-steps", "3")
         assert out.returncode == 1
         assert "bottleneck" in out.stderr
+
+
+def _failing_solve(*args, **kwargs):
+    raise NumericalError("partition function vanished")
+
+
+# Usage errors and exit codes, each run in-process from an empty directory:
+# (argv, a replacement for rd.solve or None, exit code, stderr, and the files
+# the run leaves, each with the problem it must load back to).
+CLI_EXITS = {
+    "sweep-without-beta-range": (
+        ["sweep", "--builtin", "fig1_like"], None, 1,
+        "error: --beta-min and --beta-max are required for sweeps\n", {}),
+    "sweep-reversed-beta-range": (
+        ["sweep", "--builtin", "fig1_like", "--beta-min", "2", "--beta-max", "1"], None, 1,
+        "error: need 0 <= beta-min < beta-max\n", {}),
+    "sweep-one-beta-step": (
+        ["sweep", "--builtin", "fig1_like", "--beta-min", "1", "--beta-max", "2",
+         "--beta-steps", "1"], None, 1, "error: --beta-steps must be at least 2\n", {}),
+    "sweep-log-grid-from-zero": (
+        ["sweep", "--builtin", "fig1_like", "--log-grid", "--beta-min", "0",
+         "--beta-max", "2"], None, 1, "error: --log-grid needs beta-min > 0\n", {}),
+    "sweep-unknown-format": (
+        ["sweep", "--builtin", "fig1_like", "--beta-min", "1", "--beta-max", "2",
+         "--formats", "csv,bogus"], None, 1, "error: unknown formats: ['bogus']\n", {}),
+    "rate-study-bottleneck": (
+        ["rate-study", "--builtin", "fig2", "--beta", "2"], None, 1,
+        "error: rate-study applies to rate-distortion problems\n", {}),
+    "rate-study-bad-epsilon": (
+        ["rate-study", "--builtin", "binary_hamming", "--beta", "1",
+         "--epsilons", "1e-6,x"], None, 1,
+        "error: bad --epsilons: could not convert string to float: 'x'\n", {}),
+    "spectrum-unconverged": (
+        ["spectrum", "--builtin", "fig1_like", "--beta", "1", "--max-iters", "1"], None, 3,
+        "warning: diagnostics taken at an unconverged point\n", {}),
+    "numerical-failure": (
+        ["solve", "--builtin", "fig1_like", "--beta", "1"], _failing_solve, 2,
+        "numerical failure: partition function vanished\n", {}),
+    "builtin-to-file": (
+        ["builtin", "--name", "fig1_like", "--out", "p.json"], None, 0, "",
+        {"p.json": planar_four_point()}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_EXITS))
+def test_cli_exit_code_and_message(case, monkeypatch, capsys, tmp_path):
+    """Each run exits with its code and writes exactly its stderr line; no
+    command that fails writes a report directory, the default one included."""
+    argv, solve, code, stderr, files = CLI_EXITS[case]
+    monkeypatch.chdir(tmp_path)
+    if solve is not None:
+        monkeypatch.setattr(rdspectral.rd, "solve", solve)
+    try:
+        exit_code = cli_main(argv)
+    except SystemExit as exc:
+        exit_code = exc.code
+    assert exit_code == code
+    assert capsys.readouterr().err == stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+    for name, problem in files.items():
+        assert load_problem(tmp_path / name) == problem
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[1, 2]", "expected a JSON object"),
+    ('{"px": [1.0]}', "neither a rate-distortion nor a bottleneck problem"),
+])
+def test_unloadable_problem_file(text, reason, capsys, tmp_path):
+    """load_problem names the file and what is wrong with it, and the CLI
+    reports that as a usage error."""
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as error:
+        load_problem(path)
+    assert str(error.value) == f"{path}: {reason}"
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["solve", "--problem", str(path), "--beta", "1"])
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err == f"error: cannot load {path}: {path}: {reason}\n"
+
+
+def test_chart_with_one_x_spans_it_by_half_a_unit():
+    """Points that share one x would leave the x axis no width: it spans
+    x +- 0.5 instead, and every point is still drawn."""
+    chart = Chart("t", "x", "y")
+    chart.add_scatter([2.0, 2.0, 2.0, float("nan")], [1.0, 3.0, 2.0, 5.0])
+    assert chart._limits()[:2] == (1.5, 2.5)
+    left, right = chart.margin[:2]
+    middle = f"{left + (chart.width - left - right) / 2:.2f}"
+    circles = ET.fromstring(chart.render()).iter("{http://www.w3.org/2000/svg}circle")
+    assert [c.get("cx") for c in circles] == [middle] * 3
 
 
 # Every command and its options, with the values of each choice option. A new
