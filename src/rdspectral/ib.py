@@ -148,8 +148,9 @@ class _IbBuffers:
     The relevance sums, the row masses and px @ encoder round according to
     their operands' memory layout, and the map's expressions give those
     operands a layout that follows the problem's arrays (a column-permuted
-    pxy makes them Fortran-ordered). So the buffers copy the layouts of the
-    same expressions evaluated once on stand-in values. rows holds the
+    pxy makes them Fortran-ordered). So the kl, dist and weighted buffers
+    are those expressions themselves, evaluated once on stand-in values
+    that every step overwrites before it reads them. rows holds the
     history, steps + 1 encoders with the layout of the map's output, each
     starting on a cache line: step b writes rows[b], and rows[0] holds the
     block's start.
@@ -159,9 +160,9 @@ class _IbBuffers:
         n, ny = problem.n, problem.ny
         pygx, logp, pos = problem._kl_terms
         with np.errstate(invalid="ignore"):
-            kl = np.where(pos, pygx * (logp - np.zeros((1, m, ny))), 0.0)
-        dist = kl.sum(axis=-1)
-        encoder = np.where(np.ones(m, dtype=bool), np.zeros(m) - dist, -np.inf)
+            self.kl = np.where(pos, pygx * (logp - np.zeros((1, m, ny))), 0.0)
+        self.dist = self.kl.sum(axis=-1)
+        self.weighted = np.where(np.ones(m, dtype=bool), np.zeros(m) - self.dist, -np.inf)
         # Where p(y|x) > 0 everywhere no relevance term needs blanking.
         self.blank = None if pos.all() else ~pos
         self.dead = np.empty(m, dtype=bool)
@@ -169,12 +170,9 @@ class _IbBuffers:
         self.log_marginal = np.empty(m)
         self.dec = np.empty((m, ny))
         self.log_dec = np.empty((m, ny))
-        self.kl = np.empty_like(kl)
-        self.dist = np.empty_like(dist)
         self.row_max = np.empty(n)
         self.norms = np.empty(n)
-        self.weighted = np.empty_like(encoder)
-        self.rows = _aligned_rows(steps + 1, encoder.shape, self.weighted.strides)
+        self.rows = _aligned_rows(steps + 1, self.weighted.shape, self.weighted.strides)
 
 
 def _decoder_stage(problem: IbProblem, buf: _IbBuffers):
@@ -419,11 +417,10 @@ def ib_solve(
             _ib_map(problem, beta, buf), enc, buf.rows, 1, config, 0, fail)
         if stopped is not None:
             iterations = ends[0]
-        marginal = problem.px.dot(buf.rows[0])
         enc = buf.rows[0].copy(order="K")
+        # The final marginal and decoder reuse the solve's buffers.
+        marginal = problem.px.dot(enc, out=buf.marginal)
         _check_marginal(marginal)
-        # The final decoder reuses the solve's buffers.
-        np.copyto(buf.marginal, marginal)
         dec = _decoder_stage(problem, buf)(enc)
     return IbSolution(
         beta=float(beta),

@@ -304,36 +304,28 @@ def _iteration_weights(problem: RdProblem, marginal: np.ndarray, beta: float):
     return np.exp(exponents, out=exponents)
 
 
-def _aligned_empty(shape) -> np.ndarray:
-    """An uninitialized C-ordered float array whose data starts on a cache
-    line.
-
-    malloc only promises 16-byte alignment, so where a weight matrix starts
-    depends on the heap's history. OpenBLAS's matrix-vector products on a
-    256 x 256 matrix whose rows start part-way into a cache line run about a
-    fifth slower, and vary more from run to run, than on an aligned one.
-    """
-    raw = np.empty(math.prod(shape) + _CACHE_LINE // 8)
-    start = (-raw.ctypes.data % _CACHE_LINE) // 8
-    return np.ndarray(shape, buffer=raw, offset=8 * start)
-
-
 def _aligned_rows(count: int, shape, strides=None) -> np.ndarray:
     """count float arrays of one dense shape, stacked along a new first axis.
 
     Each row starts on a cache line: the first axis steps over whole lines,
-    padding a row whose bytes do not fill its last one. strides give a
-    row's layout and default to C order; they must describe a dense
-    layout, such as a transpose's. Alignment changes no bit of the BLAS
-    products; layout does, so a row copied from an array takes its strides.
+    padding a row whose bytes do not fill its last one. malloc only promises
+    16-byte alignment, so where an array starts depends on the heap's
+    history, and OpenBLAS's matrix-vector products on a 256 x 256 matrix
+    whose rows start part-way into a cache line run about a fifth slower,
+    and vary more from run to run, than on an aligned one. strides give a
+    row's layout and default to C order; they must describe a dense layout,
+    such as a transpose's. Alignment changes no bit of the BLAS products;
+    layout does, so a row copied from an array takes its strides.
     """
     shape = tuple(shape)
     if strides is None:
         strides = tuple(8 * math.prod(shape[i + 1:]) for i in range(len(shape)))
     line = _CACHE_LINE // 8
     step = -(-math.prod(shape) // line) * line
-    raw = _aligned_empty((count * step,))
-    return np.ndarray((count,) + shape, buffer=raw, strides=(8 * step,) + tuple(strides))
+    raw = np.empty(count * step + line)
+    start = (-raw.ctypes.data % _CACHE_LINE) // 8
+    return np.ndarray((count,) + shape, buffer=raw, offset=8 * start,
+                      strides=(8 * step,) + tuple(strides))
 
 
 class _BaBuffers:
@@ -348,8 +340,7 @@ class _BaBuffers:
     """
 
     def __init__(self, expw: np.ndarray, p: np.ndarray, steps: int = 1):
-        self.z = _aligned_empty(expw.shape[:-1])
-        self.r = _aligned_empty(self.z.shape)
+        self.z, self.r = _aligned_rows(2, expw.shape[:-1])
         self.rows = _aligned_rows(steps + 1, p.shape)
 
 
@@ -455,7 +446,9 @@ def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     """Normalized Boltzmann weights a[x, xhat] = exp(-beta d(x, xhat)) / Z(x).
 
     Every column is kept, so a dead column's factor overflows to inf once
-    beta times its distortion advantage over the support exceeds about 709.
+    beta times its distortion advantage over the support exceeds about 709,
+    or its weight over Z exceeds the float range. A live factor never
+    overflows: where one would, NumericalError is raised.
     """
     return _boltzmann(problem, _checked_marginal(problem, marginal, beta), beta)[0]
 
@@ -468,17 +461,20 @@ def _boltzmann(problem: RdProblem, marginal: np.ndarray, beta: float):
     Only a dead column's weight can overflow. A finite weight times a dead
     column's exact-zero mass adds an exact zero, so Z from all the weights
     has the bits of Z from the live ones; where an overflowed weight makes
-    it inf or NaN, Z is taken again with the dead columns masked out.
+    it inf or NaN, Z is taken again with the dead columns masked out. A
+    row's largest live weight is exactly 1, so its largest live factor is
+    exactly 1 / Z, and a Z whose reciprocal overflows raises as a
+    non-positive or non-finite one does.
     """
     exponents, dead = _shifted_exponents(problem, marginal, beta)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a = np.exp(exponents)
         z = a @ marginal
         if not np.isfinite(z).all():
             z = np.where(dead, 0.0, a) @ marginal
-    if np.any(z <= 0) or not np.all(np.isfinite(z)):
-        raise NumericalError("partition function underflowed or overflowed")
-    a /= z[:, None]
+        if not np.all((z > 0) & np.isfinite(z) & np.isfinite(1.0 / z)):
+            raise NumericalError("partition function underflowed or overflowed")
+        a /= z[:, None]
     return a, exponents, z
 
 

@@ -102,8 +102,6 @@ def jacobian(
     marginal = _read_only(np.array(marginal, dtype=float))
     a = boltzmann_factors(problem, marginal, beta)
     live = marginal > 0
-    if not (np.isfinite(a) | ~live).all():
-        raise NumericalError("Jacobian evaluation produced non-finite factors")
     with np.errstate(invalid="ignore"):
         residual = marginal * (1.0 - problem.px @ a)
     res = float(np.abs(np.where(live, residual, 0.0)).max())

@@ -119,11 +119,15 @@ class TransitionReport(JsonRecord):
 def _snap(state: np.ndarray, marginal: np.ndarray) -> np.ndarray:
     """Zero the mass of every representative whose marginal is at or below
     DEFAULT_ZERO_TOL and renormalize along the last axis: a marginal, or
-    each row of an encoder."""
+    each row of an encoder. A row that would lose all its mass, such as a
+    low-mass symbol's encoder row resting on its own low-mass
+    representative, keeps its entries unsnapped."""
     snapped = np.where(marginal > DEFAULT_ZERO_TOL, state, 0.0)
     total = snapped.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0):
-        raise rdmod.NumericalError("warm start lost all probability mass")
+    emptied = total <= 0
+    if emptied.any():
+        snapped = np.where(emptied, state, snapped)
+        total = np.where(emptied, state.sum(axis=-1, keepdims=True), total)
     return snapped / total
 
 

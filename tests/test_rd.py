@@ -704,9 +704,16 @@ class TestLeanLoop:
 
     @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 7, 1), (3, 1, 4)])
     def test_aligned_empty(self, shape):
-        a = rdmod._aligned_empty(shape)
-        assert a.shape == shape and a.dtype == np.float64
-        assert a.flags.c_contiguous and a.ctypes.data % rdmod._CACHE_LINE == 0
+        """_aligned_rows, the one aligned allocator, gives count disjoint
+        C-ordered float rows, each starting on a cache line."""
+        for count in (1, 3):
+            rows = rdmod._aligned_rows(count, shape)
+            assert rows.shape == (count,) + shape
+            for row in rows:
+                assert row.shape == shape and row.dtype == np.float64
+                assert row.flags.c_contiguous and row.ctypes.data % rdmod._CACHE_LINE == 0
+            for row, after in zip(rows, rows[1:]):
+                assert row.ctypes.data + row.nbytes <= after.ctypes.data
 
     def test_column_permuted_problem_iterates_the_step_map(self):
         """A column-permuted d is F-ordered, and BLAS rounds its products
@@ -1130,6 +1137,25 @@ def test_overflowed_partition_function_raises_without_a_warning():
     before the error."""
     with pytest.raises(NumericalError, match="^partition function underflowed or overflowed$"):
         boltzmann_factors(planar_four_point(), [1e308] * 4, 1.0)
+
+
+def test_overflowing_live_factor_raises_without_a_warning():
+    """Representative 1 is live at mass 5e-324 and the only one close to
+    symbol 1, so that symbol's partition function is 5e-324 and its factor
+    1 / Z overflows: the division warned and left inf in a live column."""
+    problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0], [1.0, 0.0]])
+    for evaluate in (boltzmann_factors, jacobian):
+        with pytest.raises(NumericalError,
+                           match="^partition function underflowed or overflowed$"):
+            evaluate(problem, [1.0, 5e-324], 1000.0)
+
+
+def test_overflowing_dead_factor_is_inf_without_a_warning():
+    """Symbol 1's Z is 1e-300, and the dead representative 2's finite weight
+    e^100 divided by it overflows: that division warned."""
+    problem = RdProblem(px=[0.5, 0.5], d=[[0.0, 1.0, 1.0], [2.0, 1.0, 0.9]])
+    a = boltzmann_factors(problem, [1.0 - 1e-300, 1e-300, 0.0], 1000.0)
+    assert np.isfinite(a[:, :2]).all() and a[1, 2] == np.inf
 
 
 @pytest.mark.parametrize("fortran", [False, True])

@@ -4,8 +4,11 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdspectral import (
+    IbProblem,
     RdProblem,
     SolverConfig,
     SweepConfig,
@@ -19,6 +22,7 @@ from rdspectral import (
     sweep,
 )
 from rdspectral.probability import DEFAULT_ZERO_TOL
+from rdspectral.sweeps import _snap
 
 
 class TestSweepConfigValidation:
@@ -291,6 +295,18 @@ class TestIbSweep:
             assert np.isnan(r.lambda0)
             assert r.distortion_or_info >= -1e-12
 
+    def test_reverse_sweep_keeps_a_low_mass_symbols_own_representative(self):
+        """Symbol 2 has mass 1e-12 and its encoder row rests on its own
+        representative, whose marginal is then below DEFAULT_ZERO_TOL:
+        snapping would empty the row, which made the warm start raise."""
+        pyx = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
+        px = np.array([0.5, 0.5 - 1e-12, 1e-12])
+        config = SweepConfig(beta_grid=np.geomspace(5000.0, 1.0, 20), init="reverse",
+                             solver=SolverConfig(epsilon=1e-7))
+        records = sweep(IbProblem(pxy=px[:, None] * pyx), config)
+        assert all(r.converged for r in records)
+        assert len(detect_transitions(records).intervals) == 1
+
     def test_records_compare_by_value(self):
         """Two sweeps give equal records although their spectral fields are
         NaN; one changed grid point makes them unequal."""
@@ -302,6 +318,39 @@ class TestIbSweep:
         assert detect_transitions(records) == detect_transitions(again)
         assert records != sweep(problem, SweepConfig(beta_grid=[8.0, 4.0, 2.5],
                                                      init="reverse"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), encoder=st.booleans(), fortran=st.booleans())
+def test_snap_keeps_every_row_that_keeps_mass(seed, encoder, fortran):
+    """Every row that keeps some mass gets the bytes of zeroing the
+    representatives at or below DEFAULT_ZERO_TOL and renormalizing; a row
+    that would be emptied keeps its entries, renormalized. Masses span
+    sixteen decades and some are exact zeros, as a flushed solve leaves
+    them, so low-mass symbols can rest wholly on faint representatives."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    shape = (n, m) if encoder else (m,)
+    state = rng.random(shape) * 10.0 ** rng.integers(-16, 1, size=shape)
+    state[rng.random(shape) < 0.3] = 0.0
+    state[state.sum(axis=-1) == 0] = 1.0
+    if fortran:
+        state = np.asfortranarray(state)
+    if encoder:
+        px = rng.random(n) * 10.0 ** rng.integers(-16, 1, size=n)
+        marginal = px / px.sum() @ state
+    else:
+        marginal = state = state / state.sum()
+    snapped = _snap(state, marginal)
+    rows = np.atleast_2d(snapped)
+    kept = np.where(marginal > DEFAULT_ZERO_TOL, state, 0.0)
+    with np.errstate(invalid="ignore"):
+        want = np.atleast_2d(kept / kept.sum(axis=-1, keepdims=True))
+    for row, want_row, before in zip(rows, want, np.atleast_2d(state)):
+        if np.isfinite(want_row).all():
+            assert row.tobytes() == want_row.tobytes()
+        else:
+            assert row.tobytes() == (before / before.sum()).tobytes()
 
 
 class TestDetectTransitions:
