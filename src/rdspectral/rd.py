@@ -276,30 +276,36 @@ def _checked_marginal(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     return marginal
 
 
-def _shifted_exponents(problem: RdProblem, marginal: np.ndarray, beta: float):
+def _row_shift(problem: RdProblem, dead: np.ndarray) -> np.ndarray:
+    """Each row's smallest d over the columns that dead leaves live, as an
+    (n, 1) column: a masked reduction, with no n x m array."""
+    return np.minimum.reduce(problem.d, axis=1, where=~dead, initial=np.inf, keepdims=True)
+
+
+def _shifted_exponents(problem: RdProblem, marginal: np.ndarray, beta: float, out=None):
     """Exponents -beta (d(x, xhat) - shift(x)) and the dead-column mask.
 
     Each row is shifted by its smallest d over the support of the marginal,
     so the partition function keeps at least one O(1) term at any beta and
     never underflows to zero. Callers have checked beta and the support.
-    The exponents are the one n x m array made here: the shift is a masked
-    reduction, and the scaling is done in place.
+    The exponents are the one n x m array made here, or are written to out
+    (a view with d's strides): the scaling is done in place.
     """
     dead = marginal <= 0
-    shift = np.minimum.reduce(problem.d, axis=1, where=~dead, initial=np.inf, keepdims=True)
-    exponents = np.subtract(problem.d, shift)
+    exponents = np.subtract(problem.d, _row_shift(problem, dead), out=out)
     exponents *= -beta
     return exponents, dead
 
 
-def _iteration_weights(problem: RdProblem, marginal: np.ndarray, beta: float):
+def _iteration_weights(problem: RdProblem, marginal: np.ndarray, beta: float, out=None):
     """The shifted weights the BA map iterates: dead columns are exact zeros.
 
     A dead representative stays dead, and its column only ever meets its
     zero mass, so zeroing it changes no bit wherever its weight was finite;
     where it would overflow, it keeps inf * 0 = NaN out of the products.
+    The weights are computed in out when it is given.
     """
-    exponents, dead = _shifted_exponents(problem, marginal, beta)
+    exponents, dead = _shifted_exponents(problem, marginal, beta, out)
     exponents[:, dead] = -np.inf
     return np.exp(exponents, out=exponents)
 
@@ -454,45 +460,53 @@ def boltzmann_factors(problem: RdProblem, marginal, beta: float) -> np.ndarray:
 
 
 def _boltzmann(problem: RdProblem, marginal: np.ndarray, beta: float):
-    """boltzmann_factors, with the shifted exponents and the partition
-    function Z they were divided by: two n x m arrays, the factors divided
-    in place.
+    """boltzmann_factors, with the dead-column mask and the partition
+    function Z they were divided by. The factors are the one n x m array:
+    the shifted exponents are exponentiated and divided in place.
 
     Only a dead column's weight can overflow. A finite weight times a dead
     column's exact-zero mass adds an exact zero, so Z from all the weights
     has the bits of Z from the live ones; where an overflowed weight makes
-    it inf or NaN, Z is taken again with the dead columns masked out. A
+    it inf or NaN, Z is taken again with the dead columns set to zero in
+    place, their weights kept aside in an n x k copy and put back. A
     row's largest live weight is exactly 1, so its largest live factor is
     exactly 1 / Z, and a Z whose reciprocal overflows raises as a
     non-positive or non-finite one does.
     """
-    exponents, dead = _shifted_exponents(problem, marginal, beta)
+    a, dead = _shifted_exponents(problem, marginal, beta)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a = np.exp(exponents)
+        np.exp(a, out=a)
         z = a @ marginal
         if not np.isfinite(z).all():
-            z = np.where(dead, 0.0, a) @ marginal
+            kept = a[:, dead]
+            a[:, dead] = 0.0
+            z = a @ marginal
+            a[:, dead] = kept
         if not np.all((z > 0) & np.isfinite(z) & np.isfinite(1.0 / z)):
             raise NumericalError("partition function underflowed or overflowed")
         a /= z[:, None]
-    return a, exponents, z
+    return a, dead, z
 
 
-def _duality_gap(problem: RdProblem, marginal: np.ndarray, a: np.ndarray,
-                 exponents: np.ndarray, z: np.ndarray) -> float:
-    """log max_j sum_x px(x) a(x, j), from the factors a = exp(exponents) / z.
+def _duality_gap(problem: RdProblem, beta: float, a: np.ndarray, dead: np.ndarray,
+                 z: np.ndarray) -> float:
+    """log max_j sum_x px(x) a(x, j), from the factors a and the partition
+    function z that _boltzmann returns with the dead-column mask.
 
     A dead column whose factor overflowed sums to inf, or to NaN against a
     massless symbol; only such columns are summed again, in log space
-    against the same support shift and in one copy of their exponents, so
-    every finite sum keeps its bits.
+    against the same support shift. Their exponents are made again, by the
+    operations _shifted_exponents uses, in one n x k copy of d's lost
+    columns, so every finite sum keeps its bits.
     """
     with np.errstate(invalid="ignore"):
         sums = problem.px @ a
-    lost = (marginal <= 0) & ~np.isfinite(sums)
+    lost = dead & ~np.isfinite(sums)
     if not lost.any():
         return float(np.log(sums.max()))
-    terms = exponents[:, lost]
+    terms = problem.d[:, lost]
+    terms -= _row_shift(problem, dead)
+    terms *= -beta
     with np.errstate(divide="ignore"):
         terms += np.log(problem.px)[:, None]
     terms -= np.log(z)[:, None]
@@ -541,7 +555,13 @@ def expected_distortion(problem: RdProblem, encoder) -> float:
     encoder = np.asarray(encoder, dtype=float)
     if encoder.shape != problem.d.shape:
         raise ValueError("encoder shape does not match the problem")
-    return float(problem.px @ (encoder * problem.d).sum(axis=1))
+    return _distortion(problem.px, encoder * problem.d)
+
+
+def _distortion(px: np.ndarray, products: np.ndarray) -> float:
+    """px @ (row sums of products), products = encoder * d; the row sums
+    follow products' layout, which decides their bits."""
+    return float(px @ products.sum(axis=1))
 
 
 def uniform_init(problem: RdProblem) -> np.ndarray:
@@ -621,15 +641,16 @@ def _run_blocks(step, start, rows, lanes: int, config: SolverConfig, k: int, fai
 
 
 def _weight_stack(problem: RdProblem, betas, starts) -> np.ndarray:
-    """Each lane's BA weights, written one lane at a time into one
-    (lanes, n, m) stack whose lanes each start on a cache line.
+    """Each lane's BA weights, computed one lane at a time in place in one
+    (lanes, n, m) stack whose lanes each start on a cache line, so a lane
+    needs no n x m temporary.
 
     Each lane has d's strides, which are those of the weights
     _iteration_weights computes from d: layout decides the products' bits.
     """
     stack = _aligned_rows(len(betas), problem.d.shape, problem.d.strides)
     for lane, p, beta in zip(stack, starts, betas):
-        lane[...] = _iteration_weights(problem, p, beta)
+        _iteration_weights(problem, p, beta, out=lane)
     return stack
 
 
@@ -686,19 +707,19 @@ def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConf
 
 def _solution(problem: RdProblem, beta, p: np.ndarray, iterations: int,
               converged: bool) -> RdSolution:
-    """The solution at p, scored with two n x m arrays live: the gap is
-    taken from the factors and exponents, and the encoder is then written
-    over the factors, so the exponents are gone before rate and distortion
-    are scored."""
-    a, exponents, z = _boltzmann(problem, p, beta)
-    gap = _duality_gap(problem, p, a, exponents, z)
-    del exponents
+    """The solution at p, scored with one n x m array live: the gap is taken
+    from the factors, the encoder is written over them and scores the rate,
+    and the products encoder * d are written over the encoder to score the
+    distortion."""
+    a, dead, z = _boltzmann(problem, p, beta)
+    gap = _duality_gap(problem, beta, a, dead, z)
     encoder = _encoder_from_factors(p, a)
+    rate = weighted_divergence(problem.px, encoder, problem.px @ encoder)
     return RdSolution(
         beta=float(beta),
         marginal=_read_only(p),
-        rate=weighted_divergence(problem.px, encoder, problem.px @ encoder),
-        distortion=expected_distortion(problem, encoder),
+        rate=rate,
+        distortion=_distortion(problem.px, np.multiply(encoder, problem.d, out=encoder)),
         iterations=iterations,
         converged=converged,
         gap=gap,

@@ -38,12 +38,16 @@ def _csv_row(row, keys) -> str:
     )
 
 
-def _write_csv(rows, header, path) -> Path:
+def _write_text(text, path) -> Path:
     path = Path(path)
+    path.write_text(text)
+    return path
+
+
+def _write_csv(rows, header, path) -> Path:
     keys = header.split(",")
     lines = [header] + [_csv_row(row, keys) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_text("\n".join(lines) + "\n", path)
 
 
 def write_sweep_csv(records, path) -> Path:
@@ -55,9 +59,7 @@ def write_rate_study_csv(points, path) -> Path:
 
 
 def _write_json(payload, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=1) + "\n")
-    return path
+    return _write_text(json.dumps(payload, indent=1) + "\n", path)
 
 
 def write_sweep_json(records, path) -> Path:
@@ -135,9 +137,10 @@ def emit_reports(records, transitions, out_dir, formats=REPORT_FORMATS) -> list[
     """Write the requested report files and return the manifest of paths.
 
     formats is any subset of REPORT_FORMATS; an empty selection writes
-    nothing. SVG output renders the marginal, eigenvalue and iteration
-    panels, the measured-vs-predicted scatter, and (for bottleneck sweeps)
-    the decoder branches.
+    nothing. SVG output renders the marginal and iteration panels, then
+    the eigenvalue panel and the measured-vs-predicted scatter, or for
+    bottleneck sweeps the decoder branches. Each panel is written as soon
+    as it is rendered, so one panel's text is held at a time.
     """
     if not records:
         raise ValueError("no records to report")
@@ -161,17 +164,14 @@ def emit_reports(records, transitions, out_dir, formats=REPORT_FORMATS) -> list[
         manifest.append(write_sweep_json(records, out_dir / "sweep.json"))
         manifest.append(write_transitions_json(transitions, out_dir / "transitions.json"))
     if "svg" in formats:
-        panels = {
-            "marginal_vs_beta.svg": _marginal_panel(records, transitions),
-            "iterations_vs_beta.svg": _iterations_panel(records, transitions),
-        }
+        def panel(svg, name):
+            manifest.append(_write_text(svg, out_dir / name))
+
+        panel(_marginal_panel(records, transitions), "marginal_vs_beta.svg")
+        panel(_iterations_panel(records, transitions), "iterations_vs_beta.svg")
         if is_ib:
-            panels["decoder_vs_beta.svg"] = _decoder_panel(records, transitions)
+            panel(_decoder_panel(records, transitions), "decoder_vs_beta.svg")
         else:
-            panels["eigenvalues_vs_beta.svg"] = _eigenvalue_panel(records, transitions)
-            panels["rate_prediction.svg"] = _rate_panel(records)
-        for name, svg in panels.items():
-            path = out_dir / name
-            path.write_text(svg)
-            manifest.append(path)
+            panel(_eigenvalue_panel(records, transitions), "eigenvalues_vs_beta.svg")
+            panel(_rate_panel(records), "rate_prediction.svg")
     return manifest

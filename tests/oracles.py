@@ -62,6 +62,35 @@ def encoder_from_marginal(problem: RdProblem, marginal, beta: float) -> np.ndarr
     return np.where((enc < TINY_MASS) | (marginal <= 0), 0.0, enc)
 
 
+def factors_and_gap(problem: RdProblem, marginal, beta: float) -> tuple:
+    """The normalized Boltzmann factors and Blahut's duality gap at a
+    marginal, from the whole n x m array of shifted exponents, kept next to
+    the factors: the log-space sum of the dead columns whose factor
+    overflowed reads their exponents from it. Z is the product with the
+    dead columns masked, whose bits a solve's Z has; every other operation
+    is the one a solve scores with, so both results compare bit for bit."""
+    marginal = np.asarray(marginal, dtype=float)
+    dead = marginal <= 0
+    shift = np.minimum.reduce(problem.d, axis=1, where=~dead, initial=np.inf, keepdims=True)
+    exponents = np.subtract(problem.d, shift)
+    exponents *= -beta
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = np.exp(exponents)
+        z = np.where(dead, 0.0, a) @ marginal
+        a /= z[:, None]
+        sums = problem.px @ a
+        lost = dead & ~np.isfinite(sums)
+        if not lost.any():
+            return a, float(np.log(sums.max()))
+        terms = exponents[:, lost]
+        terms += np.log(problem.px)[:, None]
+        terms -= np.log(z)[:, None]
+        top = terms.max(axis=0)
+        terms -= top
+        logs = top + np.log(np.exp(terms, out=terms).sum(axis=0))
+    return a, float(max(np.log(sums[~lost].max()), logs.max()))
+
+
 def residual(problem: RdProblem, marginal, beta: float) -> np.ndarray:
     """Fixed-point residual of the alternating step at a candidate marginal.
 

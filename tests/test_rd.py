@@ -17,6 +17,7 @@ from oracles import (
     binary_hamming_rate,
     count_flushes,
     encoder_from_marginal,
+    factors_and_gap,
     lagrangian,
     residual,
     stepped_solve,
@@ -1131,6 +1132,42 @@ def test_partition_function_masks_an_overflowed_dead_column(seed, fortran):
     assert rdmod._boltzmann(problem, q, 800.0)[2].tobytes() == want.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), fortran=st.booleans())
+def test_overflowed_gap_matches_the_whole_exponent_array(seed, fortran):
+    """Some dead columns reproduce every symbol about 2 better than the live
+    ones, so their factors overflow at beta 700 to 1000, and some source
+    symbols may be massless: the gap's linear sums read inf or NaN there,
+    and it re-sums those columns in log space; the other dead columns stay
+    finite. Distortions within a column kind differ by less than 3 / beta,
+    so the log-space terms of many rows are comparable and no live weight
+    underflows. The factors at a start and the gap of a short solve from it
+    have the bits of oracles.factors_and_gap, which keeps every exponent,
+    on C- and F-ordered d."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 40)), int(rng.integers(2, 20))
+    beta = rng.uniform(700.0, 1000.0)
+    d = 2.0 + rng.uniform(0.0, 3.0, size=(n, m)) / beta
+    dead = rng.permutation(m)[:int(rng.integers(1, m))]
+    overflow = dead[:int(rng.integers(1, dead.size + 1))]
+    d[:, overflow] -= 2.0
+    d[:, np.setdiff1d(dead, overflow)] += 1.0
+    px = rng.dirichlet(np.ones(n))
+    px[rng.random(n) < 0.3] = 0.0
+    px[rng.integers(n)] += 1.0
+    problem = RdProblem(px=px / px.sum(), d=np.asfortranarray(d) if fortran else d)
+    q = rng.dirichlet(np.ones(m))
+    q[dead] = 0.0
+    q /= q.sum()
+    factors, _ = factors_and_gap(problem, q, beta)
+    assert_same_array(boltzmann_factors(problem, q, beta), factors)
+    with np.errstate(over="ignore"):
+        sol = solve(problem, beta, init=q, config=SolverConfig(max_iterations=5))
+    _, gap = factors_and_gap(problem, sol.marginal, beta)
+    assert np.isfinite(gap)
+    assert np.float64(sol.gap).tobytes() == np.float64(gap).tobytes()
+
+
 def test_overflowed_partition_function_raises_without_a_warning():
     """Masses of 1e308 overflow Z both from every weight and with the dead
     columns masked; the masked product ran outside np.errstate and warned
@@ -1181,35 +1218,50 @@ def test_weight_stack_is_laid_out_as_np_stack(shape, fortran):
 
 
 @pytest.mark.parametrize("fortran", [False, True])
-def test_rd_path_holds_two_arrays_beyond_the_problem(fortran):
-    """A solve and the spectrum at its marginal hold at most two n x m float
-    arrays beyond the problem at once, as traced by tracemalloc, which sees
-    numpy's buffers. A 160 x 160 problem started on half its columns keeps
-    the others dead at beta 5. The bound of 2.5 arrays leaves room for the
-    64 KiB buffer of numpy's broadcast subtract (a third of an array here)
-    and the block history; holding the masked shift, the weights and their
-    stack, the where mask of Z and the encoder as separate arrays peaked at
-    5.2 arrays for the solve and 3.3 for the spectrum."""
+def test_rd_evaluations_hold_one_array_beyond_the_problem(fortran):
+    """Scoring a solution and evaluating the Jacobian each hold one n x m
+    float array beyond the problem, as traced by tracemalloc, which sees
+    numpy's buffers: the factors are exponentiated and divided in place
+    over the shifted exponents, and scoring writes the encoder and then
+    encoder * d over them. A 160 x 160 problem started on half its columns
+    keeps the others dead at beta 5. Each bound leaves room for the 64 KiB
+    buffer of numpy's broadcast subtract, a third of an array here:
+    rd._solution and jacobian at 1.5 arrays (2.34 when the exponents, or
+    the product encoder * d, were a second array), a 2-lane weight stack
+    build at 2.5 (3.34 when each lane's weights were made apart and
+    copied in), and a solve and the spectrum at its marginal at 2.5, which
+    leaves room for the block history (a solve peaks at 2.05)."""
     n = m = 160
     rng = np.random.default_rng(5)
     d = rng.uniform(0, 1, size=(n, m))
     problem = RdProblem(px=rng.dirichlet(np.ones(n)), d=np.asfortranarray(d) if fortran else d)
     init = np.zeros(m)
     init[:m // 2] = 2.0 / m
-    bound = 2.5 * n * m * 8
-    tracemalloc.start()
-    try:
-        sol = solve(problem, 5.0, init)
-        solve_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        report = eigen_spectrum(jacobian(problem, sol.marginal, 5.0))
-        spectrum_peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert sol.converged and (sol.marginal[m // 2:] == 0).all()
+
+    def traced_peak(evaluate):
+        """evaluate's result, and the traced peak it reached in n x m arrays."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = evaluate()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        return result, peak / (n * m * 8)
+
+    sol, solve_peak = traced_peak(lambda: solve(problem, 5.0, init))
+    q = sol.marginal
+    scored, solution_peak = traced_peak(
+        lambda: rdmod._solution(problem, 5.0, q, sol.iterations, sol.converged))
+    _, jacobian_peak = traced_peak(lambda: jacobian(problem, q, 5.0))
+    report, spectrum_peak = traced_peak(lambda: eigen_spectrum(jacobian(problem, q, 5.0)))
+    _, stack_peak = traced_peak(lambda: rdmod._weight_stack(problem, [5.0, 50.0], [init, q]))
+    assert sol.converged and (q[m // 2:] == 0).all()
+    assert scored == sol
     assert report.kernel_dim >= m // 2
-    assert solve_peak <= bound and spectrum_peak <= bound
+    assert solution_peak <= 1.5 and jacobian_peak <= 1.5
+    assert stack_peak <= 2.5
+    assert solve_peak <= 2.5 and spectrum_peak <= 2.5
 
 
 @pytest.mark.parametrize("fortran", [False, True])
