@@ -153,8 +153,10 @@ class _IbBuffers:
     that every step overwrites before it reads them. rows holds the
     history, steps + 1 encoders with the layout of the map's output, each
     starting on a cache line: step b writes rows[b], and rows[0] holds the
-    block's start.
+    block's start. The map runs one lane.
     """
+
+    lanes = 1
 
     def __init__(self, problem: IbProblem, m: int, steps: int = 1):
         n, ny = problem.n, problem.ny
@@ -173,6 +175,12 @@ class _IbBuffers:
         self.row_max = np.empty(n)
         self.norms = np.empty(n)
         self.rows = _aligned_rows(steps + 1, self.weighted.shape, self.weighted.strides)
+
+    def failure(self, lanes, k: int) -> NumericalError:
+        """The error for step k, which left a non-finite encoder; norms holds
+        that step's row masses. Raises at once for a row that lost all mass."""
+        _check_row_mass(self)
+        return NumericalError(f"non-finite encoder at iteration {k}")
 
 
 def _decoder_stage(problem: IbProblem, buf: _IbBuffers):
@@ -392,11 +400,13 @@ def ib_solve(
     """Iterate the bottleneck step until successive encoders are epsilon-close.
 
     The bound map steps through rd._run_blocks into its buffers' history
-    rows; the first step reads the caller's encoder as it is.
+    rows; the first step reads the normalized init encoder as it is.
     The returned decoder is recomputed from the final encoder, so the
     decoder equation holds exactly for the stored triple. Non-convergence
     within the budget returns the encoder after max_iterations applications
-    of ib_step, with converged=False.
+    of ib_step, with converged=False. The final marginal needs no check:
+    each row of an encoder the map writes has largest entry 1 / norm, at
+    least 1 / m, and px > 0.
     """
     if config is None:
         config = SolverConfig()
@@ -406,21 +416,11 @@ def ib_solve(
     enc = enc / enc.sum(axis=1, keepdims=True)
 
     buf = _IbBuffers(problem, problem.m, _BLOCK)
-    buf.rows[0] = enc
-
-    def fail(_, iteration):
-        _check_row_mass(buf)
-        raise NumericalError(f"non-finite encoder at iteration {iteration}")
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        iterations, stopped, ends = _run_blocks(
-            _ib_map(problem, beta, buf), enc, buf.rows, 1, config, 0, fail)
-        if stopped is not None:
-            iterations = ends[0]
+        k, ends = _run_blocks(_ib_map(problem, beta, buf), enc, buf, config, 0)
         enc = buf.rows[0].copy(order="K")
         # The final marginal and decoder reuse the solve's buffers.
         marginal = problem.px.dot(enc, out=buf.marginal)
-        _check_marginal(marginal)
         dec = _decoder_stage(problem, buf)(enc)
     return IbSolution(
         beta=float(beta),
@@ -429,8 +429,8 @@ def ib_solve(
         decoder=dec,
         rate=weighted_divergence(problem.px, enc, marginal),
         relevant_info=weighted_divergence(marginal, dec, problem.py),
-        iterations=iterations,
-        converged=stopped is not None,
+        iterations=ends.get(0, k),
+        converged=bool(ends),
     )
 
 

@@ -340,14 +340,23 @@ class _BaBuffers:
 
     Written in place on every step: the partition function z and px / z,
     shaped (n,) for one lane and (lanes, n) for a stack. rows holds the
-    history, one row per step shaped like the iterate, (m,) or
-    (lanes, m): step b writes rows[b], and rows[0] holds the block's
-    start. Every array the products touch starts on a cache line.
+    history, one row per step shaped like the iterate, (m,) for one lane
+    (lanes is 1) or (lanes, m): step b writes rows[b], and rows[0] holds
+    the block's start. Every array the products touch starts on a cache
+    line.
     """
 
     def __init__(self, expw: np.ndarray, p: np.ndarray, steps: int = 1):
         self.z, self.r = _aligned_rows(2, expw.shape[:-1])
         self.rows = _aligned_rows(steps + 1, p.shape)
+        self.lanes = 1 if p.ndim == 1 else p.shape[0]
+
+    def failure(self, lanes, k: int) -> NumericalError:
+        """The error for step k, which left a non-finite marginal in lanes
+        (indices into the stack); z holds that step's partition functions."""
+        if (self.z.reshape(self.lanes, -1)[lanes] <= 0).any():
+            return NumericalError("partition function vanished")
+        return NumericalError(f"non-finite marginal at iteration {k}")
 
 
 def _ba_map(expw: np.ndarray, px: np.ndarray, buf: _BaBuffers):
@@ -357,17 +366,16 @@ def _ba_map(expw: np.ndarray, px: np.ndarray, buf: _BaBuffers):
     sub-normal masses; its callers do (_flush, _run_block).
 
     expw is one (n, m) weight matrix, or a (lanes, n, m) stack whose step
-    reads p, which must then be buf.rows[b - 1]. np.matmul takes a stack's
-    operands as (lanes, m, 1) columns of the rows, a (lanes, n, 1) column
-    of z, a (lanes, 1, n) row of px / z and a (lanes, 1, m) row out, views
-    all made here, once. buf.z keeps the partition function the step
-    divided by: a vanishing one shows up as NaN in the result, which the
-    caller diagnoses from buf.z. One lane's products go through
-    ndarray.dot, which calls the BLAS matrix-vector product that @ calls,
-    without the matmul dispatch; a stack's go through np.matmul, which
-    reproduces each lane's product bit for bit. einsum or a broadcast
-    multiply-and-sum would round differently and could move a stopping
-    iteration.
+    reads buf.rows[b - 1], which must then hold p's values. np.matmul takes
+    a stack's operands as (lanes, m, 1) columns of the rows, a (lanes, n, 1)
+    column of z, a (lanes, 1, n) row of px / z and a (lanes, 1, m) row out,
+    views all made here, once. buf.z keeps the partition function the step
+    divided by: a vanishing one shows up as NaN in the result, which
+    buf.failure diagnoses from buf.z. One lane's products go through ndarray.dot,
+    which calls the BLAS matrix-vector product that @ calls, without the
+    matmul dispatch; a stack's go through np.matmul, which reproduces each
+    lane's product bit for bit. einsum or a broadcast multiply-and-sum would
+    round differently and could move a stopping iteration.
     """
     z, r, rows = buf.z, buf.r, list(buf.rows)
     divide, multiply = np.divide, np.multiply
@@ -431,14 +439,6 @@ def _run_block(step, start, rows: np.ndarray, steps: int) -> None:
     p = _flush(rows[row])
     for b in range(row + 1, steps + 1):
         p = _flush(step(p, b))
-
-
-def _nonfinite_error(z: np.ndarray, k: int) -> NumericalError:
-    """The error for step k, which left a non-finite marginal in the lanes
-    whose partition functions are z."""
-    if (z <= 0).any():
-        return NumericalError("partition function vanished")
-    return NumericalError(f"non-finite marginal at iteration {k}")
 
 
 def _block_length(done: int, budget: int) -> int:
@@ -522,7 +522,7 @@ def _encoder_from_factors(marginal: np.ndarray, a: np.ndarray) -> np.ndarray:
     has overflowed."""
     with np.errstate(invalid="ignore"):
         np.multiply(marginal[None, :], a, out=a)
-    np.copyto(a, 0.0, where=np.less(a, TINY_MASS))
+    _flush(a)
     a[:, marginal <= 0] = 0.0
     return a
 
@@ -578,35 +578,38 @@ def _initial_marginal(problem: RdProblem, init) -> np.ndarray:
     return p + 0.0
 
 
-def _run_blocks(step, start, rows, lanes: int, config: SolverConfig, k: int, fail):
+def _run_blocks(step, start, buf, config: SolverConfig, k: int):
     """Run the alternating iteration from step k in blocks of steps, testing
     the stopping rule once per block, until some lane stops or the budget
     runs out.
 
-    rows is the history that the map's buffers own, and step(p, b), as both
-    maps step, takes one step from p, writes it to rows[b] and returns it,
-    without flushing sub-normal masses; the first step reads start, whose
-    values rows[0] holds, and step b + 1 reads what step b returned.
-    _block_length sets each block's length. _run_block takes a block's
-    steps, then flushes the first row that holds a sub-normal mass and runs
-    the rest of the block again from it, so every row is what a step that
-    flushed its result would have written, and counts, marginals and report
-    bytes are unchanged. Only then do one subtract, abs and reduce into the
-    loop's diff and delta (rows of distances, one column per lane) give the
+    buf is the map's buffers: buf.rows is the block history, whose rows[0]
+    the loop sets to start, and buf.lanes the number of lanes. step(p, b),
+    as both maps step, takes one step from p, writes it to rows[b] and
+    returns it, without flushing sub-normal masses; the first step reads
+    start itself, and step b + 1 reads what step b returned. _block_length
+    sets each block's length. _run_block takes a block's steps, then
+    flushes the first row that holds a sub-normal mass and runs the rest of
+    the block again from it, so every row is what a step that flushed its
+    result would have written, and counts, marginals and report bytes are
+    unchanged. Only then do one subtract, abs and reduce into the loop's
+    diff and delta (rows of distances, one column per lane) give the
     block's distances; an l1 distance sums a lane's difference in C order.
     A lane stops at its first row below epsilon, or fails at its first
     non-finite row, which a vanishing partition function, a row that lost
     all mass or any other non-finite iterate makes NaN or inf; rows after
     that are never read, so a NaN there changes nothing. The first failing
     step is run again from its own start, so the map's buffers hold its
-    state, and fail(lanes that failed there, its iteration) raises.
+    state, and the loop raises buf.failure(lanes that failed there, its
+    iteration).
 
-    Returns (k, stopped, ends): k is the number of steps taken, and rows[0]
-    holds each lane's latest iterate, which is its stopping one for a lane
-    that stopped. stopped and ends are None when the budget ran out first;
-    otherwise stopped masks the lanes that stopped, and ends maps each of
-    them to its stopping iteration.
+    Returns (k, ends): k is the number of steps taken, and rows[0] holds
+    each lane's latest iterate, which is its stopping one for a lane that
+    stopped. ends maps each lane that stopped to its stopping iteration,
+    and is empty when the budget ran out first.
     """
+    rows, lanes = buf.rows, buf.lanes
+    rows[0] = start
     reduce, epsilon = _NORMS[config.norm].reduce, config.epsilon
     diff, delta = np.empty(rows[1:].shape), np.empty((len(rows) - 1, lanes))
     while k < config.max_iterations:
@@ -623,21 +626,21 @@ def _run_blocks(step, start, rows, lanes: int, config: SolverConfig, k: int, fai
             continue
         # A NaN fails every comparison, so it stops a lane like an infinity.
         running = np.greater_equal(dist, epsilon) & np.less(dist, np.inf)
-        stop, stopped = running.argmin(axis=0), ~running.all(axis=0)
-        at = np.flatnonzero(stopped)
+        stop = running.argmin(axis=0)
+        at = np.flatnonzero(~running.all(axis=0))
         failed = at[~(dist[stop[at], at] < epsilon)]
         if failed.size:
             row = int(stop[failed].min())
             step(start if row == 0 else rows[row], row + 1)
-            fail(failed[stop[failed] == row], k + row + 1)
+            raise buf.failure(failed[stop[failed] == row], k + row + 1)
         if lanes == 1:
             rows[0] = rows[stop[0] + 1]
         else:
             rows[0] = rows[steps]
             for i in at:
                 rows[0, i] = rows[stop[i] + 1, i]
-        return k + steps, stopped, {int(i): k + int(stop[i]) + 1 for i in at}
-    return k, None, None
+        return k + steps, {int(i): k + int(stop[i]) + 1 for i in at}
+    return k, {}
 
 
 def _weight_stack(problem: RdProblem, betas, starts) -> np.ndarray:
@@ -664,44 +667,30 @@ def _iterate(expw: np.ndarray, px: np.ndarray, p: np.ndarray, config: SolverConf
     freed. expw is the one weight array a chunk holds; the last lane runs on
     expw[0] and p[0], which is how a single solve runs from the start.
     Returns each lane's final marginal, iteration count and convergence
-    flag; a lane that exhausts the budget stops at max_iterations with
-    converged False.
+    flag; a budget that runs out ends every lane still running at
+    max_iterations with converged False.
     """
-    lanes = np.arange(p.shape[0])
-    marginals = [None] * lanes.size
-    iterations = [config.max_iterations] * lanes.size
-    converged = [False] * lanes.size
+    lanes = list(range(p.shape[0]))
+    marginals, iterations, converged = ([None] * len(lanes) for _ in range(3))
     k = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while True:
-            w, q = (expw, p) if lanes.size > 1 else (expw[0], p[0])
+        while lanes:
+            w, q = (expw, p) if len(lanes) > 1 else (expw[0], p[0])
             buf = _BaBuffers(w, q, _BLOCK)
-            buf.rows[0] = q
-            step = _ba_map(w, px, buf)
-
-            def fail(failed, iteration):
-                raise _nonfinite_error(buf.z.reshape(lanes.size, -1)[failed], iteration)
-
-            k, stopped, ends = _run_blocks(step, buf.rows[0], buf.rows, lanes.size, config,
-                                           k, fail)
-            p = buf.rows[0].reshape(lanes.size, -1)
-            if stopped is None:
-                break
-            for i, end in ends.items():
+            k, ends = _run_blocks(_ba_map(w, px, buf), q, buf, config, k)
+            p = buf.rows[0].reshape(len(lanes), -1)
+            leaving = ends or dict.fromkeys(range(len(lanes)), k)
+            for i, end in leaving.items():
                 marginals[lanes[i]] = p[i].copy()
                 iterations[lanes[i]] = end
-                converged[lanes[i]] = True
-            keep = np.flatnonzero(~stopped)
-            lanes, p = lanes[keep], p[keep]
-            if lanes.size == 0:
-                return marginals, iterations, converged
+                converged[lanes[i]] = bool(ends)
+            keep = [i for i in range(len(lanes)) if i not in leaving]
+            lanes, p = [lanes[i] for i in keep], p[keep]
             # Slot i < j is free or already moved, so no lane is overwritten.
             for i, j in enumerate(keep):
                 if i < j:
                     expw[i] = expw[j]
-            expw = expw[:lanes.size]
-    for lane, row in zip(lanes, p.copy()):
-        marginals[lane] = row
+            expw = expw[:len(lanes)]
     return marginals, iterations, converged
 
 
@@ -737,9 +726,9 @@ def solve(
     epsilon-close.
 
     Exhausting the iteration budget returns the marginal after
-    max_iterations applications of ab_step, with converged=False, rather
-    than raising; NaN/Inf contamination raises NumericalError. This is one
-    lane of solve_batch.
+    max_iterations steps of the BA map on the start's weights, with
+    converged=False, rather than raising; NaN/Inf contamination raises
+    NumericalError. This is one lane of solve_batch.
 
     The initial marginal should be strictly positive wherever the solution
     is expected to live; zero coordinates are legitimate and stay exactly

@@ -70,40 +70,16 @@ def write_transitions_json(report, path) -> Path:
     return _write_json(report.to_json_dict(), path)
 
 
-def _beta_chart(title, ylabel, transitions, log_y=False) -> Chart:
-    """A panel over log beta with a dashed marker inside each transition bracket."""
+def _beta_panel(title, ylabel, transitions, records, rows, label="", log_y=False) -> str:
+    """A panel over log beta with a dashed marker inside each transition
+    bracket and one line per column of rows, one row per record; the j-th
+    line is labelled label.format(j)."""
     chart = Chart(title=title, xlabel="beta", ylabel=ylabel, log_x=True, log_y=log_y)
     for lo, hi in transitions.intervals:
         chart.add_vline(0.5 * (lo + hi))
-    return chart
-
-
-def _lines(chart, betas, rows, label) -> None:
-    """Draw one line per column of rows, one row per beta; the j-th is
-    labelled label.format(j)."""
+    betas = [r.beta for r in records]
     for j, column in enumerate(zip(*rows)):
         chart.add_line(betas, column, label=label.format(j))
-
-
-def _marginal_panel(records, transitions) -> str:
-    chart = _beta_chart("reproduction marginal vs beta", "mass", transitions)
-    _lines(chart, [r.beta for r in records], [r.marginal for r in records], "q[{}]")
-    return chart.render()
-
-
-def _eigenvalue_panel(records, transitions) -> str:
-    chart = _beta_chart("eigenvalues of the fixed-point Jacobian vs beta", "eigenvalue",
-                        transitions)
-    spectral = [r for r in records if r.converged and r.eigenvalues is not None]
-    _lines(chart, [r.beta for r in spectral], [r.eigenvalues for r in spectral],
-           "lambda[{}]")
-    return chart.render()
-
-
-def _iterations_panel(records, transitions) -> str:
-    chart = _beta_chart("iterations to convergence vs beta", "iterations", transitions,
-                        log_y=True)
-    chart.add_line([r.beta for r in records], [max(r.iterations, 1) for r in records])
     return chart.render()
 
 
@@ -120,17 +96,14 @@ def _rate_panel(records) -> str:
     return chart.render()
 
 
-def _decoder_panel(records, transitions) -> str:
-    """p(y=0 | representative) per live representative; a gap where it is dead."""
-    chart = _beta_chart("decoder p(y=0 | representative) vs beta", "p(y=0 | xhat)",
-                        transitions)
-    rows = [
+def _decoder_rows(records) -> list:
+    """p(y=0 | representative) per representative of each record: None
+    where the representative is dead, which leaves a gap in its line."""
+    return [
         [None if r.solution is None or q <= 1e-12 else float(r.solution.decoder[j][0])
          for j, q in enumerate(r.marginal)]
         for r in records
     ]
-    _lines(chart, [r.beta for r in records], rows, "xhat {}")
-    return chart.render()
 
 
 def emit_reports(records, transitions, out_dir, formats=REPORT_FORMATS) -> list[Path]:
@@ -167,11 +140,20 @@ def emit_reports(records, transitions, out_dir, formats=REPORT_FORMATS) -> list[
         def panel(svg, name):
             manifest.append(_write_text(svg, out_dir / name))
 
-        panel(_marginal_panel(records, transitions), "marginal_vs_beta.svg")
-        panel(_iterations_panel(records, transitions), "iterations_vs_beta.svg")
+        panel(_beta_panel("reproduction marginal vs beta", "mass", transitions, records,
+                          [r.marginal for r in records], "q[{}]"), "marginal_vs_beta.svg")
+        panel(_beta_panel("iterations to convergence vs beta", "iterations", transitions,
+                          records, [[max(r.iterations, 1)] for r in records], log_y=True),
+              "iterations_vs_beta.svg")
         if is_ib:
-            panel(_decoder_panel(records, transitions), "decoder_vs_beta.svg")
+            panel(_beta_panel("decoder p(y=0 | representative) vs beta", "p(y=0 | xhat)",
+                              transitions, records, _decoder_rows(records), "xhat {}"),
+                  "decoder_vs_beta.svg")
         else:
-            panel(_eigenvalue_panel(records, transitions), "eigenvalues_vs_beta.svg")
+            spectral = [r for r in records if r.converged and r.eigenvalues is not None]
+            panel(_beta_panel("eigenvalues of the fixed-point Jacobian vs beta",
+                              "eigenvalue", transitions, spectral,
+                              [r.eigenvalues for r in spectral], "lambda[{}]"),
+                  "eigenvalues_vs_beta.svg")
             panel(_rate_panel(records), "rate_prediction.svg")
     return manifest

@@ -7,10 +7,12 @@ residual at a reproduction marginal q:
 
 A is similar to a Gram matrix via the diagonal scaling diag(q)^(1/2), so its
 eigenvalues are real and non-negative; columns of zero-mass representatives
-vanish, making the kernel dimension equal to the number of dead
-representatives at a solution. The smallest positive eigenvalue lambda0
-controls the local convergence factor 1 - lambda0 of the iteration, which is
-what the predicted iteration counts below are built from.
+vanish, so each dead representative adds an exact zero eigenvalue. The
+kernel dimension counts those zeros and the soft modes, the supported
+block's eigenvalues at or below zero_tol. lambda0, the supported block's
+next eigenvalue, controls the local convergence factor 1 - lambda0 of the
+iteration, which is what the predicted iteration counts below are built
+from.
 """
 
 import warnings

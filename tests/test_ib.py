@@ -618,6 +618,33 @@ def test_solve_is_repeated_steps_across_block_edges(seed, budget, norm):
     assert sol.converged == converged
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       order=st.sampled_from(["C", "F"]),
+       beta=st.one_of(st.just(0.0), st.floats(0.0, 500.0, exclude_min=True)),
+       budget=st.sampled_from([1, 2, 63, 1000]))
+def test_solved_encoder_rows_keep_a_share_of_one_over_m(seed, order, beta, budget):
+    """Every row of an encoder the bottleneck map writes has its largest
+    entry equal to 1 / norm, and norm sums m terms of at most 1, so the
+    entry is at least 1 / m; with px > 0 the marginal then cannot vanish,
+    which is why ib_solve checks no marginal after its loop. Joints have
+    zero entries and either layout, and starts have exact zeros."""
+    rng = np.random.default_rng(seed)
+    n, ny = (int(v) for v in rng.integers(2, 6, 2))
+    m = int(rng.integers(1, 6))
+    pxy = rng.dirichlet(np.ones(n * ny)).reshape(n, ny)
+    pxy[rng.random((n, ny)) < 0.3] = 0.0
+    pxy[np.arange(n), np.arange(n) % ny] += 0.5 / n
+    problem = IbProblem(pxy=np.asarray(pxy, order=order), m=m)
+    init = rng.dirichlet(np.ones(m), size=n)
+    init[rng.random((n, m)) < 0.3] = 0.0
+    init[np.arange(n), rng.integers(m, size=n)] += 0.5
+    sol = ib_solve(problem, beta, init_encoder=init,
+                   config=SolverConfig(max_iterations=budget))
+    assert (sol.encoder.max(axis=1) >= 1.0 / m).all()
+    assert abs(sol.marginal.sum() - 1.0) <= 1e-12
+
+
 def count_ib_steps(monkeypatch) -> list:
     """Count the bottleneck steps taken. Returns the one-item list that
     holds the count."""

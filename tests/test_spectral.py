@@ -1,5 +1,6 @@
 """Unit tests for the fixed-point Jacobian and its spectrum."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -29,6 +30,7 @@ from rdspectral import (
     solve,
 )
 from rdspectral.probability import DEFAULT_ZERO_TOL
+from rdspectral.spectral import NEGATIVE_EIGENVALUE_TOL
 
 TIGHT = SolverConfig(epsilon=1e-13)
 
@@ -240,6 +242,22 @@ class TestEigenSpectrum:
         np.testing.assert_allclose(
             np.sort(dense.real), report.eigenvalues, atol=1e-8
         )
+
+    def test_eigenvalue_below_the_negative_tolerance_raises(self, monkeypatch):
+        """A Gram matrix has no negative eigenvalue, so one below
+        NEGATIVE_EIGENVALUE_TOL is a numerical failure. The eigensolver's
+        result is substituted, as roundoff that large depends on the BLAS
+        build; an eigenvalue at the tolerance itself is a soft mode."""
+        jac = jacobian(binary_hamming(), np.array([0.5, 0.5]), 1.0)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda gram: np.array([-2e-8, 1.0]))
+        with pytest.raises(NumericalError, match=re.escape(
+                "eigenvalue -2e-08 below -1e-08; "
+                "the evaluation point is inconsistent with a fixed point")):
+            eigen_spectrum(jac)
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda gram: np.array([NEGATIVE_EIGENVALUE_TOL, 1.0]))
+        report = eigen_spectrum(jac)
+        assert report.kernel_dim == 1 and report.lambda0 == 1.0
 
     def test_spectrum_range_and_symmetry(self):
         instances = solved_interior_instances(seed=24, count=8)
