@@ -142,11 +142,13 @@ class IbSolution(JsonRecord):
 
 
 class _IbBuffers:
-    """Work arrays of the bottleneck map for one problem and decoder count,
-    written in place on every step, and the history of a block of steps.
+    """Work arrays of the bottleneck map for one problem, written in place
+    on every step, and the history of a block of steps.
 
-    The relevance sums, the row masses and px @ encoder round according to
-    their operands' memory layout, and the map's expressions give those
+    ib_step and ib_solve build one per call; ib_decoder and ib_distortion
+    compute their one decoder or distortion without any. The relevance
+    sums, the row masses and px @ encoder round according to their
+    operands' memory layout, and the map's expressions give those
     operands a layout that follows the problem's arrays (a column-permuted
     pxy makes them Fortran-ordered). So the kl, dist and weighted buffers
     are those expressions themselves, evaluated once on stand-in values
@@ -158,8 +160,8 @@ class _IbBuffers:
 
     lanes = 1
 
-    def __init__(self, problem: IbProblem, m: int, steps: int = 1):
-        n, ny = problem.n, problem.ny
+    def __init__(self, problem: IbProblem, steps: int = 1):
+        n, m, ny = problem.n, problem.m, problem.ny
         pygx, logp, pos = problem._kl_terms
         with np.errstate(invalid="ignore"):
             self.kl = np.where(pos, pygx * (logp - np.zeros((1, m, ny))), 0.0)
@@ -183,54 +185,17 @@ class _IbBuffers:
         return NumericalError(f"non-finite encoder at iteration {k}")
 
 
-def _decoder_stage(problem: IbProblem, buf: _IbBuffers):
-    """decode(encoder): the decoder rows of an encoder whose marginal
-    buf.marginal holds, written to buf.dec; needs divide and invalid
-    floating-point errors ignored.
-
-    Rows are divided by the marginal itself. A dead representative's row,
-    0 / 0 (or x / 0 where px * encoder underflowed), is overwritten with py
-    right after, and buf.dead keeps the mask of those rows. The weighted
-    encoder keeps the encoder's own layout.
-    """
-    px_column, pygx, py = problem.px[:, None], problem.py_given_x, problem.py
-    marginal, dead, dec, weighted = buf.marginal, buf.dead, buf.dec, buf.weighted
-    marginal_column, dead_column, strides = marginal[:, None], dead[:, None], weighted.strides
-    # px spread over the encoder's shape spares the broadcast; an encoder of
-    # another layout keeps the column, so numpy lays out its product as before.
-    px_spread = np.empty_like(weighted)
-    px_spread[...] = px_column
-    less_equal, multiply, divide, copyto = np.less_equal, np.multiply, np.divide, np.copyto
-
-    def decode(encoder):
-        less_equal(marginal, _ZERO, out=dead)
-        if encoder.strides == strides:
-            w = multiply(encoder, px_spread, out=weighted)
-        else:
-            w = multiply(encoder, px_column)
-        rows = w.T.dot(pygx, out=dec)
-        divide(rows, marginal_column, out=rows)
-        copyto(rows, py, where=dead_column)
-        return rows
-
-    return decode
-
-
-def _relevance_stage(problem: IbProblem, buf: _IbBuffers):
-    """relevance(decoder): KL(p(y|x) || decoder row) for every pair, written
-    to buf.dist; needs divide and invalid floating-point errors ignored."""
-    pygx, logp, _ = problem._kl_terms
-    log_dec, kl, dist, blank = buf.log_dec, buf.kl, buf.dist, buf.blank
-    log, subtract, multiply, copyto = np.log, np.subtract, np.multiply, np.copyto
-    add_reduce = np.add.reduce
-
-    def relevance(decoder):
-        terms = multiply(pygx, subtract(logp, log(decoder, out=log_dec), out=kl), out=kl)
-        if blank is not None:
-            copyto(terms, _ZERO, where=blank)
-        return add_reduce(terms, axis=-1, out=dist)
-
-    return relevance
+def _decoder(problem: IbProblem, encoder: np.ndarray, marginal: np.ndarray) -> np.ndarray:
+    """The decoder rows of an encoder whose marginal px @ encoder is given,
+    as the map computes them: the px-weighted encoder, in the encoder's own
+    layout, times p(y|x), divided by the marginal itself. A dead
+    representative's row, 0 / 0 (or x / 0 where px * encoder underflowed),
+    is then overwritten with py."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decoder = (encoder * problem.px[:, None]).T.dot(problem.py_given_x)
+        decoder /= marginal[:, None]
+    np.copyto(decoder, problem.py, where=(marginal <= 0)[:, None])
+    return decoder
 
 
 def _ib_map(problem: IbProblem, beta: float, buf: _IbBuffers):
@@ -239,43 +204,61 @@ def _ib_map(problem: IbProblem, beta: float, buf: _IbBuffers):
     returns that row, as the BA map's step(p, b) does (rd._ba_map).
 
     A step takes the marginal px @ encoder (kept in buf.marginal), the
-    decoder (buf.dec), the relevance distortion, the logits log(marginal) -
-    beta * dist, their row maxima, exp of the shifted logits, the row masses
-    (buf.norms; a row that lost all mass leaves NaN there and in the new
-    encoder) and their quotient. The step does not flush masses below
-    TINY_MASS: ib_step flushes its result (rd._flush), and the block loop
-    flushes only the rows that hold one (rd._run_block). A dead
-    representative's logits need no fill: log 0 = -inf, and its distortion
-    is KL(p(y|x) || py), which is finite, so they stay -inf at every beta.
-    At beta 0 the map takes 0 * inf = 0 and skips the relevance distortion,
-    so every encoder row is the marginal even where a decoder zero opposite
+    dead mask marginal <= 0 (buf.dead), the decoder (buf.dec, the
+    operations of _decoder written into the buffers), the relevance
+    distortion KL(p(y|x) || decoder row) (buf.dist), the logits
+    log(marginal) - beta * dist, their row maxima, exp of the shifted
+    logits, the row masses (buf.norms; a row that lost all mass leaves NaN
+    there and in the new encoder) and their quotient. The step does not
+    flush masses below TINY_MASS: ib_step flushes its result (rd._flush),
+    and the block loop flushes only the rows that hold one
+    (rd._run_block). A dead representative's logits need no fill:
+    log 0 = -inf, and its distortion is KL(p(y|x) || py), which is finite,
+    so they stay -inf at every beta. At beta 0 the map, chosen when it is
+    bound, takes 0 * inf = 0 and skips the relevance distortion, so every
+    encoder row is the marginal even where a decoder zero opposite
     p(y|x) > 0 makes that distortion infinite. Needs divide, invalid and
     overflow floating-point errors ignored.
     """
-    decode = _decoder_stage(problem, buf)
-    if beta:
-        relevance = _relevance_stage(problem, buf)
-    else:
-        zeros = buf.dist
-        zeros.fill(0.0)
-
-        def relevance(decoder):
-            return zeros
-
-    px_dot, rows = problem.px.dot, list(buf.rows)
-    marginal, log_marginal = buf.marginal, buf.log_marginal
-    row_max, norms = buf.row_max, buf.norms
+    px_dot, px_column = problem.px.dot, problem.px[:, None]
+    pygx, py, (kl_pygx, logp, _) = problem.py_given_x, problem.py, problem._kl_terms
+    rows, weighted, dec = list(buf.rows), buf.weighted, buf.dec
+    marginal, log_marginal, dead = buf.marginal, buf.log_marginal, buf.dead
+    log_dec, kl, dist, blank = buf.log_dec, buf.kl, buf.dist, buf.blank
+    row_max, norms, strides = buf.row_max, buf.norms, weighted.strides
+    marginal_column, dead_column = marginal[:, None], dead[:, None]
     row_max_column, norms_column = row_max[:, None], norms[:, None]
+    # px spread over the encoder's shape spares the broadcast; an encoder of
+    # another layout keeps the column, so numpy lays out its product as before.
+    px_spread = np.empty_like(weighted)
+    px_spread[...] = px_column
     log, exp, subtract, multiply = np.log, np.exp, np.subtract, np.multiply
-    divide = np.divide
+    divide, less_equal, copyto = np.divide, np.less_equal, np.copyto
     max_reduce, add_reduce = np.maximum.reduce, np.add.reduce
     beta = np.array(beta, dtype=float)
 
+    if beta:
+        def scaled_relevance(decoder):
+            terms = multiply(kl_pygx, subtract(logp, log(decoder, out=log_dec), out=kl), out=kl)
+            if blank is not None:
+                copyto(terms, _ZERO, where=blank)
+            return multiply(add_reduce(terms, axis=-1, out=dist), beta, out=dist)
+    else:
+        dist.fill(0.0)
+
+        def scaled_relevance(decoder):
+            return dist
+
     def step(encoder, b):
         px_dot(encoder, out=marginal)
-        dist = relevance(decode(encoder))
-        logits = subtract(log(marginal, out=log_marginal), multiply(dist, beta, out=dist),
-                          out=rows[b])
+        less_equal(marginal, _ZERO, out=dead)
+        if encoder.strides == strides:
+            w = multiply(encoder, px_spread, out=weighted)
+        else:
+            w = multiply(encoder, px_column)
+        decoder = divide(w.T.dot(pygx, out=dec), marginal_column, out=dec)
+        copyto(decoder, py, where=dead_column)
+        logits = subtract(log(marginal, out=log_marginal), scaled_relevance(decoder), out=rows[b])
         max_reduce(logits, axis=1, out=row_max)
         new = exp(subtract(logits, row_max_column, out=logits), out=logits)
         add_reduce(new, axis=1, out=norms)
@@ -318,11 +301,9 @@ def ib_decoder(problem: IbProblem, encoder) -> np.ndarray:
     An encoder whose marginal px @ encoder underflows to all zeros is rejected.
     """
     encoder = _checked_encoder(problem, encoder, "encoder")
-    buf = _IbBuffers(problem, problem.m)
-    buf.marginal[...] = problem.px @ encoder
-    _check_marginal(buf.marginal)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _decoder_stage(problem, buf)(encoder)
+    marginal = problem.px @ encoder
+    _check_marginal(marginal)
+    return _decoder(problem, encoder, marginal)
 
 
 def ib_distortion(problem: IbProblem, decoder) -> np.ndarray:
@@ -334,8 +315,12 @@ def ib_distortion(problem: IbProblem, decoder) -> np.ndarray:
     decoder = as_masses(decoder, "decoder", 2)
     if decoder.shape[1] != problem.ny:
         raise ValueError("decoder rows do not match the relevance alphabet")
+    pygx, logp, pos = problem._kl_terms
+    # The log is taken into a C-ordered array, as the map's log_dec buffer
+    # holds it: the terms' layout, and so the bits of their sums, follow it.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _relevance_stage(problem, _IbBuffers(problem, decoder.shape[0]))(decoder)
+        log_dec = np.log(decoder, out=np.empty(decoder.shape))
+        return np.where(pos, pygx * (logp - log_dec), 0.0).sum(axis=-1)
 
 
 def ib_step(problem: IbProblem, encoder, beta: float):
@@ -350,7 +335,7 @@ def ib_step(problem: IbProblem, encoder, beta: float):
     """
     _check_beta(beta)
     encoder = _checked_encoder(problem, encoder, "encoder")
-    buf = _IbBuffers(problem, problem.m)
+    buf = _IbBuffers(problem)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         new_encoder = _flush(_ib_map(problem, beta, buf)(encoder, 1))
     _check_marginal(buf.marginal)
@@ -401,10 +386,12 @@ def ib_solve(
 
     The bound map steps through rd._run_blocks into its buffers' history
     rows; the first step reads the normalized init encoder as it is.
-    The returned decoder is recomputed from the final encoder, so the
-    decoder equation holds exactly for the stored triple. Non-convergence
-    within the budget returns the encoder after max_iterations applications
-    of ib_step, with converged=False. The final marginal needs no check:
+    The returned decoder is recomputed from the final encoder by _decoder,
+    so the decoder equation holds exactly for the stored triple; the
+    encoder keeps the layout of the map's output, so that product rounds as
+    it does inside the map's steps. Non-convergence within the budget
+    returns the encoder after max_iterations applications of ib_step, with
+    converged=False. The final marginal needs no check:
     each row of an encoder the map writes has largest entry 1 / norm, at
     least 1 / m, and px > 0.
     """
@@ -415,13 +402,12 @@ def ib_solve(
     enc = _checked_encoder(problem, enc, "init encoder").copy()
     enc = enc / enc.sum(axis=1, keepdims=True)
 
-    buf = _IbBuffers(problem, problem.m, _BLOCK)
+    buf = _IbBuffers(problem, _BLOCK)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k, ends = _run_blocks(_ib_map(problem, beta, buf), enc, buf, config, 0)
-        enc = buf.rows[0].copy(order="K")
-        # The final marginal and decoder reuse the solve's buffers.
-        marginal = problem.px.dot(enc, out=buf.marginal)
-        dec = _decoder_stage(problem, buf)(enc)
+    enc = buf.rows[0].copy(order="K")
+    marginal = problem.px.dot(enc)
+    dec = _decoder(problem, enc, marginal)
     return IbSolution(
         beta=float(beta),
         encoder=enc,

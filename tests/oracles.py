@@ -207,28 +207,49 @@ def ib_functional(problem: IbProblem, encoder, beta: float) -> float:
     )
 
 
+def decoder_reference(problem: IbProblem, encoder, marginal) -> np.ndarray:
+    """Decoder rows of an encoder by Bayes' rule, op by op as the package
+    computed them before the map was bound once per solve: the weighted
+    encoder's product with p(y|x), divided by a zero-safe copy of the
+    marginal (1 where it is 0), and py copied into the dead rows."""
+    dead = np.logical_not(np.greater(marginal, 0.0))
+    safe = marginal.copy()
+    np.putmask(safe, dead, 1.0)
+    decoder = (encoder * problem.px[:, None]).T.dot(problem.py_given_x)
+    decoder = decoder / safe[:, None]
+    np.copyto(decoder, problem.py, where=dead[:, None])
+    return decoder
+
+
+def relevance_reference(problem: IbProblem, decoder) -> np.ndarray:
+    """KL(p(y|x) || decoder row) for every pair, from the elementwise terms
+    blanked where p(y|x) = 0. The log of the decoder is laid out in C order
+    whatever the decoder's layout, as the package's work array held it."""
+    pygx, logp, pos = problem._kl_terms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.where(pos, pygx * (logp - np.log(decoder, order="C")), 0.0)
+    return kl.sum(axis=-1)
+
+
 def ib_update_reference(problem: IbProblem, encoder, beta: float) -> tuple:
     """The bottleneck map on an encoder, op by op as the package computed it
-    before the map was bound once per solve: the marginal copied into a
-    zero-safe divisor (1 where it is 0), decoder rows divided by that copy,
-    its log taken as the logits' mass term and the dead logits filled with
-    -inf. Every array is allocated by the expression that computes it.
+    before the map was bound once per solve: the decoder of
+    decoder_reference, the distortion of relevance_reference, the log of
+    the zero-safe marginal as the logits' mass term and the dead logits
+    filled with -inf. Every array is allocated by the expression that
+    computes it.
 
     Returns (new_encoder, marginal, decoder); the marginal is the one the
     decoder was built from.
     """
     encoder = np.asarray(encoder, dtype=float)
-    pygx, logp, pos = problem._kl_terms
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         marginal = problem.px.dot(encoder)
         dead = np.logical_not(np.greater(marginal, 0.0))
         safe = marginal.copy()
         np.putmask(safe, dead, 1.0)
-        decoder = (encoder * problem.px[:, None]).T.dot(problem.py_given_x)
-        decoder = decoder / safe[:, None]
-        np.copyto(decoder, problem.py, where=dead[:, None])
-        kl = np.where(pos, pygx * (logp - np.log(decoder)), 0.0)
-        dist = kl.sum(axis=-1)
+        decoder = decoder_reference(problem, encoder, marginal)
+        dist = relevance_reference(problem, decoder)
         # 0 * inf = 0: at beta 0 every row's logits are the log marginal.
         logits = np.log(safe) - (dist * beta if beta else np.zeros_like(dist))
         np.copyto(logits, -np.inf, where=dead)

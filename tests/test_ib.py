@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from oracles import (
     block_of,
     count_flushes,
+    decoder_reference,
     ib_functional,
     ib_update_reference,
+    relevance_reference,
     stepped_ib_solve,
     unreplayed_calls,
 )
@@ -721,25 +723,12 @@ def _same_array(got, want) -> bool:
             and got.tobytes(order="A") == want.tobytes(order="A"))
 
 
-@settings(max_examples=120, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       pxy_order=st.sampled_from("CF"),
-       encoder_order=st.sampled_from("CF"),
-       blank=st.booleans(),
-       beta_kind=st.sampled_from(["zero", "random", "large"]))
-def test_bound_map_is_the_reference_bit_for_bit(seed, pxy_order, encoder_order, blank,
-                                               beta_kind):
-    """The map ib_solve and ib_step step through divides the decoder by the
-    marginal itself and leaves dead logits at log 0 = -inf; the reference
-    divides by a zero-safe copy and fills them. The map leaves sub-normal
-    masses to its callers, so its encoder is compared after the flush that
-    ib_step and the block loop apply. Encoder, marginal and
-    decoder agree bit for bit, strides included, on C- and F-ordered pxy,
-    pxy with zeros (the blanked relevance terms), encoders with dead
-    columns in either layout, and beta 0, random and 1e3. From 16 source
-    symbols on, the decoder product rounds differently on a C- and an
-    F-ordered weighted encoder."""
-    rng = np.random.default_rng(seed)
+def _draw_problem_and_encoder(rng, pxy_order: str, encoder_order: str, blank: bool):
+    """A random problem in pxy_order, with zero entries in pxy when blank
+    (the blanked relevance terms), and an encoder in encoder_order whose
+    dead columns are the False entries of the returned live mask. From 16
+    source symbols on, the decoder product rounds differently on a C- and
+    an F-ordered weighted encoder, so 3 in 10 draws have 16 to 24."""
     n, ny, m = (int(v) for v in rng.integers(2, 6, 3))
     if rng.random() < 0.3:
         n = int(rng.integers(16, 25))
@@ -756,11 +745,60 @@ def test_bound_map_is_the_reference_bit_for_bit(seed, pxy_order, encoder_order, 
     encoder = rng.dirichlet(np.ones(m), size=n) * live
     encoder[rng.random((n, m)) < 0.2] = 0.0
     encoder[np.arange(n), rng.choice(np.flatnonzero(live), size=n)] += 0.5
-    encoder = np.asarray(encoder, order=encoder_order)
+    return problem, np.asarray(encoder, order=encoder_order), live
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       pxy_order=st.sampled_from("CF"),
+       encoder_order=st.sampled_from("CF"),
+       decoder_order=st.sampled_from("CF"))
+def test_one_shot_maps_are_the_reference_bit_for_bit(seed, pxy_order, encoder_order,
+                                                    decoder_order):
+    """ib_decoder and ib_distortion compute the decoder and the relevance
+    distortion outside the bound map, and agree with the reference's lines
+    for them bit for bit, strides included: on C- and F-ordered pxy with
+    zero entries, encoders in either layout with dead columns, and
+    decoders in either layout with 1 to 5 rows and some zeros (infinite
+    distortions). The relevance sums round in the layout of the decoder's
+    log, which must be C-ordered whatever the decoder's layout."""
+    rng = np.random.default_rng(seed)
+    problem, encoder, live = _draw_problem_and_encoder(rng, pxy_order, encoder_order, True)
+    decoder = ib_decoder(problem, encoder)
+    assert _same_array(decoder, decoder_reference(problem, encoder, problem.px @ encoder))
+    assert np.all(decoder[~live] == problem.py)
+
+    rows = rng.dirichlet(np.ones(problem.ny), size=int(rng.integers(1, 6)))
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    rows[:, 0] += 0.1
+    for decoder in (decoder, rows):
+        decoder = np.asarray(decoder, order=decoder_order)
+        assert _same_array(ib_distortion(problem, decoder),
+                           relevance_reference(problem, decoder))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       pxy_order=st.sampled_from("CF"),
+       encoder_order=st.sampled_from("CF"),
+       blank=st.booleans(),
+       beta_kind=st.sampled_from(["zero", "random", "large"]))
+def test_bound_map_is_the_reference_bit_for_bit(seed, pxy_order, encoder_order, blank,
+                                               beta_kind):
+    """The map ib_solve and ib_step step through divides the decoder by the
+    marginal itself and leaves dead logits at log 0 = -inf; the reference
+    divides by a zero-safe copy and fills them. The map leaves sub-normal
+    masses to its callers, so its encoder is compared after the flush that
+    ib_step and the block loop apply. Encoder, marginal and
+    decoder agree bit for bit, strides included, on C- and F-ordered pxy,
+    pxy with zeros (the blanked relevance terms), encoders with dead
+    columns in either layout, and beta 0, random and 1e3."""
+    rng = np.random.default_rng(seed)
+    problem, encoder, live = _draw_problem_and_encoder(rng, pxy_order, encoder_order, blank)
     beta = {"zero": 0.0, "random": float(rng.uniform(0.0, 50.0)), "large": 1e3}[beta_kind]
 
     want_encoder, want_marginal, want_decoder = ib_update_reference(problem, encoder, beta)
-    buf = ibmod._IbBuffers(problem, m)
+    buf = ibmod._IbBuffers(problem)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         new = ibmod._ib_map(problem, beta, buf)(encoder, 1)
     assert np.shares_memory(new, buf.rows[1])

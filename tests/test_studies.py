@@ -1,5 +1,6 @@
 """Tests for the figure studies and the `study` command."""
 
+import hashlib
 import importlib.util
 import subprocess
 import sys
@@ -27,6 +28,15 @@ IB_REPORTS = [
     "sweep.csv",
     "sweep.json",
     "transitions.json",
+]
+
+# SHA-256 of each fig2 tangent problem's d: its shape and strides, then its
+# bytes in memory order. tangent_rd builds d with ib_distortion, and d's
+# layout decides the bits of every Blahut-Arimoto step on it.
+TANGENT_D_DIGESTS = [
+    "622e3a3878c80b2956515b00342c0bd7865c5b9622c3f680e1e56d79974e7adf",
+    "3e450743993e0859bf028c4d04e4ef461054e7d33619aa2c905f67ee393e412e",
+    "04fce73504dee1e63813a6422b14c2bf71817473e78192f527ae54e156cedd01",
 ]
 
 
@@ -98,6 +108,17 @@ def test_study_fig2_reports_from_the_fixture_run(fig2_study, tmp_path, monkeypat
         assert csv_iterations(tmp_path / f"tangent_{k}" / "sweep.csv") == [
             r.iterations for r in tangent.records
         ]
+
+
+def test_tangent_problems_are_pinned(fig2_study):
+    """The distortion matrices of fig2's three tangent problems keep their
+    bytes and their strides."""
+    digests = []
+    for tangent in fig2_study.tangents:
+        d = tangent.problem.d
+        layout = repr((d.shape, d.strides)).encode()
+        digests.append(hashlib.sha256(layout + d.tobytes(order="A")).hexdigest())
+    assert digests == TANGENT_D_DIGESTS
 
 
 def test_study_grids_are_read_only():
