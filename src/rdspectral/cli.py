@@ -221,9 +221,8 @@ def rate_study_cmd(problem_path, builtin, beta, anchor_beta, epsilons, out_path,
         eps_list = [float(t) for t in epsilons.split(",") if t.strip()]
     except ValueError as exc:
         raise click.UsageError(f"bad --epsilons: {exc}") from exc
-    config = SolverConfig(norm="l1", max_iterations=max_iters)
     points = rate_study(problem, beta, eps_list, anchor_beta=anchor_beta,
-                        config=config)
+                        max_iterations=max_iters)
     click.echo(json.dumps([p.to_json_dict() for p in points], indent=1))
     if out_path:
         click.echo(f"wrote {write_rate_study_csv(points, out_path)}")

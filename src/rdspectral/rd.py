@@ -552,7 +552,7 @@ def ab_step(problem: RdProblem, marginal, beta: float) -> np.ndarray:
 
 def expected_distortion(problem: RdProblem, encoder) -> float:
     """Average distortion sum_{x,xhat} px(x) p(xhat|x) d(x,xhat), encoder shaped like d."""
-    encoder = np.asarray(encoder, dtype=float)
+    encoder = as_masses(encoder, "encoder", 2)
     if encoder.shape != problem.d.shape:
         raise ValueError("encoder shape does not match the problem")
     return _distortion(problem.px, encoder * problem.d)

@@ -1,5 +1,6 @@
 """Flat-file reporting for sweeps: CSV, JSON and SVG panels.
 
+A CSV cell is its field's JSON value, so both formats share one encoding.
 The CSV column order is fixed and the float formatting is deterministic, so
 identical runs produce byte-identical files.
 """
@@ -8,7 +9,7 @@ import json
 import math
 from pathlib import Path
 
-from .rd import json_fields
+from .rd import _json_value, json_fields
 from .svgplot import Chart
 from .sweeps import RateStudyPoint, SweepRecord
 
@@ -18,24 +19,18 @@ CSV_HEADER = ",".join(k for k in json_fields(SweepRecord) if k != "marginal")
 RATE_STUDY_CSV_HEADER = ",".join(json_fields(RateStudyPoint))
 
 
-def _csv_num(x) -> str:
-    if x is None:
+def _csv_cell(value) -> str:
+    """value's JSON form (what to_json_dict holds for it) as a CSV cell:
+    null empty, "inf" and "-inf" as they are, a bool as JSON writes it and
+    a number to 17 significant digits."""
+    value = _json_value(value)
+    if value is None:
         return ""
-    x = float(x)
-    if math.isnan(x):
-        return ""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
-
-
-def _csv_row(row, keys) -> str:
-    """One CSV line: the attributes of row named by keys, in order."""
-    values = (getattr(row, key) for key in keys)
-    return ",".join(
-        ("true" if value else "false") if isinstance(value, bool) else _csv_num(value)
-        for value in values
-    )
+    if isinstance(value, bool):
+        return json.dumps(value)
+    if isinstance(value, str):
+        return value
+    return format(float(value), ".17g")
 
 
 def _write_text(text, path) -> Path:
@@ -46,7 +41,7 @@ def _write_text(text, path) -> Path:
 
 def _write_csv(rows, header, path) -> Path:
     keys = header.split(",")
-    lines = [header] + [_csv_row(row, keys) for row in rows]
+    lines = [header] + [",".join(_csv_cell(getattr(row, key)) for key in keys) for row in rows]
     return _write_text("\n".join(lines) + "\n", path)
 
 
@@ -64,10 +59,6 @@ def _write_json(payload, path) -> Path:
 
 def write_sweep_json(records, path) -> Path:
     return _write_json([r.to_json_dict() for r in records], path)
-
-
-def write_transitions_json(report, path) -> Path:
-    return _write_json(report.to_json_dict(), path)
 
 
 def _beta_panel(title, ylabel, transitions, records, rows, label="", log_y=False) -> str:
@@ -135,7 +126,7 @@ def emit_reports(records, transitions, out_dir, formats=REPORT_FORMATS) -> list[
         manifest.append(write_sweep_csv(records, out_dir / "sweep.csv"))
     if "json" in formats:
         manifest.append(write_sweep_json(records, out_dir / "sweep.json"))
-        manifest.append(write_transitions_json(transitions, out_dir / "transitions.json"))
+        manifest.append(_write_json(transitions.to_json_dict(), out_dir / "transitions.json"))
     if "svg" in formats:
         def panel(svg, name):
             manifest.append(_write_text(svg, out_dir / name))

@@ -270,7 +270,7 @@ def rate_study(
     beta: float,
     epsilons,
     anchor_beta: float | None = None,
-    config: SolverConfig | None = None,
+    max_iterations: int = rdmod.DEFAULT_MAX_ITERATIONS,
 ) -> list[RateStudyPoint]:
     """Compare measured iterations against the spectral rate prediction.
 
@@ -278,11 +278,12 @@ def rate_study(
     from that warm start for each stopping accuracy, pairing the measured
     iterations per unit of -log eps with the prediction from the smallest
     positive eigenvalue at the solution, counting masses at or below
-    DEFAULT_ZERO_TOL as dead. Stopping distances default to the
-    L1 norm here, matching the norm the asymptotic rate statement is phrased
-    in. At a critical point the prediction is +inf and the pairing is
-    recorded as such. A reference solve that exhausts the budget raises
-    ValueError, since its spectrum would not be the fixed point's.
+    DEFAULT_ZERO_TOL as dead. Every solve stops on the L1 distance between
+    successive iterates, the norm the asymptotic rate statement is phrased
+    in, within max_iterations steps. At a critical point the prediction is
+    +inf and the pairing is recorded as such. A reference solve that
+    exhausts the budget raises ValueError, since its spectrum would not be
+    the fixed point's.
     """
     if not 0 < beta < np.inf:
         raise ValueError(
@@ -290,21 +291,19 @@ def rate_study(
     epsilons = [float(e) for e in epsilons]
     if not epsilons or any(not 0 < e < 1 for e in epsilons):
         raise ValueError("epsilons must be a non-empty list of values in (0, 1)")
-    if config is None:
-        config = SolverConfig(norm="l1")
+    anchor_cfg = SolverConfig(epsilon=1e-13, norm="l1", max_iterations=max_iterations)
     if anchor_beta is None:
         anchor_beta = 2.0 * beta
     if not beta < anchor_beta < np.inf:
         raise ValueError(
             "anchor_beta must be finite and exceed beta (a reverse-annealing start)")
 
-    anchor_cfg = replace(config, epsilon=1e-13)
     anchor = rdmod.solve(problem, anchor_beta, config=anchor_cfg)
     reference = rdmod.solve(problem, beta, init=anchor.marginal, config=anchor_cfg)
     if not reference.converged:
         raise ValueError(
             f"rate study reference solve at beta={beta!r} did not converge to "
-            f"epsilon={anchor_cfg.epsilon:g} within {config.max_iterations} "
+            f"epsilon={anchor_cfg.epsilon:g} within {max_iterations} "
             "iterations; raise the budget or move beta off the transition"
         )
     jac = jacobian(problem, reference.marginal, beta, fixed_point_tol=float("inf"))
@@ -313,7 +312,7 @@ def rate_study(
     points = []
     for eps in sorted(epsilons, reverse=True):
         run = rdmod.solve(
-            problem, beta, init=anchor.marginal, config=replace(config, epsilon=eps)
+            problem, beta, init=anchor.marginal, config=replace(anchor_cfg, epsilon=eps)
         )
         predicted = predicted_iterations(report, eps) / (-np.log(eps))
         points.append(

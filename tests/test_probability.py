@@ -86,8 +86,7 @@ MARGINAL_SHAPES = [([1.0], MARGINAL_LENGTH), ([0.5, 0.25, 0.25], MARGINAL_LENGTH
 # Every public function that takes a mass array, fed a bad one through each
 # such argument: the call, the argument's name in messages, a valid value, wrong
 # shapes with their messages, and whether NaN and negative entries are
-# rejected. expected_distortion checks only the shape, since every solve
-# scores its own encoder with it.
+# rejected.
 ARRAY_ENTRIES = {
     "as_distribution": (as_distribution, "p", [0.5, 0.5],
                         [([[0.5, 0.5]], "p must be a non-empty 1-d vector")], True),
@@ -106,7 +105,7 @@ ARRAY_ENTRIES = {
                           MARGINAL_SHAPES, True),
     "jacobian": (lambda a: jacobian(RD, a, 1.0), "marginal", [0.5, 0.5], MARGINAL_SHAPES, True),
     "expected_distortion": (lambda a: expected_distortion(RD, a), "encoder", SWAP,
-                            [([[1.0]], "encoder shape does not match the problem")], False),
+                            [([[1.0]], "encoder shape does not match the problem")], True),
     "ib_solve": (lambda a: ib_solve(IB, 1.0, init_encoder=a), "init encoder", np.eye(4),
                  [(np.eye(3), "init encoder shape does not match the problem")], True),
     "ib_step": (lambda a: ib_step(IB, a, 1.0), "encoder", np.eye(4),

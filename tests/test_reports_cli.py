@@ -19,6 +19,7 @@ from rdspectral import (
     RateStudyPoint,
     SolverConfig,
     SweepConfig,
+    SweepRecord,
     binary_hamming,
     bottleneck_four_symbol,
     detect_transitions,
@@ -30,7 +31,8 @@ from rdspectral import (
     sweep,
 )
 from rdspectral.cli import cli, main as cli_main
-from rdspectral.reports import CSV_HEADER, RATE_STUDY_CSV_HEADER, write_sweep_csv
+from rdspectral.reports import (CSV_HEADER, RATE_STUDY_CSV_HEADER, write_rate_study_csv,
+                                write_sweep_csv)
 from rdspectral.svgplot import Chart
 
 
@@ -241,6 +243,38 @@ def test_report_bytes_are_pinned(sweep_name, request, tmp_path):
     assert {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in manifest
     } == REPORT_DIGESTS[sweep_name]
+
+
+NAN, INF = float("nan"), float("inf")
+# Hand-built rows whose cells no sweep fixture writes: NaN, +inf, -inf, None,
+# False, -0.0 and an integer of 10**7, with the SHA-256 of each CSV file.
+HAND_BUILT_ROWS = {
+    "sweep.csv": (write_sweep_csv, [
+        SweepRecord(beta=0.5, iterations=10**7, converged=False, support_size=2,
+                    effective_cardinality=None, lambda0=NAN, lambda_max=INF,
+                    predicted_rate=-INF, measured_rate=1 / 3, marginal=np.array([0.25, 0.75]),
+                    rate=-0.0, distortion_or_info=1e-300),
+        SweepRecord(beta=2.0, iterations=0, converged=True, support_size=1,
+                    effective_cardinality=3, lambda0=0.0, lambda_max=1.0,
+                    predicted_rate=INF, measured_rate=NAN, marginal=np.array([1.0, 0.0]),
+                    rate=NAN, distortion_or_info=-INF),
+    ], "0e37aa6333b2d4ecc014a362b8093bf197f1b1363b9031f06c9b43452a35e8fd"),
+    "rate.csv": (write_rate_study_csv, [
+        RateStudyPoint(epsilon=1e-12, iterations=10**7, converged=False, measured_rate=NAN,
+                       lambda0=0.0, lambda_max=1.0, predicted_rate=INF),
+        RateStudyPoint(epsilon=0.1, iterations=3, converged=True, measured_rate=-INF,
+                       lambda0=2 / 3, lambda_max=-0.0, predicted_rate=1.25),
+    ], "91c77f729bd824a1e9d569212fdfa9af98d53862bab734a0cb15364ddeebca66"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_ROWS))
+def test_hand_built_csv_bytes_are_pinned(name, tmp_path):
+    """Cells the sweep digests never write keep their bytes: a rate-study
+    file, a -inf, an integer of 10**7 and a -0.0."""
+    write, rows, digest = HAND_BUILT_ROWS[name]
+    path = write(rows, tmp_path / name)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def run_cli(*args):
@@ -685,10 +719,11 @@ def test_cli_surface_is_pinned():
 
 # Every name the package exports and every field of its two configs, pinned
 # for the same reason: each one is a public name or knob. Each has a caller
-# outside the tests but six. ab_step, ib_step and ib_decoder are the one-step
+# outside the tests but seven. ab_step, ib_step and ib_decoder are the one-step
 # maps the tests check the loops against. kl_divergence, mutual_information
 # and relevant_information are the checked divergences whose unchecked kernel,
-# weighted_divergence, scores every solve.
+# weighted_divergence, scores every solve, and expected_distortion is the
+# checked form of rd._distortion, which scores every solve too.
 PACKAGE_SURFACE = [
     "BUILTIN_PROBLEMS", "CSV_HEADER", "FixedPointJacobian", "IbProblem",
     "IbSolution", "NumericalError", "RateStudyPoint", "RdProblem", "RdSolution",
@@ -732,7 +767,7 @@ FUNCTION_PARAMETERS = [
     "mutual_information(px, channel)",
     "planar_four_point()",
     "predicted_iterations(report, epsilon)",
-    "rate_study(problem, beta, epsilons, anchor_beta=None, config=None)",
+    "rate_study(problem, beta, epsilons, anchor_beta=None, max_iterations=10000000)",
     "relevant_information(problem, marginal, decoder)",
     "solve(problem, beta, init=None, config=None)",
     "solve_batch(problem, betas, inits=None, config=None)",
