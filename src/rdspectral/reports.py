@@ -10,7 +10,7 @@ import math
 from pathlib import Path
 
 from .rd import _json_value, json_fields
-from .svgplot import Chart
+from .svgplot import render
 from .sweeps import RateStudyPoint, SweepRecord
 
 REPORT_FORMATS = ("csv", "json", "svg")
@@ -65,31 +65,28 @@ def _beta_panel(title, ylabel, transitions, records, rows, label="", log_y=False
     """A panel over log beta with a dashed marker inside each transition
     bracket and one line per column of rows, one row per record; the j-th
     line is labelled label.format(j)."""
-    chart = Chart(title=title, xlabel="beta", ylabel=ylabel, log_x=True, log_y=log_y)
-    for lo, hi in transitions.intervals:
-        chart.add_vline(0.5 * (lo + hi))
     betas = [r.beta for r in records]
-    for j, column in enumerate(zip(*rows)):
-        chart.add_line(betas, column, label=label.format(j))
-    return chart.render()
+    return render(title, "beta", ylabel,
+                  [("line", betas, column, label.format(j))
+                   for j, column in enumerate(zip(*rows))],
+                  vlines=[0.5 * (lo + hi) for lo, hi in transitions.intervals],
+                  log_x=True, log_y=log_y)
 
 
 def _rate_panel(records) -> str:
-    chart = Chart(
-        title="measured vs predicted convergence rate",
-        xlabel="predicted iterations per -log eps",
-        ylabel="measured iterations per -log eps",
-    )
     rated = [r for r in records
              if r.converged and math.isfinite(r.predicted_rate) and r.predicted_rate > 0]
-    chart.add_scatter([r.predicted_rate for r in rated], [r.measured_rate for r in rated])
-    chart.add_identity_diagonal()
-    return chart.render()
+    return render("measured vs predicted convergence rate",
+                  "predicted iterations per -log eps", "measured iterations per -log eps",
+                  [("scatter", [r.predicted_rate for r in rated],
+                    [r.measured_rate for r in rated], "")],
+                  diagonal=True)
 
 
 def _decoder_rows(records) -> list:
     """p(y=0 | representative) per representative of each record: None
-    where the representative is dead, which leaves a gap in its line."""
+    where the representative is dead, a point its line skips, joining the
+    points on either side."""
     return [
         [None if r.solution is None or q <= 1e-12 else float(r.solution.decoder[j][0])
          for j, q in enumerate(r.marginal)]

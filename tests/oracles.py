@@ -1,6 +1,10 @@
 """Independent computations used only to cross-check the production paths:
 the fixed-point Jacobian and its spectrum, the objectives the iterations
-descend, and closed-form binary Hamming solutions."""
+descend, and closed-form binary Hamming solutions. Also the random problem
+draw and the CLI runner that several test modules share."""
+
+import subprocess
+import sys
 
 import numpy as np
 
@@ -22,6 +26,26 @@ from rdspectral import (
 from rdspectral import rd as rdmod
 from rdspectral.probability import DEFAULT_ZERO_TOL, TINY_MASS
 from rdspectral.spectral import FixedPointJacobian, _support_gram
+
+
+def random_problem(rng, n=None, m=None, fortran=False) -> RdProblem:
+    """An n x m problem (each 2-6 when not given) with a Dirichlet px and
+    uniform [0, 1) distortions, drawn from rng in that order; fortran
+    stores d in column-major order."""
+    n = n or int(rng.integers(2, 7))
+    m = m or int(rng.integers(2, 7))
+    px = rng.dirichlet(np.ones(n))
+    d = rng.uniform(0, 1, size=(n, m))
+    return RdProblem(px=px, d=np.asfortranarray(d) if fortran else d)
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """The rdspectral CLI run in a child interpreter, its output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "rdspectral.cli", *args],
+        capture_output=True,
+        text=True,
+    )
 
 
 def entropy(p) -> float:

@@ -19,6 +19,7 @@ from oracles import (
     encoder_from_marginal,
     factors_and_gap,
     lagrangian,
+    random_problem,
     residual,
     stepped_solve,
     unreplayed_calls,
@@ -41,14 +42,6 @@ from rdspectral import (
 from rdspectral import rd as rdmod
 from rdspectral.probability import TINY_MASS
 from rdspectral.problems import builtin_problem, dump_problem, load_problem
-
-
-def random_problem(rng, n=None, m=None, fortran=False):
-    n = n or int(rng.integers(2, 7))
-    m = m or int(rng.integers(2, 7))
-    px = rng.dirichlet(np.ones(n))
-    d = rng.uniform(0, 1, size=(n, m))
-    return RdProblem(px=px, d=np.asfortranarray(d) if fortran else d)
 
 
 def random_start(rng, m):

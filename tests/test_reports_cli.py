@@ -4,8 +4,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import subprocess
-import sys
 import types
 import xml.etree.ElementTree as ET
 
@@ -14,6 +12,7 @@ import numpy as np
 import pytest
 
 import rdspectral
+from oracles import run_cli
 from rdspectral import (
     NumericalError,
     RateStudyPoint,
@@ -28,12 +27,12 @@ from rdspectral import (
     load_problem,
     planar_four_point,
     studies,
+    svgplot,
     sweep,
 )
 from rdspectral.cli import cli, main as cli_main
 from rdspectral.reports import (CSV_HEADER, RATE_STUDY_CSV_HEADER, write_rate_study_csv,
                                 write_sweep_csv)
-from rdspectral.svgplot import Chart
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +201,8 @@ class TestEmitReports:
 # SHA-256 of every file emit_reports writes for each sweep fixture. Between
 # them the panels draw every element kind: ticks and their labels, axis
 # labels, legends, polylines, scatter points, transition markers, the
-# identity diagonal, the decoder panel's gaps and empty panels.
+# identity diagonal, the decoder branches and empty panels. No decoder panel
+# here has a dead representative; HAND_BUILT_PANELS pins a line that skips one.
 REPORT_DIGESTS = {
     "rd": {
         "eigenvalues_vs_beta.svg": "140527c0a81562c1e9a44b677d0933eccb5aedddd7baa630e4b7f69e420a0bdb",
@@ -275,14 +275,6 @@ def test_hand_built_csv_bytes_are_pinned(name, tmp_path):
     write, rows, digest = HAND_BUILT_ROWS[name]
     path = write(rows, tmp_path / name)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "rdspectral.cli", *args],
-        capture_output=True,
-        text=True,
-    )
 
 
 def _reject_constant(name):
@@ -665,13 +657,45 @@ def test_unloadable_problem_file(text, reason, capsys, tmp_path):
 def test_chart_with_one_x_spans_it_by_half_a_unit():
     """Points that share one x would leave the x axis no width: it spans
     x +- 0.5 instead, and every point is still drawn."""
-    chart = Chart("t", "x", "y")
-    chart.add_scatter([2.0, 2.0, 2.0, float("nan")], [1.0, 3.0, 2.0, 5.0])
-    assert chart._limits()[:2] == (1.5, 2.5)
-    left, right = chart.margin[:2]
-    middle = f"{left + (chart.width - left - right) / 2:.2f}"
-    circles = ET.fromstring(chart.render()).iter("{http://www.w3.org/2000/svg}circle")
+    series = [("scatter", [2.0, 2.0, 2.0, NAN], [1.0, 3.0, 2.0, 5.0], "")]
+    assert svgplot._limits(series, log_x=False, log_y=False, diagonal=False)[:2] == (1.5, 2.5)
+    left, right = svgplot._MARGIN[:2]
+    middle = f"{left + (svgplot._WIDTH - left - right) / 2:.2f}"
+    svg = svgplot.render("t", "x", "y", series)
+    circles = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}circle")
     assert [c.get("cx") for c in circles] == [middle] * 3
+
+
+# Hand-built panels whose inputs no sweep fixture reaches, with the SHA-256
+# of each SVG, recorded from the Chart builder that render replaced: on a
+# log x axis, one polyline through the points around a None it skips, a line
+# with one visible point (drawn as a circle) and markers at x = -1, 0 and
+# beyond the data; y ticks that cross zero, labelled >= 1e4 and < 1e-3; a
+# scatter holding a NaN under the diagonal; and a log-log panel with no point.
+HAND_BUILT_PANELS = {
+    "log-x": (dict(title="log x", xlabel="beta", ylabel="y", series=[
+        ("line", [1.0, 2.0, 3.0, 4.0], [0.1, None, 0.3, 0.4], "gap"),
+        ("line", [-1.0, 0.5, 2.5], [0.2, NAN, 0.25], "one point"),
+    ], vlines=[-1.0, 0.0, 2.0, 50.0], log_x=True),
+        "37dd826455e2ddff5487a2752fc7f1fa9b9afdf1b975aaad94e9d423d68dedaf"),
+    "zero-crossing": (dict(title="ticks", xlabel="x", ylabel="y", series=[
+        ("line", [1e-4, 3e-4, 5e-4], [-2.2e4, 1e3, 3.1e4], "wide"),
+    ]), "94bc44d7755909bf2b0330e67662652c036cbabb3e6263840cafd33f393bdb48"),
+    "scatter-diagonal": (dict(title="rates", xlabel="predicted", ylabel="measured", series=[
+        ("scatter", [0.5, 1.0, NAN, 2.0], [0.6, 0.9, 1.5, 2.4], ""),
+    ], diagonal=True), "adf6032bdbeaf426c3427f02a47c03d9d6affa665bc58c16de385b399a4e2184"),
+    "empty-log-log": (dict(title="empty", xlabel="x", ylabel="y", series=[
+        ("line", [1.0, 2.0], [0.0, -1.0], "dead"),
+    ], log_x=True, log_y=True),
+        "065ef3066ab222887fb5e0369e176fd0200937fc46d357a6972f7ed608214157"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_PANELS))
+def test_hand_built_chart_bytes_are_pinned(name):
+    """Chart inputs the sweep digests never draw keep their bytes."""
+    kwargs, digest = HAND_BUILT_PANELS[name]
+    assert hashlib.sha256(svgplot.render(**kwargs).encode()).hexdigest() == digest
 
 
 # Every command and its options, with the values of each choice option. A new

@@ -15,6 +15,7 @@ from oracles import (
     jacobian_matrix,
     jacobian_product_form,
     kernel_dimension_check,
+    random_problem,
     symmetrized_support_block,
 )
 from rdspectral import (
@@ -33,12 +34,6 @@ from rdspectral.probability import DEFAULT_ZERO_TOL
 from rdspectral.spectral import NEGATIVE_EIGENVALUE_TOL
 
 TIGHT = SolverConfig(epsilon=1e-13)
-
-
-def random_problem(rng, n=None, m=None):
-    n = n or int(rng.integers(2, 7))
-    m = m or int(rng.integers(2, 7))
-    return RdProblem(px=rng.dirichlet(np.ones(n)), d=rng.uniform(0, 1, (n, m)))
 
 
 def solved_interior_instances(seed, count, n_max=6, m_max=6):

@@ -2,13 +2,12 @@
 
 import hashlib
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from oracles import run_cli
 from rdspectral import studies
 from rdspectral.cli import cli
 
@@ -47,14 +46,6 @@ def names(directory):
 def csv_iterations(path):
     lines = path.read_text().strip().split("\n")[1:]
     return [int(line.split(",")[1]) for line in lines]
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "rdspectral.cli", *args],
-        capture_output=True,
-        text=True,
-    )
 
 
 def test_study_fig1_writes_the_fixture_records(fig1_study, tmp_path):
